@@ -50,26 +50,43 @@ def words(text: str) -> List[str]:
 class Lexicon:
     """Immutable surface-term dictionary mapping to CUIs and semantic groups.
 
-    Duplicate surfaces keep the first occurrence; insertion order is the
-    tie-break for approximate matches.
+    Surfaces are keyed by their word tokens joined by spaces, so "heart-failure"
+    and "heart failure" are one key; duplicate keys keep the first occurrence.
+    Insertion order is the tie-break for approximate matches, whose candidates
+    come from an inverted index of token -> entry ids (SimString, Okazaki &
+    Tsujii 2010).
     """
 
     def __init__(self, entries: Iterable[ConceptEntry]):
-        self._entries: List[ConceptEntry] = []
-        self._exact: Dict[str, ConceptEntry] = {}
-        self._token_sets: List[Tuple[frozenset, ConceptEntry]] = []
-        self.max_term_tokens = 1
+        # The loop works on locals, not attributes: every command builds the
+        # index at start-up.
+        kept: List[ConceptEntry] = []
+        exact: Dict[str, ConceptEntry] = {}
+        postings: Dict[str, List[int]] = {}
+        sizes: List[int] = []
+        longest = 1
         for entry in entries:
-            if entry.surface in self._exact:
-                logger.warning("duplicate lexicon surface %r ignored", entry.surface)
-                continue
             tokens = words(entry.surface)
             if not tokens:
                 raise LexiconError(f"surface {entry.surface!r} has no word tokens")
-            self._entries.append(entry)
-            self._exact[entry.surface] = entry
-            self._token_sets.append((frozenset(tokens), entry))
-            self.max_term_tokens = max(self.max_term_tokens, len(tokens))
+            key = " ".join(tokens)
+            if key in exact:
+                logger.warning("duplicate lexicon surface %r ignored", entry.surface)
+                continue
+            exact[key] = entry
+            entry_id = len(kept)
+            kept.append(entry)
+            token_set = set(tokens)
+            sizes.append(len(token_set))
+            for token in token_set:
+                postings.setdefault(token, []).append(entry_id)
+            if len(tokens) > longest:
+                longest = len(tokens)
+        self._entries = kept
+        self._exact = exact
+        self._postings = postings
+        self._set_sizes = sizes
+        self.max_term_tokens = longest
 
     @property
     def entries(self) -> Tuple[ConceptEntry, ...]:
@@ -86,16 +103,27 @@ class Lexicon:
 
     def match_window(self, window: Sequence[str], approx_threshold: float) -> Optional[ConceptEntry]:
         """Entry matched by a token window, exact matches taking precedence
-        over Jaccard matches; approximate ties go to insertion order."""
+        over Jaccard matches; approximate ties go to insertion order.
+
+        ``approx_threshold`` must be in (0, 1]: then every qualifying entry
+        shares a token with the window, so the window's postings hold them all.
+        """
         exact = self._exact.get(" ".join(window))
         if exact is not None:
             return exact
-        window_set = frozenset(window)
-        for token_set, entry in self._token_sets:
-            union = len(window_set | token_set)
-            if union and len(window_set & token_set) / union >= approx_threshold:
-                return entry
-        return None
+        window_set = set(window)
+        overlaps: Dict[int, int] = {}
+        for token in window_set:
+            for entry_id in self._postings.get(token, ()):
+                overlaps[entry_id] = overlaps.get(entry_id, 0) + 1
+        window_size = len(window_set)
+        sizes = self._set_sizes
+        qualifying = [
+            entry_id
+            for entry_id, overlap in overlaps.items()
+            if overlap / (window_size + sizes[entry_id] - overlap) >= approx_threshold
+        ]
+        return self._entries[min(qualifying)] if qualifying else None
 
 
 def load_lexicon(source: Iterable[str]) -> Lexicon:

@@ -18,16 +18,13 @@ smallest among all maximum-length common subsequences. That canonical choice
 makes the score independent of backtrace implementation details.
 """
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from math import exp, log
 from typing import List, Sequence, Set, Tuple
 
-from .concepts import Lexicon, extract_concepts, filter_semantic_groups
+from .concepts import Lexicon, extract_concepts, filter_semantic_groups, words
 from .model import Dialogue, EvalReport, GenerationConfig, format_transcript
-
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 # Minimal suffix stripper used only when stemming is requested.
 _STEM_SUFFIXES = ("ing", "edly", "ed", "es", "s")
@@ -61,7 +58,7 @@ def _stem(token: str) -> str:
 
 def tokenize(text: str, stemming: bool = False) -> TokenizedText:
     """Lowercase word tokens; digits kept, underscores split."""
-    tokens = _TOKEN_RE.findall(text.lower())
+    tokens = words(text)
     if stemming:
         tokens = [_stem(t) for t in tokens]
     return TokenizedText(tuple(tokens))

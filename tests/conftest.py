@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from dialogforge.concepts import load_lexicon
 from dialogforge.model import (
@@ -16,6 +17,12 @@ from dialogforge.model import (
     Speaker,
     Utterance,
 )
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 result does not depend on earlier runs. No deadline:
+# per-example time varies with the load of a shared machine.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -3,8 +3,11 @@ import logging
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dialogforge.concepts import (
+    Lexicon,
     MalformedRecord,
     build_checklist,
     extract_concepts,
@@ -17,7 +20,7 @@ from dialogforge.concepts import (
 from dialogforge.model import ConceptEntry, SemanticGroup, Speaker, Utterance
 
 from conftest import make_section
-from oracles import oracle_concept_matches
+from oracles import _window_entry, oracle_concept_matches
 
 
 def _load(text):
@@ -57,6 +60,33 @@ def test_load_duplicate_surface_keeps_first_and_warns(caplog):
 def test_load_unknown_group_maps_to_other():
     lexicon = _load("fish\tC0016163\tvertebrate\n")
     assert lexicon.get("fish").semantic_group is SemanticGroup.OTHER
+
+
+def test_punctuated_surface_is_keyed_by_its_tokens():
+    lexicon = _load("heart-failure\tC0018801\tdisease\n")
+    assert lexicon.get("heart-failure").cui == "C0018801"
+    assert lexicon.get("Heart failure").cui == "C0018801"
+    assert "heart failure" in lexicon
+
+
+def test_punctuated_surface_matches_exactly_before_reordered_entry():
+    entries = [
+        ConceptEntry("failure heart congestive", "C1", SemanticGroup.DISEASE),
+        ConceptEntry("congestive heart-failure", "C2", SemanticGroup.DISEASE),
+    ]
+    lexicon = Lexicon(entries)
+    text = "congestive heart failure"
+    got = [(m.start, m.end, m.entry) for m in scan_matches(text, lexicon, 0.7)]
+    assert got == oracle_concept_matches(text, entries, 0.7)
+    assert [entry.cui for _, _, entry in got] == ["C2"]
+
+
+def test_load_duplicate_token_key_keeps_first_and_warns(caplog):
+    with caplog.at_level(logging.WARNING):
+        lexicon = _load("heart failure\tC1\tdisease\nheart-failure\tC2\tdisease\n")
+    assert len(lexicon) == 1
+    assert lexicon.get("heart-failure").cui == "C1"
+    assert any("duplicate" in r.message for r in caplog.records)
 
 
 def test_extract_exact_matches_in_order(lexicon, cfg):
@@ -201,3 +231,63 @@ def test_mark_covered_total_is_non_decreasing(lexicon, cfg):
             current = checklist.covered_count()
             assert current >= last
             last = current
+
+
+# Property tests: the indexed matcher against the brute-force linear scan of
+# tests/oracles.py. ASCII tokens only, because the oracle tokenizes [a-z0-9]+.
+# A small vocabulary makes shared, repeated and reordered tokens common.
+_VOCAB = ["a", "b", "c", "d", "ab", "7"]
+_SEPARATORS = [" ", "  ", "-", ", ", "_", "/", ". "]
+
+_tokens = st.sampled_from(_VOCAB + ["B", "Cd"])
+_window_tokens = st.lists(st.sampled_from(_VOCAB + ["zz"]), max_size=5)
+_thresholds = st.one_of(
+    st.sampled_from([0.25, 1 / 3, 0.5, 0.6, 2 / 3, 0.7, 0.75, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
+@st.composite
+def _joined(draw, min_size, max_size):
+    parts = draw(st.lists(_tokens, min_size=min_size, max_size=max_size))
+    text = parts[0] if parts else ""
+    for part in parts[1:]:
+        text += draw(st.sampled_from(_SEPARATORS)) + part
+    return text
+
+
+@st.composite
+def _entries(draw):
+    surfaces = draw(st.lists(_joined(1, 4), min_size=1, max_size=8))
+    return [
+        ConceptEntry(
+            surface,
+            draw(st.sampled_from(["C1", "C2", "C3", "C4"])),
+            draw(st.sampled_from(list(SemanticGroup))),
+        )
+        for surface in surfaces
+    ]
+
+
+def _entry(surface, cui="C1"):
+    return ConceptEntry(surface, cui, SemanticGroup.DISEASE)
+
+
+@given(entries=_entries(), window=_window_tokens, threshold=_thresholds)
+@example(entries=[_entry("a a b")], window=["a", "b"], threshold=1.0)
+@example(entries=[_entry("a b", "C1"), _entry("a"), _entry("b, a", "C2")], window=["a", "a"], threshold=0.5)
+@example(entries=[_entry("b c a"), _entry("a-b", "C2")], window=["a", "b"], threshold=0.7)
+@example(entries=[_entry("a")], window=[], threshold=0.5)
+def test_match_window_agrees_with_linear_scan(entries, window, threshold):
+    lexicon = Lexicon(entries)
+    assert lexicon.match_window(window, threshold) is _window_entry(window, entries, threshold)
+
+
+@given(entries=_entries(), text=_joined(0, 8), threshold=_thresholds)
+@example(entries=[_entry("a b")], text="", threshold=0.7)
+@example(entries=[_entry("a a b"), _entry("b-a", "C2")], text="c a b a a b", threshold=0.6)
+@example(entries=[_entry("c b a"), _entry("a-b-c", "C2")], text="A. B, c", threshold=1.0)
+def test_scan_matches_agrees_with_oracle(entries, text, threshold):
+    lexicon = Lexicon(entries)
+    got = [(m.start, m.end, m.entry) for m in scan_matches(text, lexicon, threshold)]
+    assert got == oracle_concept_matches(text, entries, threshold)
