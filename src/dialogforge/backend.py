@@ -19,7 +19,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 from urllib.parse import urlparse
 
@@ -376,34 +376,3 @@ class MockBackend:
             turns = expanded
         return "\n".join(f"{speaker}: {text}" for speaker, text in turns)
 
-
-@dataclass(frozen=True)
-class BackendKind:
-    """Declarative backend selection: ``http`` or ``mock``."""
-
-    kind: str
-    endpoint: str = ""
-    model: str = ""
-    script: Tuple[str, ...] = field(default_factory=tuple)
-    strict: bool = False
-    style: str = "short"
-    requests_per_minute: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in ("http", "mock"):
-            raise ValueError(f"kind must be http or mock, got {self.kind!r}")
-        if self.kind == "http":
-            parsed = urlparse(self.endpoint)
-            if parsed.scheme not in ("http", "https") or not parsed.netloc:
-                raise ValueError(f"invalid endpoint url: {self.endpoint!r}")
-
-    def create(self):
-        if self.kind == "http":
-            return HttpBackend(
-                self.endpoint, self.model, requests_per_minute=self.requests_per_minute
-            )
-        return MockBackend(
-            script=list(self.script) if self.script else None,
-            strict=self.strict,
-            style=self.style,
-        )

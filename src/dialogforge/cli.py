@@ -8,11 +8,13 @@ config file over built-in defaults; the API key is read only from the
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -214,7 +216,7 @@ def _make_backend(args: argparse.Namespace, cfg: GenerationConfig):
         if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
             raise CliError(f"mock script {args.mock_script} must be a JSON list of strings")
         return MockBackend(script=script, strict=False, style=cfg.mode)
-    if args.mock or args.backend == "mock":
+    if args.mock:
         return MockBackend(style=cfg.mode)
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV, "")
     if not endpoint:
@@ -236,32 +238,30 @@ def cmd_generate(args: argparse.Namespace) -> int:
     notes = _read_notes(args.input)
     templates = load_templates(args.prompts) if args.prompts else None
     workers = max(1, args.workers)
+    auth_failed = threading.Event()
 
-    def generate(note: ClinicalNote):
-        return run_full_pipeline(note, lexicon, backend, cfg, templates)
+    def generate(note: ClinicalNote) -> Optional[Dialogue]:
+        """The note's dialogue, or None when it failed or was never started."""
+        if auth_failed.is_set():
+            return None
+        try:
+            return run_full_pipeline(note, lexicon, backend, cfg, templates)
+        except AuthError:
+            # Set here, not by the reader of the results: by then an idle
+            # worker may already have started the next note.
+            auth_failed.set()
+            raise
+        except (BackendError, ValueError) as exc:
+            logger.error("note %s failed: %s", note.id, exc)
+            return None
 
-    results: List[Optional[Dialogue]] = [None] * len(notes)
-    failures = 0
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(generate, note) for note in notes]
-            for index, future in enumerate(futures):
-                try:
-                    results[index] = future.result()
-                except AuthError as exc:
-                    raise CliError(f"authentication failed: {exc}", exit_code=2) from exc
-                except (BackendError, ValueError) as exc:
-                    logger.error("note %s failed: %s", notes[index].id, exc)
-                    failures += 1
-    else:
-        for index, note in enumerate(notes):
-            try:
-                results[index] = generate(note)
-            except AuthError as exc:
-                raise CliError(f"authentication failed: {exc}", exit_code=2) from exc
-            except (BackendError, ValueError) as exc:
-                logger.error("note %s failed: %s", note.id, exc)
-                failures += 1
+    with contextlib.ExitStack() as stack:
+        run = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
+        try:
+            results = list(run(generate, notes))
+        except AuthError as exc:
+            raise CliError(f"authentication failed: {exc}", exit_code=2) from exc
+    failures = results.count(None)
 
     records = []
     for note, dialogue in zip(notes, results):
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--input", required=True, help="notes JSONL file")
     p_generate.add_argument("--lexicon", required=True, help="tab-separated lexicon file")
     p_generate.add_argument("--out", help="dialogues JSONL file (default stdout)")
-    p_generate.add_argument("--backend", choices=["http", "mock"], default="http")
     p_generate.add_argument("--mock", action="store_true", help="use the rule-generated mock backend")
     p_generate.add_argument("--mock-script", help="JSON list of scripted mock replies")
     p_generate.add_argument("--endpoint", help=f"chat-completions endpoint (or ${ENDPOINT_ENV})")
@@ -349,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument(
         "--requests-per-minute", dest="requests_per_minute", type=float, default=None
     )
-    p_generate.add_argument("--workers", type=int, default=1, help="concurrent notes")
+    p_generate.add_argument("--workers", type=int, default=1, help="notes run at once")
     p_generate.add_argument("--prompts", help="directory of <name>.txt prompt template overrides")
     _add_config_flags(p_generate)
     p_generate.set_defaults(func=cmd_generate)

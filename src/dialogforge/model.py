@@ -5,6 +5,7 @@ All types are immutable after construction except :class:`Checklist`, whose
 covered flags may only ever flip from False to True.
 """
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -248,6 +249,10 @@ class Checklist:
 # Slot names a prompt template may reference.
 TEMPLATE_SLOTS = frozenset({"note", "keywords", "history", "conversation", "conversation2"})
 
+# Matches every ``{{``, with the slot name in group 1 when ``{{name}}``
+# follows. A body is valid when every match names one of TEMPLATE_SLOTS.
+TEMPLATE_SLOT_RE = re.compile(r"\{\{(?:(\w+)\}\})?")
+
 TEMPLATE_NAMES = frozenset(
     {"doctor", "patient", "polish", "hallucination", "postediting", "factuality"}
 )
@@ -267,28 +272,14 @@ class PromptTemplate:
     def __post_init__(self):
         if self.name not in TEMPLATE_NAMES:
             raise ModelError(f"unknown template name: {self.name!r}")
-        idx = 0
-        while True:
-            idx = self.body.find("{{", idx)
-            if idx < 0:
-                break
-            close = self.body.find("}}", idx)
-            slot = self.body[idx + 2 : close] if close >= 0 else ""
-            if slot not in TEMPLATE_SLOTS:
-                raise ModelError(f"template {self.name!r} has a bad placeholder at offset {idx}")
-            idx = close + 2
+        for match in TEMPLATE_SLOT_RE.finditer(self.body):
+            if match.group(1) not in TEMPLATE_SLOTS:
+                raise ModelError(
+                    f"template {self.name!r} has a bad placeholder at offset {match.start()}"
+                )
 
     def referenced_slots(self) -> frozenset:
-        found = set()
-        idx = 0
-        while True:
-            idx = self.body.find("{{", idx)
-            if idx < 0:
-                break
-            close = self.body.find("}}", idx)
-            found.add(self.body[idx + 2 : close])
-            idx = close + 2
-        return frozenset(found)
+        return frozenset(match.group(1) for match in TEMPLATE_SLOT_RE.finditer(self.body))
 
 
 @dataclass(frozen=True)

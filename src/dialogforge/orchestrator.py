@@ -23,6 +23,7 @@ from .model import (
     PromptTemplate,
     Provenance,
     Speaker,
+    TEMPLATE_SLOT_RE,
     Utterance,
     format_transcript,
 )
@@ -30,7 +31,6 @@ from .prompts import DEFAULT_TEMPLATES
 
 logger = logging.getLogger(__name__)
 
-_SLOT_RE = re.compile(r"\{\{(\w+)\}\}")
 _VERDICT_RE = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
 
 TERMINATE_CHECKLIST_EMPTY = "checklist_empty"
@@ -69,7 +69,7 @@ def render_prompt(template: PromptTemplate, bindings: Dict) -> str:
             raise UnboundSlot(slot)
         return _render_value(bindings[slot])
 
-    return _SLOT_RE.sub(substitute, template.body)
+    return TEMPLATE_SLOT_RE.sub(substitute, template.body)
 
 
 @dataclass

@@ -244,3 +244,26 @@ def oracle_concept_scores(hyp_text, ref_text, entries, threshold):
     if precision + recall == 0:
         return recall, precision, 0.0
     return recall, precision, 2 * precision * recall / (precision + recall)
+
+
+def oracle_template_slots(body, slots):
+    """Scan ``{{``/``}}`` pairs left to right: the text between each ``{{``
+    and the next ``}}`` must be one of ``slots``. Returns the set of slot
+    names referenced, or None when the body is invalid."""
+    found = set()
+    idx = 0
+    while True:
+        idx = body.find("{{", idx)
+        if idx < 0:
+            return frozenset(found)
+        close = body.find("}}", idx)
+        slot = body[idx + 2 : close] if close >= 0 else ""
+        if slot not in slots:
+            return None
+        found.add(slot)
+        idx = close + 2
+
+
+def oracle_render(body, values):
+    """Replace every ``{{word}}`` with ``values[word]``."""
+    return re.sub(r"\{\{(\w+)\}\}", lambda m: values[m.group(1)], body)

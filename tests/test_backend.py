@@ -7,7 +7,6 @@ import pytest
 
 from dialogforge.backend import (
     AuthError,
-    BackendKind,
     ChatMessage,
     ChatRequest,
     HttpBackend,
@@ -339,13 +338,3 @@ def test_token_bucket_allows_burst_within_capacity():
     for _ in range(5):
         bucket.acquire()
 
-
-def test_backend_kind_validation_and_create():
-    with pytest.raises(ValueError):
-        BackendKind("http", endpoint="nonsense")
-    with pytest.raises(ValueError):
-        BackendKind("grpc")
-    kind = BackendKind("mock", script=("a",), strict=True)
-    backend = kind.create()
-    assert isinstance(backend, MockBackend)
-    assert backend.complete(user_request("x")) == "a"

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -94,13 +95,13 @@ def test_extract_note_with_no_hits(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _generate(tmp_path, *extra):
+def _generate(tmp_path, *extra, notes=NOTES_PATH):
     out = tmp_path / "dialogues.jsonl"
     code = main(
         [
             "generate",
             "--input",
-            str(NOTES_PATH),
+            str(notes),
             "--lexicon",
             str(LEXICON_PATH),
             "--out",
@@ -145,13 +146,23 @@ def test_generate_long_mode_produces_more_turns(tmp_path):
 
 
 def test_generate_workers_preserve_input_order(tmp_path):
-    code, out = _generate(tmp_path, "--mock", "--workers", "3")
-    assert code == 0
-    assert [r["id"] for r in _read_jsonl(out)] == ["n1", "n2", "n3"]
+    for mode in ("short", "long"):
+        code, out = _generate(tmp_path, "--mock", "--mode", mode, "--workers", "1")
+        assert code == 0
+        serial = out.read_bytes()
+        code, out = _generate(tmp_path, "--mock", "--mode", mode, "--workers", "3")
+        assert code == 0
+        assert [r["id"] for r in _read_jsonl(out)] == ["n1", "n2", "n3"]
+        assert out.read_bytes() == serial
 
 
 class _Always401(BaseHTTPRequestHandler):
+    posts = 0
+    lock = threading.Lock()
+
     def do_POST(self):
+        with _Always401.lock:
+            _Always401.posts += 1
         length = int(self.headers.get("Content-Length", "0"))
         self.rfile.read(length)
         body = b'{"error": "bad key"}'
@@ -164,24 +175,44 @@ class _Always401(BaseHTTPRequestHandler):
         pass
 
 
-def test_generate_http_auth_error_exits_nonzero(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_generate_http_auth_error_exits_nonzero(tmp_path, capsys, monkeypatch, workers):
+    # Eight notes that each need the backend; after the first 401 no note
+    # may start, so only the notes already running send a request.
+    texts = [json.loads(line)["text"] for line in NOTES_PATH.read_text().splitlines()]
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text(
+        "".join(json.dumps({"id": f"a{i}", "text": texts[i % len(texts)]}) + "\n" for i in range(8)),
+        encoding="utf-8",
+    )
     monkeypatch.setenv("DIALOGFORGE_API_KEY", "wrong")
+    monkeypatch.setattr(_Always401, "posts", 0)
+    interval = sys.getswitchinterval()
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Always401)
     thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.02), daemon=True)
     thread.start()
     try:
+        # Frequent thread switches widen any window between a worker taking
+        # a note and another worker recording the failure.
+        sys.setswitchinterval(1e-5)
         host, port = server.server_address
-        code, _ = _generate(tmp_path, "--backend", "http", "--endpoint", f"http://{host}:{port}")
+        code, _ = _generate(
+            tmp_path, "--endpoint", f"http://{host}:{port}", "--workers", str(workers), notes=notes
+        )
     finally:
+        sys.setswitchinterval(interval)
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
+    assert not thread.is_alive()
     assert code == 2
     assert "authentication" in capsys.readouterr().err
+    assert 1 <= _Always401.posts <= workers
 
 
 def test_generate_requires_endpoint_for_http(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("DIALOGFORGE_ENDPOINT", raising=False)
-    code, _ = _generate(tmp_path, "--backend", "http")
+    code, _ = _generate(tmp_path)
     assert code != 0
     assert "endpoint" in capsys.readouterr().err
 
@@ -210,8 +241,6 @@ def test_generate_per_note_failures_exit_nonzero(tmp_path):
         host, port = server.server_address
         code, out = _generate(
             tmp_path,
-            "--backend",
-            "http",
             "--endpoint",
             f"http://{host}:{port}",
             "--config",
@@ -219,6 +248,7 @@ def test_generate_per_note_failures_exit_nonzero(tmp_path):
         )
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
     assert code == 1
     assert _read_jsonl(out) == []

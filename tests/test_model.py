@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dialogforge.model import (
     CANONICAL_HEADERS,
@@ -19,13 +21,16 @@ from dialogforge.model import (
     SectionHeader,
     SemanticGroup,
     Speaker,
+    TEMPLATE_SLOTS,
     UnknownHeader,
     Utterance,
     format_transcript,
     validate,
 )
+from dialogforge.orchestrator import render_prompt
 
 from conftest import make_dialogue
+from oracles import oracle_render, oracle_template_slots
 
 
 def test_canonical_header_count():
@@ -142,6 +147,32 @@ def test_prompt_template_slot_validation():
 def test_prompt_template_referenced_slots():
     template = PromptTemplate("polish", "{{conversation}} and {{note}}")
     assert template.referenced_slots() == frozenset({"conversation", "note"})
+
+
+_BODY_FRAGMENTS = (
+    ["{{", "}}", "{", "}", "{{note}}", "{{history}}", "noteid", "a", "é", " ", "\n", "x-y"]
+    + sorted(TEMPLATE_SLOTS)
+)
+
+
+@given(body=st.lists(st.sampled_from(_BODY_FRAGMENTS), max_size=12).map("".join))
+@example(body="{{{note}}")
+@example(body="{{note")
+@example(body="{{}}")
+@example(body="{{a}b}}")
+@example(body="{{note}}{{")
+@example(body="{{ brace")
+@example(body="}}{{note}}}")
+def test_template_slot_scanner_agrees_with_reference(body):
+    expected = oracle_template_slots(body, TEMPLATE_SLOTS)
+    if expected is None:
+        with pytest.raises(ModelError):
+            PromptTemplate("doctor", body)
+        return
+    template = PromptTemplate("doctor", body)
+    assert template.referenced_slots() == expected
+    values = {slot: "{" + slot.upper() + "}" for slot in TEMPLATE_SLOTS}
+    assert render_prompt(template, values) == oracle_render(body, values)
 
 
 def test_generation_config_defaults_and_validation():
