@@ -4,13 +4,19 @@ The HTTP variant speaks the common ``/chat/completions`` JSON shape; endpoint
 and model name are configuration, and the bearer token comes from the
 ``DIALOGFORGE_API_KEY`` environment variable only.
 
+A request carries, besides its messages, the pipeline ``stage`` that built it
+(the template name) and the rendered text of each template slot. Both stay in
+the process: the HTTP client sends only model, messages, max_tokens and
+temperature.
+
 The mock has two modes. Scripted mode plays back canned replies (raising
-ScriptExhausted in strict mode when they run out). Rule mode inspects the
-rendered prompt and synthesizes a reply: doctor prompts get a single question
-embedding every requested keyword verbatim, patient prompts echo the note
-sentences that mention those keywords, and the refinement prompts echo the
-dialogue lines embedded in the prompt. That makes a full pipeline run
-deterministic and keyword-coverage-complete by construction.
+ScriptExhausted in strict mode when they run out). Rule mode answers by
+stage from the slot text, never from the prompt wording: doctor requests get
+a single question embedding every requested keyword verbatim, patient
+requests echo the note sentences that mention the keywords of the last
+doctor question, and the refinement stages echo the dialogue lines of their
+conversation slots. That makes a full pipeline run deterministic and
+keyword-coverage-complete by construction, whatever the templates say.
 """
 
 import logging
@@ -19,8 +25,8 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlparse
 
 import requests
@@ -79,6 +85,9 @@ class ChatRequest:
     messages: Tuple[ChatMessage, ...]
     max_reply_tokens: int = 256
     temperature: float = 0.7
+    # Local only, never sent: the template name and each slot's rendered text.
+    stage: str = ""
+    slots: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "messages", tuple(self.messages))
@@ -228,20 +237,6 @@ _TURN_LINE_RE = re.compile(r"^(Doctor|Patient):\s*(.*)$", re.IGNORECASE)
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+|\n+")
 _DOCTOR_ASK_RE = re.compile(r"about (.+?)\?")
 
-# Template lines that terminate an embedded multi-line note.
-_NOTE_END_PREFIXES = (
-    "Please role-play",
-    "Please act",
-    "Key Words:",
-    "The History Conversation:",
-    "The conversation",
-    "Conversation:",
-    "History Conversation:",
-    "Generated Conversation:",
-    "Check whether",
-    "Answer yes",
-)
-
 
 def _split_sentences(text: str) -> List[str]:
     return [s.strip() for s in _SENTENCE_SPLIT_RE.split(text) if s.strip()]
@@ -283,58 +278,32 @@ class MockBackend:
                 return self._script.pop(0)
             if self._scripted and self._strict:
                 raise ScriptExhausted(f"script exhausted after {self.calls - 1} replies")
-        return self._rule_reply(request.messages[-1].content)
+        return self._rule_reply(request.stage, request.slots)
 
     # -- rule engine ------------------------------------------------------
 
-    def _rule_reply(self, prompt: str) -> str:
-        if "role-play as a doctor" in prompt:
-            return self._doctor_reply(prompt)
-        if "act as a patient" in prompt:
-            return self._patient_reply(prompt)
-        if "rewrite all the conversations" in prompt:
-            return self._echo_dialogue(prompt)
-        if "Check whether the information of the conversation" in prompt:
-            return self._echo_dialogue(prompt)
-        if "concatenate the two dialogues" in prompt:
-            return self._echo_dialogue(prompt)
-        if "answer yes or no" in prompt.lower():
+    def _rule_reply(self, stage: str, slots: Dict[str, str]) -> str:
+        if stage == "doctor":
+            return self._doctor_reply(slots.get("keywords", ""))
+        if stage == "patient":
+            return self._patient_reply(slots.get("note", ""), slots.get("history", ""))
+        if stage in ("polish", "hallucination", "postediting"):
+            return self._echo_dialogue(slots.get("conversation", ""), slots.get("conversation2", ""))
+        if stage == "factuality":
             return "Yes, the conversation covers the required information."
         return "Okay."
 
     @staticmethod
-    def _keywords(prompt: str) -> List[str]:
-        for line in prompt.splitlines():
-            if line.startswith("Key Words:"):
-                raw = line[len("Key Words:"):]
-                return [k.strip() for k in raw.split(",") if k.strip()]
-        return []
-
-    @staticmethod
-    def _embedded_note(prompt: str) -> str:
-        lines = prompt.splitlines()
-        collected: List[str] = []
-        capturing = False
-        for line in lines:
-            if not capturing and line.startswith("Clinical Note:"):
-                capturing = True
-                collected.append(line[len("Clinical Note:"):].strip())
-                continue
-            if capturing:
-                if any(line.startswith(p) for p in _NOTE_END_PREFIXES):
-                    break
-                collected.append(line)
-        return "\n".join(collected).strip()
-
-    def _doctor_reply(self, prompt: str) -> str:
-        keywords = self._keywords(prompt)
+    def _doctor_reply(keywords_text: str) -> str:
+        keywords = [k.strip() for k in keywords_text.split(",") if k.strip()]
         if not keywords:
             return "How are you feeling today?"
         return f"Can you tell me about {', '.join(keywords)}?"
 
-    def _patient_reply(self, prompt: str) -> str:
+    @staticmethod
+    def _patient_reply(note: str, history: str) -> str:
         question = None
-        for line in prompt.splitlines():
+        for line in history.splitlines():
             match = _TURN_LINE_RE.match(line)
             if match and match.group(1).lower() == "doctor":
                 question = match.group(2)
@@ -343,7 +312,6 @@ class MockBackend:
             asked = _DOCTOR_ASK_RE.search(question)
             if asked:
                 keywords = [k.strip() for k in asked.group(1).split(",") if k.strip()]
-        note = self._embedded_note(prompt)
         sentences = _split_sentences(note)
         echoed: List[str] = []
         for keyword in keywords:
@@ -357,9 +325,9 @@ class MockBackend:
             return "Yes, that's right."
         return " ".join(echoed)
 
-    def _echo_dialogue(self, prompt: str) -> str:
+    def _echo_dialogue(self, *transcripts: str) -> str:
         turns: List[Tuple[str, str]] = []
-        for line in prompt.splitlines():
+        for line in "\n".join(transcripts).splitlines():
             match = _TURN_LINE_RE.match(line)
             if match:
                 turns.append((match.group(1).capitalize(), match.group(2)))
@@ -375,4 +343,3 @@ class MockBackend:
                     expanded.append((speaker, text))
             turns = expanded
         return "\n".join(f"{speaker}: {text}" for speaker, text in turns)
-

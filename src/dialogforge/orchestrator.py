@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .backend import complete_with_retry, estimate_tokens, user_request, BackendError
+from .backend import ChatMessage, ChatRequest, complete_with_retry, estimate_tokens, BackendError
 from .concepts import Lexicon, build_checklist, mark_covered
 from .model import (
     Checklist,
@@ -98,11 +98,21 @@ def should_terminate(state: LoopState, cfg: GenerationConfig) -> Tuple[bool, Opt
     return False, None
 
 
-def _call(backend, prompt: str, cfg: GenerationConfig, round_index: int) -> str:
+def _request(template: PromptTemplate, bindings: Dict, cfg: GenerationConfig) -> ChatRequest:
+    """The user request for ``template``: each referenced slot is rendered
+    once, the prompt is substituted from those strings (raising UnboundSlot
+    for a slot without a binding), and the request carries them as
+    ``slots`` with the template name as ``stage``."""
+    slots = {s: _render_value(bindings[s]) for s in template.referenced_slots() if s in bindings}
+    message = ChatMessage("user", render_prompt(template, slots))
+    return ChatRequest((message,), cfg.max_reply_tokens, cfg.temperature, template.name, slots)
+
+
+def _call(backend, request: ChatRequest, cfg: GenerationConfig, round_index: int) -> str:
     try:
         reply = complete_with_retry(
             backend,
-            user_request(prompt, cfg.max_reply_tokens, cfg.temperature),
+            request,
             max_retries=cfg.max_retries,
             base_delay=cfg.retry_base_delay,
         )
@@ -117,15 +127,16 @@ def _render_with_budget(
     bindings: Dict,
     history: List[Utterance],
     cfg: GenerationConfig,
-) -> Tuple[str, List[Utterance]]:
-    """Render with the full history, dropping the oldest rounds (round 0
-    excluded) while the estimate is over budget."""
+) -> Tuple[ChatRequest, List[Utterance]]:
+    """Request with the full history, dropping the oldest complete rounds
+    after round 0 while the estimate is over budget. Round 0 and a trailing
+    doctor question still awaiting its answer are never dropped."""
     budget = cfg.context_fill_ratio * cfg.max_context_tokens
     view = list(history)
     while True:
-        rendered = render_prompt(template, {**bindings, "history": view})
-        if estimate_tokens(rendered) <= budget or len(view) <= 2:
-            return rendered, view
+        request = _request(template, {**bindings, "history": view}, cfg)
+        if estimate_tokens(request.messages[-1].content) <= budget or len(view) < 4:
+            return request, view
         del view[2:4]
 
 
@@ -142,25 +153,25 @@ def run_round(
     keywords = select_keywords(state, cfg)
     state.round_keywords.append([k.surface for k in keywords])
 
-    doctor_prompt, view = _render_with_budget(
+    doctor_request, view = _render_with_budget(
         templates["doctor"],
         {"note": section.body, "keywords": keywords},
         state.history,
         cfg,
     )
-    doctor_turn = Utterance(Speaker.DOCTOR, _call(backend, doctor_prompt, cfg, state.round), state.round)
+    doctor_turn = Utterance(Speaker.DOCTOR, _call(backend, doctor_request, cfg, state.round), state.round)
     state.history.append(doctor_turn)
     view.append(doctor_turn)
 
-    patient_prompt, view = _render_with_budget(
+    patient_request, view = _render_with_budget(
         templates["patient"], {"note": section.body}, view, cfg
     )
-    patient_turn = Utterance(Speaker.PATIENT, _call(backend, patient_prompt, cfg, state.round), state.round)
+    patient_turn = Utterance(Speaker.PATIENT, _call(backend, patient_request, cfg, state.round), state.round)
     state.history.append(patient_turn)
 
     mark_covered(state.checklist, [doctor_turn, patient_turn], lexicon, cfg)
     state.round += 1
-    state.token_spend = estimate_tokens(patient_prompt) + estimate_tokens(patient_turn.text)
+    state.token_spend = estimate_tokens(patient_request.messages[-1].content) + estimate_tokens(patient_turn.text)
     return state
 
 
@@ -185,11 +196,12 @@ def factuality_check(
     if not cfg.enable_factuality:
         return []
     templates = templates or DEFAULT_TEMPLATES
-    prompt = render_prompt(
+    request = _request(
         templates["factuality"],
         {"note": section.body, "conversation": dialogue, "keywords": list(checklist.entries)},
+        cfg,
     )
-    reply = _call(backend, prompt, cfg, round_index=-1)
+    reply = _call(backend, request, cfg, round_index=-1)
     verdict = _VERDICT_RE.search(reply)
     if verdict is None:
         logger.warning("factuality verdict unparseable for note %r; treating as complete", dialogue.note_id)

@@ -25,7 +25,7 @@ from .model import (
     Utterance,
     validate,
 )
-from .orchestrator import _call, render_prompt, run_section_loop
+from .orchestrator import _call, _request, run_section_loop
 from .prompts import DEFAULT_TEMPLATES
 from .segmenter import segment_note
 
@@ -95,11 +95,12 @@ def _rewrite_pass(
     template: PromptTemplate,
     provenance: Provenance,
 ) -> Dialogue:
-    prompt = render_prompt(
+    request = _request(
         template,
         {"conversation": dialogue, "note": note_body, "keywords": list(checklist.entries)},
+        cfg,
     )
-    reply = _call(backend, prompt, cfg, round_index=-1)
+    reply = _call(backend, request, cfg, round_index=-1)
     try:
         turns = parse_transcript(reply)
     except Unparseable:
@@ -190,7 +191,7 @@ def postedit_combine(
         head = left.turns[:-tail]
         bound_left = left.turns[-tail:]
 
-    prompt = render_prompt(
+    request = _request(
         templates["postediting"],
         {
             "conversation": list(bound_left),
@@ -198,8 +199,9 @@ def postedit_combine(
             "keywords": list(checklist.entries),
             "note": note_body,
         },
+        cfg,
     )
-    reply = _call(backend, prompt, cfg, round_index=-1)
+    reply = _call(backend, request, cfg, round_index=-1)
     try:
         merged = tuple(parse_transcript(reply))
     except Unparseable:

@@ -55,6 +55,13 @@ def test_chat_request_validation():
 # ---------------------------------------------------------------------------
 
 
+def staged_request(stage, **slots):
+    """A request as the pipeline builds it; the prompt text says nothing, so
+    the mock can only answer from ``stage`` and ``slots``."""
+    message = ChatMessage("user", "(prompt wording the mock must not read)")
+    return ChatRequest((message,), stage=stage, slots=slots)
+
+
 def test_mock_scripted_playback():
     mock = MockBackend(script=["hello"])
     assert mock.complete(user_request("anything")) == "hello"
@@ -71,7 +78,7 @@ def test_mock_strict_script_exhaustion():
 def test_mock_nonstrict_falls_back_to_rules():
     mock = MockBackend(script=["scripted"], strict=False)
     assert mock.complete(user_request("x")) == "scripted"
-    reply = mock.complete(user_request("role-play as a doctor\nKey Words: aspirin"))
+    reply = mock.complete(staged_request("doctor", keywords="aspirin"))
     assert "aspirin" in reply
 
 
@@ -91,12 +98,8 @@ def test_mock_doctor_reply_embeds_every_keyword():
     mock = MockBackend()
     for _ in range(20):
         keywords = rng.sample(vocabulary, rng.randint(1, 4))
-        prompt = (
-            "Clinical Note: something\n"
-            "Please role-play as a doctor and ask.\n"
-            f"Key Words: {','.join(keywords)}\n"
-        )
-        reply = mock.complete(user_request(prompt))
+        request = staged_request("doctor", note="something", keywords=",".join(keywords), history="")
+        reply = mock.complete(request)
         assert reply.count("?") == 1
         for keyword in keywords:
             assert keyword in reply
@@ -104,13 +107,12 @@ def test_mock_doctor_reply_embeds_every_keyword():
 
 def test_mock_patient_echoes_note_sentences():
     mock = MockBackend()
-    prompt = (
-        "Clinical Note: He takes aspirin every day. He has hypertension. He sleeps well.\n"
-        "Please act as a patient and answer my question.\n"
-        "The History Conversation:\n"
-        "Doctor: Can you tell me about aspirin, hypertension?"
+    request = staged_request(
+        "patient",
+        note="He takes aspirin every day. He has hypertension. He sleeps well.",
+        history="Doctor: Can you tell me about aspirin, hypertension?",
     )
-    reply = mock.complete(user_request(prompt))
+    reply = mock.complete(request)
     assert "He takes aspirin every day." in reply
     assert "He has hypertension." in reply
     assert "sleeps well" not in reply
@@ -118,46 +120,38 @@ def test_mock_patient_echoes_note_sentences():
 
 def test_mock_polish_returns_conversation_unchanged():
     mock = MockBackend()
-    prompt = (
-        "Please rewrite all the conversations based on the notes.\n"
-        "Key Words: aspirin\n"
-        "The conversation:\n"
-        "Doctor: How are you?\n"
-        "Patient: Fine, thanks.\n"
-        "Clinical Note: irrelevant\n"
+    request = staged_request(
+        "polish",
+        keywords="aspirin",
+        conversation="Doctor: How are you?\nPatient: Fine, thanks.",
+        note="Patient: irrelevant",
     )
-    assert mock.complete(user_request(prompt)) == "Doctor: How are you?\nPatient: Fine, thanks."
+    assert mock.complete(request) == "Doctor: How are you?\nPatient: Fine, thanks."
 
 
 def test_mock_postediting_concatenates():
     mock = MockBackend()
-    prompt = (
-        "Please concatenate the two dialogues together.\n"
-        "History Conversation:\n"
-        "Doctor: q1\n"
-        "Patient: a1\n"
-        "Generated Conversation:\n"
-        "Doctor: q2\n"
-        "Patient: a2\n"
+    request = staged_request(
+        "postediting",
+        conversation="Doctor: q1\nPatient: a1",
+        conversation2="Doctor: q2\nPatient: a2",
     )
-    assert mock.complete(user_request(prompt)) == "Doctor: q1\nPatient: a1\nDoctor: q2\nPatient: a2"
+    assert mock.complete(request) == "Doctor: q1\nPatient: a1\nDoctor: q2\nPatient: a2"
 
 
 def test_mock_factuality_says_yes():
     mock = MockBackend()
-    reply = mock.complete(user_request("Does it cover them? Answer yes or no."))
+    reply = mock.complete(staged_request("factuality", note="n", conversation="Doctor: q", keywords="a"))
     assert "yes" in reply.lower()
 
 
 def test_mock_long_style_splits_multi_sentence_turns():
     mock = MockBackend(style="long")
-    prompt = (
-        "Please rewrite all the conversations based on the notes.\n"
-        "The conversation:\n"
-        "Doctor: How are you?\n"
-        "Patient: I take lasix. My blood pressure is fine.\n"
+    request = staged_request(
+        "polish",
+        conversation="Doctor: How are you?\nPatient: I take lasix. My blood pressure is fine.",
     )
-    reply = mock.complete(user_request(prompt))
+    reply = mock.complete(request)
     assert reply.splitlines() == [
         "Doctor: How are you?",
         "Patient: I take lasix.",
@@ -292,6 +286,23 @@ def test_http_parses_stub_content(stub_server):
     assert request["body"]["model"] == "test-model"
     assert request["body"]["messages"] == [{"role": "user", "content": "hi"}]
     assert request["body"]["max_tokens"] == 256
+
+
+def test_http_sends_only_wire_fields(stub_server):
+    from dialogforge.model import GenerationConfig
+    from dialogforge.orchestrator import _request
+    from dialogforge.prompts import DEFAULT_TEMPLATES
+
+    request = _request(
+        DEFAULT_TEMPLATES["doctor"],
+        {"note": "He takes aspirin.", "keywords": ["aspirin"], "history": []},
+        GenerationConfig(),
+    )
+    assert request.stage == "doctor" and request.slots
+    HttpBackend(_endpoint(stub_server), "m", api_key="k").complete(request)
+    body = stub_server.seen[0]["body"]
+    assert set(body) == {"model", "messages", "max_tokens", "temperature"}
+    assert body["messages"] == [{"role": "user", "content": request.messages[-1].content}]
 
 
 @pytest.mark.parametrize(

@@ -271,6 +271,58 @@ def test_generate_accepts_prompt_override_directory(tmp_path):
         assert record["coverage"]["covered"] == record["coverage"]["total"]
 
 
+# Every template reworded and its slots reordered, sharing no sentence with
+# the defaults: the mock must answer from the request stage and slot text.
+REWORDED_TEMPLATES = {
+    "doctor": "You are the physician. Visit so far:\n{{history}}\n"
+    "Raise these topics, word for word: {{keywords}}\nRecord:\n{{note}}\nAsk one question.",
+    "patient": "You are the person being seen. Using only this record:\n{{note}}\n"
+    "reply briefly to the last question below.\n{{history}}",
+    "polish": "Make this exchange sound natural, keeping these terms: {{keywords}}\n"
+    "Record:\n{{note}}\nExchange:\n{{conversation}}",
+    "hallucination": "Remove what the record does not support.\nRecord:\n{{note}}\n"
+    "Terms to keep: {{keywords}}\nExchange:\n{{conversation}}",
+    "postediting": "Join the two parts into one exchange, keeping: {{keywords}}\n"
+    "Part one:\n{{conversation}}\nPart two:\n{{conversation2}}",
+    "factuality": "Does this exchange mention each of {{keywords}}? Give a verdict.\n"
+    "Record:\n{{note}}\nExchange:\n{{conversation}}",
+}
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_generate_mock_ignores_prompt_wording(tmp_path, monkeypatch, mode):
+    from dialogforge.backend import MockBackend
+    from dialogforge.model import PromptTemplate
+    from dialogforge.prompts import DEFAULT_TEMPLATES
+
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    for name, body in REWORDED_TEMPLATES.items():
+        assert PromptTemplate(name, body).referenced_slots() == DEFAULT_TEMPLATES[name].referenced_slots()
+        (prompts / f"{name}.txt").write_text(body, encoding="utf-8")
+
+    calls = []
+    complete = MockBackend.complete
+
+    def counting_complete(self, request):
+        calls.append(request.stage)
+        return complete(self, request)
+
+    monkeypatch.setattr(MockBackend, "complete", counting_complete)
+    outputs = []
+    for extra in ([], ["--prompts", str(prompts)]):
+        calls.clear()
+        out = tmp_path / f"dialogues{len(outputs)}.jsonl"
+        code = main(
+            ["generate", "--input", str(NOTES_PATH), "--lexicon", str(LEXICON_PATH),
+             "--out", str(out), "--mock", "--mode", mode, *extra]
+        )
+        assert code == 0
+        outputs.append((out.read_bytes(), len(calls)))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][1] == 32
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------

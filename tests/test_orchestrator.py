@@ -50,6 +50,18 @@ def section_with_keywords(surfaces):
     return make_section(body)
 
 
+class RecordingMock(MockBackend):
+    """A mock that keeps every request it was sent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return super().complete(request)
+
+
 class AlwaysRateLimited:
     def complete(self, request):
         raise RateLimited("always 429")
@@ -304,21 +316,12 @@ def test_loop_alternation_and_keyword_cap(lexicon, cfg):
 
 
 def test_loop_round_two_prompt_carries_round_one_history(lexicon, cfg):
-    class Recording(MockBackend):
-        def __init__(self):
-            super().__init__()
-            self.prompts = []
-
-        def complete(self, request):
-            self.prompts.append(request.messages[-1].content)
-            return super().complete(request)
-
     section = section_with_keywords(reportable_surfaces(lexicon, 6))
-    backend = Recording()
+    backend = RecordingMock()
     run_section_loop(section, lexicon, backend, cfg)
-    assert len(backend.prompts) == 4  # two rounds of doctor + patient
+    assert len(backend.requests) == 4  # two rounds of doctor + patient
     round_one_question = f"Doctor: Can you tell me about {', '.join(reportable_surfaces(lexicon, 4))}?"
-    assert round_one_question in backend.prompts[2]
+    assert round_one_question in backend.requests[2].messages[-1].content
 
 
 def test_history_truncation_keeps_opening_round(lexicon):
@@ -330,9 +333,10 @@ def test_history_truncation_keeps_opening_round(lexicon):
     for i in range(4):
         history.append(Utterance(Speaker.DOCTOR, f"question {i} " + "x" * 60, i))
         history.append(Utterance(Speaker.PATIENT, f"answer {i} " + "y" * 60, i))
-    rendered, view = _render_with_budget(
+    request, view = _render_with_budget(
         DEFAULT_TEMPLATES["patient"], {"note": "short note"}, history, cfg
     )
+    rendered = request.messages[-1].content
     assert "question 0" in rendered
     assert "question 1" not in rendered
     assert view[0] is history[0]
@@ -350,3 +354,44 @@ def test_loop_scripted_determinism(lexicon, cfg):
     first, second = run(), run()
     assert first.turns == second.turns
     assert first.meta["coverage"] == second.meta["coverage"]
+
+
+def test_history_truncation_keeps_unanswered_question():
+    from dialogforge.orchestrator import _render_with_budget
+
+    cfg = GenerationConfig(max_context_tokens=120, context_fill_ratio=1.0)
+    history = [
+        Utterance(Speaker.DOCTOR, "question 0", 0),
+        Utterance(Speaker.PATIENT, "answer 0", 0),
+        Utterance(Speaker.DOCTOR, "question 1 " + "x" * 400, 1),
+    ]
+    request, view = _render_with_budget(DEFAULT_TEMPLATES["patient"], {"note": "n"}, history, cfg)
+    assert view == history
+    assert request.slots["history"].endswith("Doctor: question 1 " + "x" * 400)
+
+
+def test_loop_patient_prompt_over_budget_keeps_its_question(lexicon):
+    cfg = GenerationConfig(max_context_tokens=300)
+    section = section_with_keywords(reportable_surfaces(lexicon, 6))
+    long_question = "Anything else to add? " + "Please take your time. " * 40
+    backend = RecordingMock(
+        script=["How are you today?", "Fine.", long_question, "Nothing more."], strict=False
+    )
+    dialogue = run_section_loop(section, lexicon, backend, cfg)
+    round_one_patient = backend.requests[3]
+    assert f"Doctor: {long_question.strip()}" in round_one_patient.messages[-1].content
+    assert round_one_patient.stage == "patient"
+    assert round_one_patient.slots["history"].endswith(f"Doctor: {long_question.strip()}")
+    assert dialogue.meta["termination"] == TERMINATE_TOKEN_BUDGET
+
+
+def test_note_key_words_line_does_not_replace_keywords(lexicon, cfg):
+    surfaces = reportable_surfaces(lexicon, 6)
+    body = section_with_keywords(surfaces[:3]).body + "\nKey Words: none recorded\n"
+    body += section_with_keywords(surfaces[3:]).body
+    backend = RecordingMock()
+    dialogue = run_section_loop(make_section(body), lexicon, backend, cfg)
+    assert dialogue.meta["coverage"] == {"covered": 6, "total": 6}
+    assert len(dialogue.meta["round_keywords"]) == 2  # ceil(6 / 4)
+    assert backend.requests[0].slots["keywords"] == ",".join(surfaces[:4])
+    assert "none recorded" not in dialogue.turns[0].text

@@ -57,3 +57,26 @@ def test_tokenize_exposes_tokens():
     from dialogforge import metrics
 
     assert metrics.tokenize("a b").tokens == ("a", "b")
+
+
+def test_pipeline_request_carries_the_whole_prompt(lexicon, cfg, fixture_notes):
+    # ``backend.prompt_tokens`` and ``prompt_tokens_per_item`` are counted
+    # from ``request.messages``, so the prompt must travel there in full.
+    from dialogforge.backend import MockBackend
+    from dialogforge.prompts import DEFAULT_TEMPLATES
+    from dialogforge.refiner import run_full_pipeline
+    from oracles import oracle_render
+
+    requests = []
+
+    class Recording(MockBackend):
+        def complete(self, request):
+            requests.append(request)
+            return super().complete(request)
+
+    run_full_pipeline(fixture_notes[0], lexicon, Recording(), cfg)
+    assert {r.stage for r in requests} == {"doctor", "patient", "polish", "hallucination", "postediting"}
+    for request in requests:
+        assert len(request.messages) == 1
+        body = DEFAULT_TEMPLATES[request.stage].body
+        assert request.messages[-1].content == oracle_render(body, request.slots)

@@ -1,5 +1,6 @@
 import logging
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from dialogforge.model import (
     format_transcript,
 )
 from dialogforge.orchestrator import run_section_loop
+from dialogforge.segmenter import segment_note
 from dialogforge.refiner import (
     Unparseable,
     hallucination_check,
@@ -27,14 +29,17 @@ from conftest import make_dialogue, make_section
 
 
 class Recorder:
-    """Wraps a backend and keeps every prompt it was sent."""
+    """Wraps a backend and keeps every prompt it was sent, and the count of
+    requests per stage."""
 
     def __init__(self, inner):
         self.inner = inner
         self.prompts = []
+        self.stages = Counter()
 
     def complete(self, request):
         self.prompts.append(request.messages[-1].content)
+        self.stages[request.stage] += 1
         return self.inner.complete(request)
 
 
@@ -299,3 +304,58 @@ def test_pipeline_every_turn_keeps_a_speaker_tag(lexicon, cfg, fixture_notes):
         for turn in dialogue.turns:
             assert turn.speaker in (Speaker.DOCTOR, Speaker.PATIENT)
             assert turn.text
+
+
+def checklist_sizes(note, lexicon, cfg):
+    return [len(build_checklist(s, lexicon, cfg)) for s in segment_note(note, cfg.similarity_threshold)]
+
+
+def _mentions(*surfaces):
+    return " ".join(f"The record mentions {s} in passing." for s in surfaces)
+
+
+@pytest.mark.parametrize("factuality", [False, True])
+def test_pipeline_calls_per_stage(lexicon, fixture_notes, factuality):
+    cfg = GenerationConfig.for_mode("short", enable_factuality=factuality)
+    wide = ClinicalNote(
+        "wide",
+        "HISTORY OF PRESENT ILLNESS:\n"
+        + _mentions("asthma", "pneumonia", "anemia", "migraine", "bronchitis", "hyperlipidemia")
+        + "\nMEDICATIONS:\n"
+        + _mentions(
+            "aspirin", "lisinopril", "metformin", "atorvastatin", "albuterol",
+            "warfarin", "amoxicillin", "ibuprofen", "omeprazole",
+        )
+        + "\nPLAN:\n"
+        + _mentions("colonoscopy")
+        + "\n",
+    )
+    assert checklist_sizes(wide, lexicon, cfg) == [6, 9, 1]
+    for note in [wide, *fixture_notes]:
+        sizes = [k for k in checklist_sizes(note, lexicon, cfg) if k]
+        rounds = sum(-(-k // cfg.keywords_per_turn) for k in sizes)
+        backend = Recorder(MockBackend())
+        run_full_pipeline(note, lexicon, backend, cfg)
+        expected = {
+            "doctor": rounds,
+            "patient": rounds,
+            "polish": len(sizes),
+            "hallucination": len(sizes),
+            "postediting": len(sizes) - 1,
+            "factuality": len(sizes) if factuality else 0,
+        }
+        assert backend.stages == Counter({k: v for k, v in expected.items() if v}), note.id
+
+
+def test_note_patient_line_is_not_copied_into_dialogue(lexicon, cfg):
+    note = ClinicalNote(
+        "p",
+        "HISTORY OF PRESENT ILLNESS:\n"
+        "He takes aspirin daily.\n"
+        "Patient: John Doe, seen with his daughter.\n"
+        "He has asthma.\n",
+    )
+    dialogue = run_full_pipeline(note, lexicon, MockBackend(), cfg)
+    assert dialogue.turns[0].speaker is Speaker.DOCTOR
+    assert not any("John Doe" in t.text for t in dialogue.turns)
+    assert dialogue.meta["coverage"] == {"covered": 2, "total": 2}
