@@ -16,12 +16,25 @@ positions hit by the greedy earliest longest common subsequence against each
 opposing line: the alignment whose position tuple is lexicographically
 smallest among all maximum-length common subsequences. That canonical choice
 makes the score independent of backtrace implementation details.
+
+Every LCS comes from one bit-parallel kernel (Allison & Dix 1986; Hyyrö
+2004) in O(n * m / w) word operations: with ``b``'s token position masks, row
+``k`` is an int updated by ``u = v & mask; v = ((v + u) | (v - u)) & full``,
+and its zero bits below bit ``l`` count LCS(a[:k], b[:l]). ``rouge_lsum``
+runs it on both lines reversed, so LCS(a[i:], b[j:]) = (m - j) -
+popcount(rows[n - i] & (2**(m - j) - 1)) and each walk step reads one bit.
+
+Self-BLEU counts each utterance's n-grams once. Per n-gram, the largest count,
+its owner and the second-largest count give the best count among any
+utterance's siblings in O(1): O(n-grams) per dialogue, not O(T^2) Counter
+builds, and the clipped counts stay integers, so the scores are unchanged.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from math import exp, log
-from typing import List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .concepts import Lexicon, extract_concepts, filter_semantic_groups, words
 from .model import Dialogue, EvalReport, GenerationConfig, format_transcript
@@ -88,19 +101,28 @@ def rouge_n(hyp: TokenizedText, ref: TokenizedText, n: int) -> float:
     return _f1(matched / hyp_total, matched / ref_total)
 
 
+def _match_masks(b: Sequence[str]) -> Dict[str, int]:
+    """Each token of ``b`` mapped to the bitmask of its positions in ``b``."""
+    masks: Dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    return masks
+
+
+def _lcs_rows(a: Sequence[str], masks: Dict[str, int], m: int) -> List[int]:
+    """Rows 0..len(a) of the bit-parallel LCS table of ``a`` against ``masks``."""
+    full = (1 << m) - 1
+    v = full
+    rows = [v]
+    for token in a:
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+        rows.append(v)
+    return rows
+
+
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
-    for token_a in a:
-        current = [0]
-        for j, token_b in enumerate(b, start=1):
-            if token_a == token_b:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[len(b)]
+    return len(b) - _lcs_rows(a, _match_masks(b), len(b))[-1].bit_count()
 
 
 def rouge_l(hyp: TokenizedText, ref: TokenizedText) -> float:
@@ -111,38 +133,24 @@ def rouge_l(hyp: TokenizedText, ref: TokenizedText) -> float:
     return _f1(lcs / len(hyp.tokens), lcs / len(ref.tokens))
 
 
-def _suffix_lcs_table(a: Sequence[str], b: Sequence[str]) -> List[List[int]]:
-    # table[i][j] = LCS length of a[i:] and b[j:]
-    rows = len(a) + 1
-    cols = len(b) + 1
-    table = [[0] * cols for _ in range(rows)]
-    for i in range(len(a) - 1, -1, -1):
-        for j in range(len(b) - 1, -1, -1):
-            if a[i] == b[j]:
-                table[i][j] = table[i + 1][j + 1] + 1
-            else:
-                table[i][j] = max(table[i + 1][j], table[i][j + 1])
-    return table
-
-
-def _earliest_lcs_positions(a: Sequence[str], b: Sequence[str]) -> Set[int]:
-    """Positions in ``a`` of the greedy earliest maximum-length alignment.
-
-    Walks forward taking a match whenever doing so preserves optimality;
-    otherwise advances in ``b`` first, which keeps the earliest possible
-    ``a`` positions available.
-    """
-    if not a or not b:
-        return set()
-    table = _suffix_lcs_table(a, b)
+def _earliest_lcs_positions(
+    a: Sequence[str], b: Sequence[str], reversed_masks: Dict[str, int]
+) -> Set[int]:
+    """Positions in ``a`` of the greedy earliest maximum-length alignment, given
+    the match masks of ``b[::-1]``. Takes a match whenever the tokens agree (a
+    match always starts a maximal alignment); else advances in ``b`` unless
+    that shortens the alignment, keeping the earliest ``a`` positions free."""
+    n, m = len(a), len(b)
+    rows = _lcs_rows(a[::-1], reversed_masks, m)
     positions: Set[int] = set()
     i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j] and table[i][j] == table[i + 1][j + 1] + 1:
+    while i < n and j < m:
+        if a[i] == b[j]:
             positions.add(i)
             i += 1
             j += 1
-        elif table[i][j + 1] >= table[i + 1][j]:
+        # LCS(a[i:], b[j + 1:]) == LCS(a[i:], b[j:]) exactly when this bit is set
+        elif rows[n - i] >> (m - j - 1) & 1:
             j += 1
         else:
             i += 1
@@ -150,11 +158,14 @@ def _earliest_lcs_positions(a: Sequence[str], b: Sequence[str]) -> Set[int]:
 
 
 def _union_hits(target_lines: List[Tuple[str, ...]], other_lines: List[Tuple[str, ...]]) -> int:
+    opposing = [(other, _match_masks(other[::-1])) for other in other_lines if other]
     total = 0
     for target in target_lines:
         hits: Set[int] = set()
-        for other in other_lines:
-            hits |= _earliest_lcs_positions(target, other)
+        present = set(target)
+        for other, reversed_masks in opposing:
+            if not present.isdisjoint(reversed_masks):
+                hits |= _earliest_lcs_positions(target, other, reversed_masks)
         total += len(hits)
     return total
 
@@ -172,32 +183,46 @@ def rouge_lsum(hyp_lines: Sequence[str], ref_lines: Sequence[str]) -> float:
     return _f1(precision, recall)
 
 
+def _sibling_bleu(units: Sequence[Sequence[str]], max_n: int, scored: int) -> List[float]:
+    """Smoothed BLEU of each of the first ``scored`` units with all the other
+    units as its references, from one n-gram count per unit and order."""
+    hits = [[0] * max_n for _ in range(scored)]
+    for n in range(1, max_n + 1):
+        counts = [_ngram_counts(unit, n) for unit in units]
+        top: Dict[Tuple[str, ...], Tuple[int, int, int]] = {}  # (largest, its unit, second)
+        for t, unit_counts in enumerate(counts):
+            for gram, count in unit_counts.items():
+                first, owner, second = top.get(gram, (0, -1, 0))
+                top[gram] = (count, t, first) if count > first else (first, owner, max(second, count))
+        for t in range(scored):
+            for gram, count in counts[t].items():
+                first, owner, second = top[gram]
+                hits[t][n - 1] += min(count, second if owner == t else first)
+    lengths = sorted(len(unit) for unit in units)
+    scores = []
+    for unit, unit_hits in zip(units, hits):
+        h = len(unit)
+        if h == 0:
+            scores.append(0.0)
+            continue
+        log_sum = 0.0
+        for n, matched in enumerate(unit_hits, start=1):
+            total = max(h - n + 1, 1)
+            log_sum += log(matched / total if matched else 1.0 / (2 * total))
+        score = exp(log_sum / max_n)
+        # closest other length, ties to the shorter; lengths[k] is the unit's own
+        k = bisect_left(lengths, h)
+        neighbours = lengths[max(k - 1, 0) : k] + lengths[k + 1 : k + 2]
+        r = min((abs(other - h), other) for other in neighbours)[1]
+        scores.append(score * exp(1.0 - r / h) if h < r else score)
+    return scores
+
+
 def bleu(hyp: TokenizedText, refs: Sequence[TokenizedText], max_n: int = 4) -> float:
     """Smoothed corpus-style BLEU of one hypothesis against references."""
     if not refs:
         raise ValueError("refs must be non-empty")
-    h = len(hyp.tokens)
-    if h == 0:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        hyp_counts = _ngram_counts(hyp.tokens, n)
-        hyp_total = sum(hyp_counts.values())
-        clipped: Counter = Counter()
-        for ref in refs:
-            clipped |= hyp_counts & _ngram_counts(ref.tokens, n)
-        matched = sum(clipped.values())
-        if matched > 0:
-            p_n = matched / hyp_total
-        else:
-            p_n = 1.0 / (2 * max(hyp_total, 1))
-        log_sum += log(p_n)
-    score = exp(log_sum / max_n)
-    # closest reference length; ties go to the shorter reference
-    r = min((abs(len(ref.tokens) - h), len(ref.tokens)) for ref in refs)[1]
-    if h < r:
-        score *= exp(1.0 - r / h)
-    return score
+    return _sibling_bleu([hyp.tokens, *(ref.tokens for ref in refs)], max_n, 1)[0]
 
 
 def self_bleu(corpus: Sequence[Dialogue], max_n: int = 4) -> float:
@@ -214,11 +239,8 @@ def self_bleu(corpus: Sequence[Dialogue], max_n: int = 4) -> float:
             raise TooFewUnits(
                 f"dialogue {dialogue.note_id!r} has {len(dialogue.turns)} utterance(s); need >= 2"
             )
-        tokenized = [tokenize(turn.text) for turn in dialogue.turns]
-        scores = []
-        for i, unit in enumerate(tokenized):
-            others = tokenized[:i] + tokenized[i + 1 :]
-            scores.append(bleu(unit, others, max_n))
+        units = [tokenize(turn.text).tokens for turn in dialogue.turns]
+        scores = _sibling_bleu(units, max_n, len(units))
         dialogue_means.append(sum(scores) / len(scores))
     return sum(dialogue_means) / len(dialogue_means)
 

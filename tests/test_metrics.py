@@ -1,10 +1,16 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dialogforge.metrics import (
     EmptyCorpus,
     TooFewUnits,
+    _earliest_lcs_positions,
+    _lcs_length,
+    _match_masks,
     bleu,
     concept_scores,
     evaluate_corpus,
@@ -21,6 +27,8 @@ from conftest import make_dialogue
 from oracles import (
     oracle_bleu,
     oracle_concept_scores,
+    oracle_earliest_positions,
+    oracle_lcs_len,
     oracle_rouge_l,
     oracle_rouge_lsum,
     oracle_rouge_n,
@@ -290,6 +298,67 @@ def test_ngram_metrics_match_oracles_on_random_pairs():
         ) < 1e-9
 
 
+# Alphabets of two to four tokens make alignments long and ties common; the
+# examples add a line longer than one 64-bit word.
+LETTERS = ("a", "b", "c", "d")
+LONG_A = tuple("ab"[i * i % 3 % 2] for i in range(70))
+LONG_B = tuple("ba"[i % 5 // 3] for i in range(66))
+
+
+@st.composite
+def token_pair(draw):
+    tokens = st.lists(st.sampled_from(LETTERS[: draw(st.integers(2, 4))]), max_size=24)
+    return tuple(draw(tokens)), tuple(draw(tokens))
+
+
+@st.composite
+def line_sets(draw):
+    alphabet = LETTERS[: draw(st.integers(2, 4))]
+    line = st.lists(st.sampled_from(alphabet), max_size=9).map(" ".join)
+    return draw(st.lists(line, max_size=5)), draw(st.lists(line, max_size=5))
+
+
+@st.composite
+def dialogue_texts(draw):
+    alphabet = LETTERS[: draw(st.integers(2, 4))]
+    # a turn with no word tokens is still a valid utterance
+    turn = st.lists(st.sampled_from(alphabet), max_size=7).map(lambda t: " ".join(t) or "...")
+    return draw(st.lists(st.lists(turn, min_size=2, max_size=6), min_size=1, max_size=3))
+
+
+@given(token_pair())
+@example((LONG_A, LONG_B))
+@example((LONG_A, ()))
+def test_lcs_length_matches_oracle(pair):
+    a, b = pair
+    assert _lcs_length(a, b) == oracle_lcs_len(a, b)
+    assert _lcs_length(b, a) == oracle_lcs_len(a, b)
+
+
+@given(token_pair())
+@example((LONG_A, LONG_B))
+@example((LONG_B[:20], LONG_A))
+def test_earliest_lcs_positions_match_oracle(pair):
+    a, b = pair
+    assert _earliest_lcs_positions(a, b, _match_masks(b[::-1])) == oracle_earliest_positions(a, b)
+
+
+@given(line_sets())
+@example((["", " ".join(LONG_A), "a b"], ["b a b", "", " ".join(LONG_B[:30])]))
+def test_rouge_lsum_matches_oracle(lines):
+    hyp, ref = lines
+    assert abs(rouge_lsum(hyp, ref) - oracle_rouge_lsum(hyp, ref)) < 1e-6
+
+
+@given(dialogue_texts())
+@example([["a b a", "a b a", "b b", "a b a"]])  # the largest count held by several turns
+@example([["a b a", "b a", "a b b a"]])  # closest lengths 2 and 4 tie for the 3-token turn
+@example([["...", "a", " ".join(LONG_A)], ["b", "b"]])
+def test_self_bleu_matches_oracle_exactly(dialogues):
+    corpus = [make_dialogue(*texts) for texts in dialogues]
+    assert self_bleu(corpus) == oracle_self_bleu(dialogues)
+
+
 def test_concept_scores_match_oracle_on_random_pairs(lexicon, cfg):
     rng = random.Random(43)
     surfaces = [e.surface for e in lexicon.entries]
@@ -417,3 +486,42 @@ def test_render_report_table_column_order(lexicon, cfg):
     header, row = table.splitlines()
     assert header.split() == ["R-1", "R-2", "R-L", "R-L-Sum", "C-R", "BLEU", "SBLEU", "Len"]
     assert len(row.split()) == 8
+
+
+# ``evaluate_corpus`` on three seeded pairs, every field pinned by its
+# ``repr``: a last-bit drift that the oracles' 1e-6 tolerance lets through
+# fails here.
+GOLDEN_WORDS = ("the", "pain", "knee", "aspirin", "diabetes", "at", "night", "worse",
+                "hypertension", "mri", "scan", "metformin", "daily", "no", "yes")
+GOLDEN_REPORT = {
+    "r1": "0.7513348044184825",
+    "r2": "0.2369396697000337",
+    "rl": "0.37536333749642964",
+    "rlsum": "0.7289015070347639",
+    "bleu": "0.07324002904388102",
+    "sbleu": "0.13909425640580483",
+    "concept_recall": "0.9333333333333332",
+    "concept_precision": "1.0",
+    "concept_f1": "0.9655172413793104",
+    "len": "5.0",
+}
+
+
+def _golden_pairs():
+    rng = random.Random(606)
+
+    def dialogue(note_id, lengths):
+        return make_dialogue(*(" ".join(rng.choices(GOLDEN_WORDS, k=k)) for k in lengths), note_id=note_id)
+
+    # turn token counts: a 74- and a 71-token turn, one-token turns, equal lengths
+    shapes = [
+        ([9, 74, 1, 12, 6, 15], [8, 71, 3, 12, 10]),
+        ([1, 5, 5, 22, 5], [4, 6, 1, 20, 7, 7]),
+        ([30, 2, 18, 18], [28, 9, 17, 1]),
+    ]
+    return [(dialogue(f"g{i}", h), dialogue(f"g{i}", r)) for i, (h, r) in enumerate(shapes)]
+
+
+def test_evaluate_corpus_golden_report(lexicon, cfg):
+    report = evaluate_corpus(_golden_pairs(), lexicon, cfg)
+    assert {k: repr(v) for k, v in dataclasses.asdict(report).items()} == GOLDEN_REPORT
