@@ -1,66 +1,9 @@
 """Note-to-dialogue synthesis and evaluation toolkit."""
 
-from .model import (
-    CANONICAL_HEADERS,
-    Checklist,
-    ClinicalNote,
-    ConceptEntry,
-    Dialogue,
-    EvalReport,
-    GenerationConfig,
-    NoteSection,
-    PromptTemplate,
-    Provenance,
-    SectionHeader,
-    SemanticGroup,
-    Speaker,
-    Utterance,
-    format_transcript,
-    validate,
-)
-from .segmenter import HeaderMatch, match_header, normalize_header, segment_note
-from .concepts import (
-    Lexicon,
-    build_checklist,
-    extract_concepts,
-    filter_semantic_groups,
-    load_lexicon,
-    mark_covered,
-)
-from .backend import (
-    ChatMessage,
-    ChatRequest,
-    HttpBackend,
-    MockBackend,
-    complete_with_retry,
-    estimate_tokens,
-)
-from .orchestrator import (
-    LoopState,
-    factuality_check,
-    render_prompt,
-    run_round,
-    run_section_loop,
-    select_keywords,
-    should_terminate,
-)
-from .refiner import (
-    hallucination_check,
-    parse_transcript,
-    polish,
-    postedit_combine,
-    run_full_pipeline,
-)
-from .metrics import (
-    TokenizedText,
-    bleu,
-    concept_scores,
-    evaluate_corpus,
-    rouge_l,
-    rouge_lsum,
-    rouge_n,
-    self_bleu,
-    tokenize,
-)
+from .backend import MockBackend
+from .concepts import load_lexicon
+from .metrics import evaluate_corpus
+from .model import ClinicalNote, GenerationConfig
+from .refiner import run_full_pipeline
 
 __version__ = "0.1.0"

@@ -99,14 +99,6 @@ class ChatRequest:
             raise ValueError("temperature must be non-negative")
 
 
-def user_request(prompt: str, max_reply_tokens: int = 256, temperature: float = 0.7) -> ChatRequest:
-    return ChatRequest(
-        messages=(ChatMessage("user", prompt),),
-        max_reply_tokens=max_reply_tokens,
-        temperature=temperature,
-    )
-
-
 def estimate_tokens(text: str, chars_per_token: int = CHARS_PER_TOKEN) -> int:
     """ceil(len(text) / chars_per_token); empty text is 0 tokens."""
     return -(-len(text) // chars_per_token)

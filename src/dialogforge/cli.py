@@ -267,13 +267,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     for note, dialogue in zip(notes, results):
         if dialogue is None:
             continue
-        coverage = dialogue.meta.get("coverage", {"covered": 0, "total": 0})
         records.append(
             {
                 "id": note.id,
                 "mode": cfg.mode,
                 "turns": [{"speaker": t.speaker.value, "text": t.text} for t in dialogue.turns],
-                "coverage": {"covered": coverage["covered"], "total": coverage["total"]},
+                "coverage": dialogue.meta["coverage"],
             }
         )
     _write_records(args.out, records)

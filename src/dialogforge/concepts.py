@@ -202,16 +202,6 @@ def build_checklist(section: NoteSection, lexicon: Lexicon, cfg: GenerationConfi
     return Checklist(filter_semantic_groups(concepts))
 
 
-def _contains_phrase(tokens: Sequence[str], phrase: Sequence[str]) -> bool:
-    if not phrase or len(phrase) > len(tokens):
-        return False
-    first = phrase[0]
-    for i in range(len(tokens) - len(phrase) + 1):
-        if tokens[i] == first and list(tokens[i : i + len(phrase)]) == list(phrase):
-            return True
-    return False
-
-
 def mark_covered(
     checklist: Checklist,
     new_utterances: Sequence[Utterance],
@@ -220,20 +210,31 @@ def mark_covered(
 ) -> int:
     """Flip uncovered entries mentioned by the new utterances.
 
-    An entry counts as mentioned when its CUI shows up in the extracted
-    concepts of the utterance text (credits lexicon synonyms) or its surface
-    occurs verbatim at word boundaries. Returns the number of flips.
+    An entry counts as mentioned when its surface occurs verbatim at word
+    boundaries or its CUI shows up in the extracted concepts of the utterance
+    text (credits lexicon synonyms). Surfaces are checked first; the text is
+    tagged only when some open entry is still unmentioned. Returns the number
+    of flips.
     """
     if not new_utterances:
         return 0
     blob = "\n".join(u.text for u in new_utterances)
-    mentioned_cuis = {c.cui for c in extract_concepts(blob, lexicon, cfg.concept_threshold)}
-    tokens = words(blob)
+    padded = f" {' '.join(words(blob))} "
+    unsaid = []
     flips = 0
-    for index, entry in enumerate(checklist.entries):
-        if checklist.covered[index]:
+    for index, (entry, done) in enumerate(zip(checklist.entries, checklist.covered)):
+        if done:
             continue
-        if entry.cui in mentioned_cuis or _contains_phrase(tokens, words(entry.surface)):
+        phrase = " ".join(words(entry.surface))
+        if phrase and f" {phrase} " in padded:
             checklist.mark(index)
             flips += 1
+        else:
+            unsaid.append(index)
+    if unsaid:
+        mentioned_cuis = {c.cui for c in extract_concepts(blob, lexicon, cfg.concept_threshold)}
+        for index in unsaid:
+            if checklist.entries[index].cui in mentioned_cuis:
+                checklist.mark(index)
+                flips += 1
     return flips

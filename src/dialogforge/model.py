@@ -6,7 +6,7 @@ covered flags may only ever flip from False to True.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -241,10 +241,6 @@ class Checklist:
     def is_complete(self) -> bool:
         return all(self._covered)
 
-    def fresh_copy(self) -> "Checklist":
-        """Same entries, all flags cleared."""
-        return Checklist(self._entries)
-
 
 # Slot names a prompt template may reference.
 TEMPLATE_SLOTS = frozenset({"note", "keywords", "history", "conversation", "conversation2"})
@@ -351,20 +347,10 @@ class EvalReport:
     len: float
 
     def __post_init__(self):
-        for name in (
-            "r1",
-            "r2",
-            "rl",
-            "rlsum",
-            "bleu",
-            "sbleu",
-            "concept_recall",
-            "concept_precision",
-            "concept_f1",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ModelError(f"{name}={value} outside [0, 1]")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "len" and not 0.0 <= value <= 1.0:
+                raise ModelError(f"{f.name}={value} outside [0, 1]")
         if self.len < 0:
             raise ModelError("len must be non-negative")
         p, r = self.concept_precision, self.concept_recall
@@ -376,15 +362,4 @@ class EvalReport:
             )
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "r1": self.r1,
-            "r2": self.r2,
-            "rl": self.rl,
-            "rlsum": self.rlsum,
-            "bleu": self.bleu,
-            "sbleu": self.sbleu,
-            "concept_recall": self.concept_recall,
-            "concept_precision": self.concept_precision,
-            "concept_f1": self.concept_f1,
-            "len": self.len,
-        }
+        return asdict(self)

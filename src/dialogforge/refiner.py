@@ -2,15 +2,17 @@
 
 Per section: loop output is polished for fluency, then screened against the
 note for fabricated content. Section dialogues are then folded left to right
-into one conversation. Both rewrite passes are guarded: if the model reply
-cannot be parsed back into turns, or any previously covered keyword
-disappears from it, the pass falls through to its input with a warning, so
-refinement can never lose coverage.
+into one conversation by a merge pass. All three passes go through one
+guarded rewrite: if the model reply cannot be parsed back into turns, or any
+previously covered keyword disappears from it, the pass keeps its input with
+a warning. For the merge the input is the concatenation of the two
+dialogues, so refinement can never lose coverage. The reported coverage is
+counted once, on the final turns, against the note's union checklist.
 """
 
 import logging
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .concepts import Lexicon, mark_covered
 from .model import (
@@ -71,51 +73,44 @@ def parse_transcript(text: str) -> List[Utterance]:
 
 def _keyword_regression(
     checklist: Checklist,
-    candidate_turns: List[Utterance],
+    candidate_turns: Sequence[Utterance],
     lexicon: Lexicon,
     cfg: GenerationConfig,
 ) -> List[str]:
     """Previously covered surfaces that the candidate turns no longer cover."""
-    fresh = checklist.fresh_copy()
-    mark_covered(fresh, candidate_turns, lexicon, cfg)
-    return [
-        entry.surface
-        for entry, was, now in zip(checklist.entries, checklist.covered, fresh.covered)
-        if was and not now
-    ]
+    flagged = Checklist(e for e, done in zip(checklist.entries, checklist.covered) if done)
+    mark_covered(flagged, candidate_turns, lexicon, cfg)
+    return [entry.surface for entry in flagged.uncovered()]
 
 
 def _rewrite_pass(
     dialogue: Dialogue,
-    note_body: str,
+    bindings: Dict,
     checklist: Checklist,
     lexicon: Lexicon,
     backend,
     cfg: GenerationConfig,
     template: PromptTemplate,
     provenance: Provenance,
+    head: Tuple[Utterance, ...] = (),
 ) -> Dialogue:
-    request = _request(
-        template,
-        {"conversation": dialogue, "note": note_body, "keywords": list(checklist.entries)},
-        cfg,
-    )
-    reply = _call(backend, request, cfg, round_index=-1)
+    """``head`` plus the parsed reply to ``template``, or ``dialogue`` itself
+    when the reply does not parse or drops a keyword covered in
+    ``checklist``."""
+    keep = "concatenating turns" if provenance is Provenance.COMBINED else "keeping input"
+    reply = _call(backend, _request(template, bindings, cfg), cfg, round_index=-1)
     try:
-        turns = parse_transcript(reply)
+        turns = head + tuple(parse_transcript(reply))
     except Unparseable:
-        logger.warning("%s reply for note %r is unparseable; keeping input", template.name, dialogue.note_id)
+        logger.warning("%s reply for note %r is unparseable; %s", template.name, dialogue.note_id, keep)
         return dialogue
     lost = _keyword_regression(checklist, turns, lexicon, cfg)
     if lost:
         logger.warning(
-            "%s reply for note %r dropped keywords %s; keeping input",
-            template.name,
-            dialogue.note_id,
-            lost,
+            "%s reply for note %r dropped keywords %s; %s", template.name, dialogue.note_id, lost, keep
         )
         return dialogue
-    return Dialogue(dialogue.note_id, tuple(turns), provenance, meta=dict(dialogue.meta))
+    return Dialogue(dialogue.note_id, turns, provenance, meta=dict(dialogue.meta))
 
 
 def polish(
@@ -134,9 +129,9 @@ def polish(
     templates = templates or DEFAULT_TEMPLATES
     result = dialogue
     for _ in range(cfg.polish_repeats):
+        bindings = {"conversation": result, "note": note_body, "keywords": list(checklist.entries)}
         result = _rewrite_pass(
-            result, note_body, checklist, lexicon, backend, cfg,
-            templates["polish"], Provenance.POLISHED,
+            result, bindings, checklist, lexicon, backend, cfg, templates["polish"], Provenance.POLISHED
         )
     return result
 
@@ -154,9 +149,9 @@ def hallucination_check(
     if not dialogue.turns:
         raise ValueError("hallucination_check requires a non-empty dialogue")
     templates = templates or DEFAULT_TEMPLATES
+    bindings = {"conversation": dialogue, "note": note_body, "keywords": list(checklist.entries)}
     return _rewrite_pass(
-        dialogue, note_body, checklist, lexicon, backend, cfg,
-        templates["hallucination"], Provenance.CHECKED,
+        dialogue, bindings, checklist, lexicon, backend, cfg, templates["hallucination"], Provenance.CHECKED
     )
 
 
@@ -175,8 +170,9 @@ def postedit_combine(
     In long mode only the most recent segment of the accumulated conversation
     (tracked via ``meta["tail_turns"]``) is bound into the prompt alongside
     the new segment, which keeps merge contexts small on long conversations;
-    in short mode the full accumulated conversation is bound. If the reply
-    does not parse, the turns are concatenated verbatim.
+    in short mode the full accumulated conversation is bound. The merge is
+    guarded like the other rewrites: if the reply does not parse or drops a
+    keyword covered in ``checklist``, the turns are concatenated verbatim.
     """
     if not left.turns:
         return right
@@ -191,43 +187,22 @@ def postedit_combine(
         head = left.turns[:-tail]
         bound_left = left.turns[-tail:]
 
-    request = _request(
-        templates["postediting"],
-        {
-            "conversation": list(bound_left),
-            "conversation2": list(right.turns),
-            "keywords": list(checklist.entries),
-            "note": note_body,
-        },
-        cfg,
+    concatenation = Dialogue(
+        left.note_id or right.note_id, left.turns + right.turns, Provenance.COMBINED, meta=dict(left.meta)
     )
-    reply = _call(backend, request, cfg, round_index=-1)
-    try:
-        merged = tuple(parse_transcript(reply))
-    except Unparseable:
-        logger.warning("combine reply for note %r is unparseable; concatenating turns", left.note_id)
-        merged = tuple(bound_left) + tuple(right.turns)
-
-    meta = dict(left.meta)
+    bindings = {
+        "conversation": list(bound_left),
+        "conversation2": list(right.turns),
+        "keywords": list(checklist.entries),
+        "note": note_body,
+    }
+    merged = _rewrite_pass(
+        concatenation, bindings, checklist, lexicon, backend, cfg,
+        templates["postediting"], Provenance.COMBINED, head,
+    )
     # The merge tail standing in for the newest topic segment next time.
-    meta["tail_turns"] = min(len(merged), len(right.turns))
-    return Dialogue(
-        note_id=left.note_id or right.note_id,
-        turns=head + merged,
-        provenance=Provenance.COMBINED,
-        meta=meta,
-    )
-
-
-def _union_checklist(checklists: List[Checklist]) -> Checklist:
-    seen = set()
-    entries: List[ConceptEntry] = []
-    for checklist in checklists:
-        for entry in checklist.entries:
-            if entry.cui not in seen:
-                seen.add(entry.cui)
-                entries.append(entry)
-    return Checklist(entries)
+    merged.meta["tail_turns"] = min(len(merged.turns) - len(head), len(right.turns))
+    return merged
 
 
 def run_full_pipeline(
@@ -256,22 +231,34 @@ def run_full_pipeline(
         dialogue = hallucination_check(dialogue, section.body, checklist, lexicon, backend, cfg, templates)
         refined.append((dialogue, checklist))
 
-    covered = sum(cl.covered_count() for _, cl in refined)
-    total = sum(len(cl) for _, cl in refined)
     if not refined:
         return Dialogue(
             note.id, (), Provenance.COMBINED,
             meta={"coverage": {"covered": 0, "total": 0}, "keywords": []},
         )
 
-    union = _union_checklist([cl for _, cl in refined])
+    # The note's checklist: each CUI once, first section first.
+    by_cui: Dict[str, ConceptEntry] = {}
+    for _, checklist in refined:
+        for entry in checklist.entries:
+            by_cui.setdefault(entry.cui, entry)
+    union = Checklist(by_cui.values())
+    position = {cui: index for index, cui in enumerate(by_cui)}
+
     combined = refined[0][0]
     combined.meta.setdefault("tail_turns", len(combined.turns))
-    for dialogue, _ in refined[1:]:
-        combined = postedit_combine(
-            combined, dialogue, note.text, union, lexicon, backend, cfg, templates
-        )
-    combined.meta["coverage"] = {"covered": covered, "total": total}
-    combined.meta["keywords"] = [e.surface for e in union.entries]
-    combined.meta["checklist"] = union
+    for fold, (dialogue, checklist) in enumerate(refined):
+        # The merge guard protects what the folded sections have covered.
+        for entry, done in zip(checklist.entries, checklist.covered):
+            if done:
+                union.mark(position[entry.cui])
+        if fold:
+            combined = postedit_combine(
+                combined, dialogue, note.text, union, lexicon, backend, cfg, templates
+            )
+    final = Checklist(union.entries)
+    mark_covered(final, combined.turns, lexicon, cfg)
+    combined.meta["coverage"] = {"covered": final.covered_count(), "total": len(final)}
+    combined.meta["keywords"] = [e.surface for e in final.entries]
+    combined.meta["checklist"] = final
     return combined

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from dialogforge.backend import ChatMessage, ChatRequest
 from dialogforge.concepts import load_lexicon
 from dialogforge.model import (
     CANONICAL_HEADERS,
@@ -52,6 +53,11 @@ def fixture_notes():
 
 def make_section(body, header="preamble"):
     return NoteSection(header=SectionHeader(header), body=body, start=0, end=len(body))
+
+
+def user_request(prompt, max_reply_tokens=256, temperature=0.7):
+    """A one-message user request with no stage or slots."""
+    return ChatRequest((ChatMessage("user", prompt),), max_reply_tokens, temperature)
 
 
 def make_dialogue(*texts, note_id="d", provenance=Provenance.RAW):

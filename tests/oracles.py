@@ -6,6 +6,9 @@ recursion on suffixes, union-LCS positions are found by enumerating candidate
 position tuples (falling back to a definitional greedy scan when enumeration
 would be too large), and concept matching enumerates every non-overlapping
 matching before selecting the canonical one. Only suitable for short inputs.
+``oracle_mark_covered`` is the exception: it checks only the order of the
+coverage checks, so it tags text with the production tagger, which the
+concept oracles above verify on their own.
 """
 
 import re
@@ -267,3 +270,33 @@ def oracle_template_slots(body, slots):
 def oracle_render(body, values):
     """Replace every ``{{word}}`` with ``values[word]``."""
     return re.sub(r"\{\{(\w+)\}\}", lambda m: values[m.group(1)], body)
+
+
+def _contains_phrase(tokens, phrase):
+    if not phrase or len(phrase) > len(tokens):
+        return False
+    first = phrase[0]
+    for i in range(len(tokens) - len(phrase) + 1):
+        if tokens[i] == first and list(tokens[i : i + len(phrase)]) == list(phrase):
+            return True
+    return False
+
+
+def oracle_mark_covered(checklist, new_utterances, lexicon, cfg):
+    """Always tag the text, then flip each open entry whose CUI was tagged or
+    whose surface is said at word boundaries. Returns the number of flips."""
+    from dialogforge.concepts import extract_concepts, words
+
+    if not new_utterances:
+        return 0
+    blob = "\n".join(u.text for u in new_utterances)
+    mentioned_cuis = {c.cui for c in extract_concepts(blob, lexicon, cfg.concept_threshold)}
+    tokens = words(blob)
+    flips = 0
+    for index, entry in enumerate(checklist.entries):
+        if checklist.covered[index]:
+            continue
+        if entry.cui in mentioned_cuis or _contains_phrase(tokens, words(entry.surface)):
+            checklist.mark(index)
+            flips += 1
+    return flips

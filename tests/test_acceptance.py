@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from dialogforge.backend import AuthError, MockBackend, RateLimited, complete_with_retry, user_request
+from dialogforge.backend import AuthError, MockBackend, RateLimited, complete_with_retry
 from dialogforge.cli import main
 from dialogforge.metrics import bleu, concept_scores, rouge_l, rouge_lsum, rouge_n, self_bleu, tokenize
 from dialogforge.model import GenerationConfig, SemanticGroup, Speaker
@@ -23,7 +23,7 @@ from dialogforge.orchestrator import run_section_loop
 from dialogforge.refiner import polish, run_full_pipeline
 from dialogforge.segmenter import match_header, segment_note
 
-from conftest import LEXICON_PATH, NOTES_PATH, make_dialogue, make_section
+from conftest import LEXICON_PATH, NOTES_PATH, make_dialogue, make_section, user_request
 from oracles import (
     oracle_bleu,
     oracle_concept_scores,

@@ -19,8 +19,9 @@ from dialogforge.backend import (
     TokenBucket,
     complete_with_retry,
     estimate_tokens,
-    user_request,
 )
+
+from conftest import user_request
 
 
 def test_estimate_tokens_empty():

@@ -17,10 +17,10 @@ from dialogforge.concepts import (
     scan_matches,
     words,
 )
-from dialogforge.model import ConceptEntry, SemanticGroup, Speaker, Utterance
+from dialogforge.model import Checklist, ConceptEntry, GenerationConfig, SemanticGroup, Speaker, Utterance
 
 from conftest import make_section
-from oracles import _window_entry, oracle_concept_matches
+from oracles import _window_entry, oracle_concept_matches, oracle_mark_covered
 
 
 def _load(text):
@@ -291,3 +291,43 @@ def test_scan_matches_agrees_with_oracle(entries, text, threshold):
     lexicon = Lexicon(entries)
     got = [(m.start, m.end, m.entry) for m in scan_matches(text, lexicon, threshold)]
     assert got == oracle_concept_matches(text, entries, threshold)
+
+
+def _flagged_checklist(entries, flags):
+    checklist = Checklist(entries)
+    for index, flag in enumerate(flags[: len(entries)]):
+        if flag:
+            checklist.mark(index)
+    return checklist
+
+
+# Checklist entries mix lexicon rows with rows the lexicon lacks; CUIs come
+# from four values, so an entry is often a synonym of a tagged row.
+@given(
+    lexicon_entries=_entries(),
+    extra=_entries(),
+    flags=st.lists(st.booleans(), max_size=12),
+    texts=st.lists(_joined(1, 8), max_size=3),
+    threshold=_thresholds,
+)
+@example(lexicon_entries=[_entry("c")], extra=[_entry("a b")], flags=[], texts=["c"], threshold=0.7)
+@example(
+    lexicon_entries=[_entry("a b"), _entry("b c", "C2")], extra=[_entry("b c", "C2")],
+    flags=[], texts=["a b c"], threshold=1.0,
+)
+@example(lexicon_entries=[_entry("a")], extra=[_entry("a")], flags=[True], texts=["a"], threshold=0.5)
+@example(
+    lexicon_entries=[_entry("c")], extra=[_entry("a"), _entry("b 7", "C2")],
+    flags=[], texts=["ab b7"], threshold=0.5,
+)
+@example(lexicon_entries=[_entry("a")], extra=[_entry("a")], flags=[], texts=[], threshold=0.5)
+def test_mark_covered_agrees_with_always_tagging_oracle(lexicon_entries, extra, flags, texts, threshold):
+    lexicon = Lexicon(lexicon_entries)
+    cfg = GenerationConfig(concept_threshold=threshold)
+    entries = extra + lexicon_entries[::2]
+    utterances = _utterances(*texts)
+    got = _flagged_checklist(entries, flags)
+    expected = _flagged_checklist(entries, flags)
+    flips = mark_covered(got, utterances, lexicon, cfg)
+    assert flips == oracle_mark_covered(expected, utterances, lexicon, cfg)
+    assert got.covered == expected.covered

@@ -1,12 +1,16 @@
 import logging
 import random
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dialogforge.backend import MockBackend
 from dialogforge.concepts import build_checklist
 from dialogforge.model import (
+    Checklist,
     ClinicalNote,
     Dialogue,
     GenerationConfig,
@@ -26,6 +30,7 @@ from dialogforge.refiner import (
 )
 
 from conftest import make_dialogue, make_section
+from oracles import oracle_mark_covered
 
 
 class Recorder:
@@ -204,6 +209,70 @@ def test_combine_parse_failure_falls_back_to_concatenation(lexicon, cfg, caplog)
     assert any("concatenating" in r.message for r in caplog.records)
 
 
+def covered_checklist(lexicon, cfg, body):
+    checklist = build_checklist(make_section(body), lexicon, cfg)
+    for index in range(len(checklist)):
+        checklist.mark(index)
+    return checklist
+
+
+def test_combine_dropped_keyword_falls_back_to_concatenation(lexicon, cfg, caplog):
+    checklist = covered_checklist(lexicon, cfg, "aspirin and asthma")
+    left = make_dialogue("Do you take aspirin?", "Yes, aspirin daily.", note_id="n")
+    right = make_dialogue("Any asthma?", "My asthma is mild.", note_id="n")
+    dropping = MockBackend(script=["Doctor: Any asthma?\nPatient: My asthma is mild."], strict=False)
+    with caplog.at_level(logging.WARNING):
+        combined = postedit_combine(left, right, "body", checklist, lexicon, dropping, cfg)
+    assert combined.turns == left.turns + right.turns
+    assert combined.provenance is Provenance.COMBINED
+    assert any("dropped keywords" in r.message and "concatenating" in r.message for r in caplog.records)
+
+
+def test_combine_accepts_merge_that_keeps_keywords(lexicon, cfg):
+    checklist = covered_checklist(lexicon, cfg, "aspirin and asthma")
+    left = make_dialogue("Do you take aspirin?", "Yes, aspirin daily.", note_id="n")
+    right = make_dialogue("Any asthma?", "My asthma is mild.", note_id="n")
+    reply = "Doctor: Do you take aspirin, and is there asthma?\nPatient: Aspirin daily; mild asthma."
+    combined = postedit_combine(left, right, "body", checklist, lexicon, MockBackend(script=[reply]), cfg)
+    assert [t.text for t in combined.turns] == [
+        "Do you take aspirin, and is there asthma?",
+        "Aspirin daily; mild asthma.",
+    ]
+    assert combined.meta["tail_turns"] == 2
+
+
+def test_combine_long_mode_dropped_tail_keyword_keeps_head(lexicon, caplog):
+    cfg = GenerationConfig.for_mode("long")
+    checklist = covered_checklist(lexicon, cfg, "aspirin and asthma")
+    left = make_dialogue("Do you take aspirin?", "Yes, daily.", "Any asthma?", "Mild asthma.", note_id="n")
+    left.meta["tail_turns"] = 2
+    right = make_dialogue("Any cough?", "No cough.", note_id="n")
+    # The head still says aspirin; the reply loses the tail's asthma.
+    reply = "Doctor: Any breathing trouble?\nPatient: Mild.\nDoctor: Any cough?\nPatient: No cough."
+    backend = Recorder(MockBackend(script=[reply]))
+    with caplog.at_level(logging.WARNING):
+        combined = postedit_combine(left, right, "body", checklist, lexicon, backend, cfg)
+    assert "Do you take aspirin?" not in backend.prompts[0]
+    assert combined.turns == left.turns + right.turns
+    assert combined.turns[:2] == left.turns[:2]
+    assert combined.meta["tail_turns"] == 2
+    assert any("dropped keywords ['asthma']" in r.message for r in caplog.records)
+
+
+def test_combine_long_mode_guard_counts_the_head(lexicon):
+    cfg = GenerationConfig.for_mode("long")
+    checklist = covered_checklist(lexicon, cfg, "aspirin and asthma")
+    left = make_dialogue("Do you take aspirin?", "Yes, daily.", "Any asthma?", "Mild asthma.", note_id="n")
+    left.meta["tail_turns"] = 2
+    right = make_dialogue("Any cough?", "No cough.", note_id="n")
+    # Aspirin is said only in the unbound head, which the merge keeps.
+    reply = "Doctor: Any asthma or cough?\nPatient: Mild asthma, no cough."
+    combined = postedit_combine(left, right, "body", checklist, lexicon, MockBackend(script=[reply]), cfg)
+    assert combined.turns[:2] == left.turns[:2]
+    assert [t.text for t in combined.turns[2:]] == ["Any asthma or cough?", "Mild asthma, no cough."]
+    assert combined.meta["tail_turns"] == 2
+
+
 def test_combine_long_mode_binds_only_tail(lexicon):
     cfg = GenerationConfig.for_mode("long")
     checklist = build_checklist(make_section("aspirin"), lexicon, cfg)
@@ -359,3 +428,107 @@ def test_note_patient_line_is_not_copied_into_dialogue(lexicon, cfg):
     assert dialogue.turns[0].speaker is Speaker.DOCTOR
     assert not any("John Doe" in t.text for t in dialogue.turns)
     assert dialogue.meta["coverage"] == {"covered": 2, "total": 2}
+
+
+SHARED_CUI_NOTE = ClinicalNote(
+    "shared",
+    "ASSESSMENT:\nasthma and hypertension, managed with albuterol and an inhaler\n"
+    "PLAN:\ncontinue albuterol, order an echocardiogram\n"
+    "MEDICATIONS:\naspirin daily\n",
+)
+
+
+def union_recount(note, dialogue, lexicon, cfg):
+    """The note's checklist entries, one per CUI, counted afresh against the
+    emitted turns."""
+    entries = {}
+    for section in segment_note(note, cfg.similarity_threshold):
+        for entry in build_checklist(section, lexicon, cfg).entries:
+            entries.setdefault(entry.cui, entry)
+    recount = Checklist(entries.values())
+    oracle_mark_covered(recount, dialogue.turns, lexicon, cfg)
+    return recount
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_pipeline_counts_a_shared_cui_once(lexicon, mode):
+    cfg = GenerationConfig.for_mode(mode)
+    assert checklist_sizes(SHARED_CUI_NOTE, lexicon, cfg) == [4, 2, 1]
+    dialogue = run_full_pipeline(SHARED_CUI_NOTE, lexicon, MockBackend(style=mode), cfg)
+    assert dialogue.meta["coverage"] == {"covered": 6, "total": 6}
+    assert dialogue.meta["keywords"] == [
+        "asthma", "hypertension", "albuterol", "inhaler", "echocardiogram", "aspirin",
+    ]
+
+
+def test_pipeline_coverage_counts_the_merged_text(lexicon, cfg):
+    # A merge that drops a keyword falls back to concatenation, so the
+    # record still covers every keyword the sections covered.
+    class DroppingMerge(MockBackend):
+        def complete(self, request):
+            reply = super().complete(request)
+            return "Doctor: Anything else?\nPatient: No." if request.stage == "postediting" else reply
+
+    dialogue = run_full_pipeline(SHARED_CUI_NOTE, lexicon, DroppingMerge(), cfg)
+    assert dialogue.meta["coverage"] == {"covered": 6, "total": 6}
+    assert union_recount(SHARED_CUI_NOTE, dialogue, lexicon, cfg).is_complete()
+
+
+_TAG_LINE = re.compile(r"^(Doctor|Patient):\s*", re.MULTILINE)
+_LONG_TURN = "Patient:" + " um" * 400
+
+
+def _drop_keyword(reply, pick, request):
+    keywords = [k for k in request.slots.get("keywords", "").split(",") if k]
+    surface = keywords[pick % len(keywords)]
+    return re.sub(re.escape(surface), "that", reply, flags=re.IGNORECASE)
+
+
+# Distortions of the rule mock's own rewrite reply.
+DISTORTIONS = {
+    "keep": lambda reply, pick, request: reply,
+    "drop_keyword": _drop_keyword,
+    "markdown_tags": lambda reply, pick, request: _TAG_LINE.sub(lambda m: f"**{m.group(1)}:** ", reply),
+    "bullet_tags": lambda reply, pick, request: _TAG_LINE.sub(lambda m: f"- {m.group(0)}", reply),
+    "missing_tags": lambda reply, pick, request: _TAG_LINE.sub("", reply),
+    "some_tags_missing": lambda reply, pick, request: _TAG_LINE.sub("", reply, count=1 + pick % 3),
+    "empty_bodies": lambda reply, pick, request: "\n".join(f"{tag}:" for tag in _TAG_LINE.findall(reply)),
+    "empty_reply": lambda reply, pick, request: "",
+    "oversized": lambda reply, pick, request: "\n".join([reply] * (2 + pick % 4) + [_LONG_TURN]),
+    "prose": lambda reply, pick, request: "Sure! Here is the rewritten conversation.",
+}
+
+
+class DistortedRewrites:
+    """The rule mock, except that each polish, hallucination and merge reply
+    gets the next drawn distortion."""
+
+    def __init__(self, style, distortions):
+        self.inner = MockBackend(style=style)
+        self.distortions = list(distortions)
+
+    def complete(self, request):
+        reply = self.inner.complete(request)
+        if request.stage in ("polish", "hallucination", "postediting") and self.distortions:
+            kind, pick = self.distortions.pop(0)
+            reply = DISTORTIONS[kind](reply, pick, request)
+        return reply
+
+
+@settings(max_examples=40)
+@given(
+    mode=st.sampled_from(["short", "long"]),
+    distortions=st.lists(st.tuples(st.sampled_from(sorted(DISTORTIONS)), st.integers(0, 20)), max_size=9),
+)
+@example(mode="short", distortions=[("keep", 0)] * 6 + [("drop_keyword", 2), ("drop_keyword", 4)])
+@example(mode="long", distortions=[("keep", 0)] * 6 + [("markdown_tags", 0), ("drop_keyword", 0)])
+@example(mode="short", distortions=[("oversized", 3)] * 9)
+def test_pipeline_coverage_recounts_emitted_turns_under_distorted_rewrites(lexicon, mode, distortions):
+    cfg = GenerationConfig.for_mode(mode)
+    dialogue = run_full_pipeline(SHARED_CUI_NOTE, lexicon, DistortedRewrites(mode, distortions), cfg)
+    recount = union_recount(SHARED_CUI_NOTE, dialogue, lexicon, cfg)
+    assert dialogue.meta["coverage"] == {"covered": recount.covered_count(), "total": len(recount)}
+    # The rule mock's loop covers every keyword and every rewrite is guarded.
+    assert recount.is_complete()
+    assert dialogue.turns[0].speaker is Speaker.DOCTOR
+    assert all(turn.text.strip() for turn in dialogue.turns)
