@@ -99,9 +99,9 @@ class ChatRequest:
             raise ValueError("temperature must be non-negative")
 
 
-def estimate_tokens(text: str, chars_per_token: int = CHARS_PER_TOKEN) -> int:
-    """ceil(len(text) / chars_per_token); empty text is 0 tokens."""
-    return -(-len(text) // chars_per_token)
+def estimate_tokens(text: str) -> int:
+    """ceil(len(text) / CHARS_PER_TOKEN); empty text is 0 tokens."""
+    return -(-len(text) // CHARS_PER_TOKEN)
 
 
 class TokenBucket:

@@ -44,16 +44,16 @@ class IdMismatch(CliError):
 
 def _coerce(name: str, raw: str):
     kind = _CONFIG_FIELDS[name]
-    if kind in ("bool", bool):
+    if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise CliError(f"config key {name}: expected a boolean, got {raw!r}")
     try:
-        if kind in ("int", int):
+        if kind is int:
             return int(raw)
-        if kind in ("float", float):
+        if kind is float:
             return float(raw)
     except ValueError:
         raise CliError(f"config key {name}: cannot parse {raw!r}") from None
@@ -93,10 +93,9 @@ def build_config(args: argparse.Namespace) -> GenerationConfig:
     return GenerationConfig.for_mode(mode, **values)
 
 
-def print_effective_config(cfg: GenerationConfig, stream=None) -> None:
-    stream = stream or sys.stdout
+def print_effective_config(cfg: GenerationConfig) -> None:
     for field in dataclasses.fields(GenerationConfig):
-        print(f"{field.name}={getattr(cfg, field.name)}", file=stream)
+        print(f"{field.name}={getattr(cfg, field.name)}")
 
 
 def _read_jsonl(path: str) -> List[Tuple[int, Dict]]:

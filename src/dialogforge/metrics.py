@@ -1,8 +1,7 @@
 """N-gram and concept-overlap evaluation.
 
 All similarity scores are F1-style fractions in [0, 1]. Tokenization is
-lowercase word tokens split on any run of non-alphanumeric characters, with
-no stemming unless requested.
+lowercase word tokens split on any run of non-alphanumeric characters.
 
 BLEU uses clipped n-gram precisions up to ``max_n`` with a documented
 smoothing rule: a zero precision at order n is replaced by 1 / (2 * H_n)
@@ -39,10 +38,6 @@ from typing import Dict, List, Sequence, Set, Tuple
 from .concepts import Lexicon, extract_concepts, filter_semantic_groups, words
 from .model import Dialogue, EvalReport, GenerationConfig, format_transcript
 
-# Minimal suffix stripper used only when stemming is requested.
-_STEM_SUFFIXES = ("ing", "edly", "ed", "es", "s")
-
-
 class EmptyCorpus(ValueError):
     pass
 
@@ -55,26 +50,10 @@ class TooFewUnits(ValueError):
 class TokenizedText:
     tokens: Tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.tokens)
 
-    def __iter__(self):
-        return iter(self.tokens)
-
-
-def _stem(token: str) -> str:
-    for suffix in _STEM_SUFFIXES:
-        if token.endswith(suffix) and len(token) > len(suffix) + 2:
-            return token[: -len(suffix)]
-    return token
-
-
-def tokenize(text: str, stemming: bool = False) -> TokenizedText:
+def tokenize(text: str) -> TokenizedText:
     """Lowercase word tokens; digits kept, underscores split."""
-    tokens = words(text)
-    if stemming:
-        tokens = [_stem(t) for t in tokens]
-    return TokenizedText(tuple(tokens))
+    return TokenizedText(tuple(words(text)))
 
 
 def _f1(precision: float, recall: float) -> float:

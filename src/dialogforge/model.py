@@ -283,20 +283,18 @@ class GenerationConfig:
     """Knobs for the generation loop and refinement passes.
 
     ``keywords_per_turn`` caps how many checklist terms one doctor question
-    may target. ``context_fill_ratio`` times ``max_context_tokens`` is the
-    budget over which the loop stops growing the prompt context.
+    may target. ``context_budget``, 80 % of ``max_context_tokens``, is the
+    estimated prompt size over which the loop trims its history and stops.
     """
 
     max_rounds: int = 15
     keywords_per_turn: int = 4
     max_context_tokens: int = 4096
-    context_fill_ratio: float = 0.8
     mode: str = "short"
     similarity_threshold: float = 0.85
     concept_threshold: float = 0.7
     temperature: float = 0.7
     max_reply_tokens: int = 256
-    polish_repeats: int = 1
     enable_factuality: bool = False
     max_retries: int = 3
     retry_base_delay: float = 0.5
@@ -308,14 +306,16 @@ class GenerationConfig:
             raise ModelError("keywords_per_turn must be >= 1")
         if self.max_context_tokens < 1:
             raise ModelError("max_context_tokens must be positive")
-        if not 0 < self.context_fill_ratio <= 1:
-            raise ModelError("context_fill_ratio must be in (0, 1]")
         if self.mode not in ("short", "long"):
             raise ModelError(f"mode must be short or long, got {self.mode!r}")
         for name in ("similarity_threshold", "concept_threshold"):
             value = getattr(self, name)
             if not 0 < value <= 1:
                 raise ModelError(f"{name} must be in (0, 1]")
+
+    @property
+    def context_budget(self) -> float:
+        return 0.8 * self.max_context_tokens
 
     @classmethod
     def for_mode(cls, mode: str, **overrides) -> "GenerationConfig":

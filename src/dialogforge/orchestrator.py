@@ -93,7 +93,7 @@ def should_terminate(state: LoopState, cfg: GenerationConfig) -> Tuple[bool, Opt
         return True, TERMINATE_CHECKLIST_EMPTY
     if state.round >= cfg.max_rounds:
         return True, TERMINATE_MAX_ROUNDS
-    if state.token_spend >= cfg.context_fill_ratio * cfg.max_context_tokens:
+    if state.token_spend >= cfg.context_budget:
         return True, TERMINATE_TOKEN_BUDGET
     return False, None
 
@@ -131,11 +131,10 @@ def _render_with_budget(
     """Request with the full history, dropping the oldest complete rounds
     after round 0 while the estimate is over budget. Round 0 and a trailing
     doctor question still awaiting its answer are never dropped."""
-    budget = cfg.context_fill_ratio * cfg.max_context_tokens
     view = list(history)
     while True:
         request = _request(template, {**bindings, "history": view}, cfg)
-        if estimate_tokens(request.messages[-1].content) <= budget or len(view) < 4:
+        if estimate_tokens(request.messages[-1].content) <= cfg.context_budget or len(view) < 4:
             return request, view
         del view[2:4]
 
@@ -222,7 +221,7 @@ def run_section_loop(
 
     A section with no filtered concepts yields an empty dialogue without any
     backend calls. When the factuality pass is enabled, entries still missing
-    after the main loop get at most one extra targeted round before re-check,
+    after the main loop get one extra targeted round before the check,
     bounding the loop at max_rounds + 1 rounds.
     """
     checklist = build_checklist(section, lexicon, cfg)
@@ -236,24 +235,10 @@ def run_section_loop(
             run_round(state, section, lexicon, backend, cfg, templates)
 
         if cfg.enable_factuality:
-            missing = factuality_check(
-                Dialogue(note_id, tuple(state.history), Provenance.RAW),
-                section,
-                checklist,
-                backend,
-                cfg,
-                templates,
-            )
-            if missing:
+            if checklist.uncovered():
                 run_round(state, section, lexicon, backend, cfg, templates)
-                factuality_check(
-                    Dialogue(note_id, tuple(state.history), Provenance.RAW),
-                    section,
-                    checklist,
-                    backend,
-                    cfg,
-                    templates,
-                )
+            dialogue = Dialogue(note_id, tuple(state.history), Provenance.RAW)
+            factuality_check(dialogue, section, checklist, backend, cfg, templates)
 
     meta = {
         "coverage": {"covered": checklist.covered_count(), "total": len(checklist)},
@@ -261,6 +246,5 @@ def run_section_loop(
         "round_keywords": state.round_keywords,
         "uncovered": [e.surface for e in checklist.uncovered()],
         "checklist": checklist,
-        "header": section.header.canonical_name,
     }
     return Dialogue(note_id=note_id, turns=tuple(state.history), provenance=Provenance.RAW, meta=meta)

@@ -127,13 +127,10 @@ def polish(
     if not dialogue.turns:
         raise ValueError("polish requires a non-empty dialogue")
     templates = templates or DEFAULT_TEMPLATES
-    result = dialogue
-    for _ in range(cfg.polish_repeats):
-        bindings = {"conversation": result, "note": note_body, "keywords": list(checklist.entries)}
-        result = _rewrite_pass(
-            result, bindings, checklist, lexicon, backend, cfg, templates["polish"], Provenance.POLISHED
-        )
-    return result
+    bindings = {"conversation": dialogue, "note": note_body, "keywords": list(checklist.entries)}
+    return _rewrite_pass(
+        dialogue, bindings, checklist, lexicon, backend, cfg, templates["polish"], Provenance.POLISHED
+    )
 
 
 def hallucination_check(
@@ -205,6 +202,16 @@ def postedit_combine(
     return merged
 
 
+def _note_meta(checklist: Checklist) -> Dict:
+    """The note's bookkeeping, all of it from the recount of the final turns."""
+    return {
+        "coverage": {"covered": checklist.covered_count(), "total": len(checklist)},
+        "keywords": [e.surface for e in checklist.entries],
+        "uncovered": [e.surface for e in checklist.uncovered()],
+        "checklist": checklist,
+    }
+
+
 def run_full_pipeline(
     note: ClinicalNote,
     lexicon: Lexicon,
@@ -232,10 +239,7 @@ def run_full_pipeline(
         refined.append((dialogue, checklist))
 
     if not refined:
-        return Dialogue(
-            note.id, (), Provenance.COMBINED,
-            meta={"coverage": {"covered": 0, "total": 0}, "keywords": []},
-        )
+        return Dialogue(note.id, (), Provenance.COMBINED, meta=_note_meta(Checklist(())))
 
     # The note's checklist: each CUI once, first section first.
     by_cui: Dict[str, ConceptEntry] = {}
@@ -258,7 +262,4 @@ def run_full_pipeline(
             )
     final = Checklist(union.entries)
     mark_covered(final, combined.turns, lexicon, cfg)
-    combined.meta["coverage"] = {"covered": final.covered_count(), "total": len(final)}
-    combined.meta["keywords"] = [e.surface for e in final.entries]
-    combined.meta["checklist"] = final
-    return combined
+    return Dialogue(combined.note_id, combined.turns, combined.provenance, meta=_note_meta(final))

@@ -31,7 +31,6 @@ _STRIP_CHARS = string.punctuation + string.whitespace
 
 @dataclass(frozen=True)
 class HeaderMatch:
-    raw_line: str
     canonical: SectionHeader
     similarity: float
 
@@ -81,11 +80,7 @@ def match_header(line: str, threshold: float = DEFAULT_THRESHOLD) -> Optional[He
             best_name, best_sim = name, sim
     if best_sim < threshold:
         return None
-    return HeaderMatch(
-        raw_line=line.rstrip("\r\n"),
-        canonical=SectionHeader(best_name),
-        similarity=best_sim,
-    )
+    return HeaderMatch(canonical=SectionHeader(best_name), similarity=best_sim)
 
 
 def segment_note(note: ClinicalNote, threshold: float = DEFAULT_THRESHOLD) -> List[NoteSection]:

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,26 @@ from dialogforge.model import (
 # per-example time varies with the load of a shared machine.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+# Any accidental external HTTP goes to an unroutable proxy for the whole
+# session; the in-process stubs on 127.0.0.1 are exempted.
+BLACKHOLE_PROXY = "http://127.0.0.1:9"
+os.environ["HTTP_PROXY"] = os.environ["HTTPS_PROXY"] = BLACKHOLE_PROXY
+os.environ["NO_PROXY"] = "127.0.0.1,localhost"
+
+# The whole run, collection included, must finish within this bound.
+SUITE_SECONDS = 60.0
+_SUITE_STARTED = time.perf_counter()
+
+
+def pytest_sessionfinish(session, exitstatus):
+    elapsed = time.perf_counter() - _SUITE_STARTED
+    if elapsed >= SUITE_SECONDS:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        if reporter is not None:
+            reporter.write(f"\nsession took {elapsed:.1f} s, over the {SUITE_SECONDS:.0f} s bound\n", red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -9,7 +9,9 @@ from dialogforge.cli import main
 from dialogforge.concepts import extract_concepts, filter_semantic_groups
 from dialogforge.model import ClinicalNote
 
-from conftest import LEXICON_PATH, NOTES_PATH
+from conftest import DATA_DIR, LEXICON_PATH, NOTES_PATH
+
+GOLDEN_DIR = DATA_DIR / "golden"
 
 
 def _read_jsonl(path):
@@ -154,6 +156,25 @@ def test_generate_workers_preserve_input_order(tmp_path):
         assert code == 0
         assert [r["id"] for r in _read_jsonl(out)] == ["n1", "n2", "n3"]
         assert out.read_bytes() == serial
+
+
+@pytest.mark.parametrize(
+    "golden, mode, factuality",
+    [
+        ("generate_short.jsonl", "short", False),
+        ("generate_long.jsonl", "long", False),
+        ("generate_short_factuality.jsonl", "short", True),
+    ],
+)
+def test_generate_mock_matches_golden_output(tmp_path, golden, mode, factuality):
+    extra = ["--mode", mode]
+    if factuality:
+        config = tmp_path / "factuality.cfg"
+        config.write_text("enable_factuality=true\n", encoding="utf-8")
+        extra += ["--config", str(config)]
+    code, out = _generate(tmp_path, "--mock", *extra)
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
 class _Always401(BaseHTTPRequestHandler):

@@ -64,11 +64,6 @@ def test_tokenize_splits_underscores_and_unicode():
     assert tokenize("x_y naïve").tokens == ("x", "y", "naïve")
 
 
-def test_tokenize_stemming_flag():
-    assert tokenize("running walked", stemming=True).tokens == ("runn", "walk")
-    assert tokenize("running walked").tokens == ("running", "walked")
-
-
 # ---------------------------------------------------------------------------
 # rouge_n / rouge_l
 # ---------------------------------------------------------------------------

@@ -180,13 +180,10 @@ def test_generation_config_defaults_and_validation():
     assert cfg.max_rounds == 15
     assert cfg.keywords_per_turn == 4
     assert cfg.max_context_tokens == 4096
-    assert cfg.context_fill_ratio == 0.8
     assert GenerationConfig.for_mode("long").max_rounds == 25
     assert GenerationConfig.for_mode("long", max_rounds=3).max_rounds == 3
     with pytest.raises(ModelError):
         GenerationConfig(keywords_per_turn=0)
-    with pytest.raises(ModelError):
-        GenerationConfig(context_fill_ratio=1.5)
     with pytest.raises(ModelError):
         GenerationConfig(mode="medium")
     with pytest.raises(ModelError):

@@ -276,11 +276,13 @@ def test_loop_factuality_extra_round_completes_coverage(lexicon):
     cfg = GenerationConfig(max_rounds=1, enable_factuality=True)
     surfaces = reportable_surfaces(lexicon, 8)
     section = section_with_keywords(surfaces)
-    dialogue = run_section_loop(section, lexicon, MockBackend(), cfg)
-    # one capped round, then one remediation round
+    backend = RecordingMock()
+    dialogue = run_section_loop(section, lexicon, backend, cfg)
+    # one capped round, then one remediation round, then one verdict
     assert len(dialogue.turns) == 4
     assert dialogue.meta["coverage"] == {"covered": 8, "total": 8}
     assert dialogue.meta["uncovered"] == []
+    assert [r.stage for r in backend.requests] == ["doctor", "patient", "doctor", "patient", "factuality"]
 
 
 def test_loop_terminates_within_bound_for_any_backend(lexicon):
@@ -296,7 +298,7 @@ def test_loop_terminates_within_bound_for_any_backend(lexicon):
 
 
 def test_loop_token_budget_termination(lexicon):
-    cfg = GenerationConfig(max_context_tokens=64, context_fill_ratio=0.8)
+    cfg = GenerationConfig(max_context_tokens=64)
     surfaces = reportable_surfaces(lexicon, 8)
     section = section_with_keywords(surfaces)
     assert len(section.body) > 64 * 0.8 * 4
@@ -328,7 +330,7 @@ def test_history_truncation_keeps_opening_round(lexicon):
     from dialogforge.orchestrator import _render_with_budget
     from dialogforge.prompts import DEFAULT_TEMPLATES
 
-    cfg = GenerationConfig(max_context_tokens=160, context_fill_ratio=1.0)
+    cfg = GenerationConfig(max_context_tokens=200)
     history = []
     for i in range(4):
         history.append(Utterance(Speaker.DOCTOR, f"question {i} " + "x" * 60, i))
@@ -359,7 +361,7 @@ def test_loop_scripted_determinism(lexicon, cfg):
 def test_history_truncation_keeps_unanswered_question():
     from dialogforge.orchestrator import _render_with_budget
 
-    cfg = GenerationConfig(max_context_tokens=120, context_fill_ratio=1.0)
+    cfg = GenerationConfig(max_context_tokens=150)
     history = [
         Utterance(Speaker.DOCTOR, "question 0", 0),
         Utterance(Speaker.PATIENT, "answer 0", 0),

@@ -144,14 +144,6 @@ def test_polish_requires_non_empty_dialogue(lexicon, cfg):
         polish(empty, "body", build_checklist(make_section("x"), lexicon, cfg), lexicon, MockBackend(), cfg)
 
 
-def test_polish_repeats_config(lexicon):
-    cfg = GenerationConfig(polish_repeats=3)
-    section, checklist, dialogue = loop_dialogue(lexicon, cfg, "aspirin and asthma daily")
-    backend = Recorder(MockBackend())
-    polish(dialogue, section.body, checklist, lexicon, backend, cfg)
-    assert len(backend.prompts) == 3
-
-
 def test_hallucination_identity(lexicon, cfg):
     section, checklist, dialogue = loop_dialogue(lexicon, cfg, "metformin for diabetes")
     checked = hallucination_check(dialogue, section.body, checklist, lexicon, MockBackend(), cfg)
@@ -332,6 +324,26 @@ def test_pipeline_no_hits_returns_empty_without_calls(lexicon, cfg):
     assert dialogue.turns == ()
     assert backend.calls == 0
     assert dialogue.meta["coverage"] == {"covered": 0, "total": 0}
+
+
+def test_pipeline_meta_describes_the_note_not_its_first_section(lexicon):
+    note = ClinicalNote(
+        "p",
+        "CHIEF COMPLAINT:\nasthma today.\nMEDICATIONS:\naspirin daily. lisinopril daily. "
+        "metformin daily. atorvastatin daily. albuterol daily. warfarin daily.\n",
+    )
+    cfg = GenerationConfig(max_rounds=1)
+    dialogue = run_full_pipeline(note, lexicon, MockBackend(), cfg)
+    keys = {"coverage", "keywords", "uncovered", "checklist"}
+    assert set(dialogue.meta) == keys
+    assert dialogue.meta["coverage"] == {"covered": 5, "total": 7}
+    checklist = dialogue.meta["checklist"]
+    assert dialogue.meta["uncovered"] == [e.surface for e in checklist.uncovered()]
+    assert len(dialogue.meta["uncovered"]) == 2
+
+    empty = run_full_pipeline(ClinicalNote("q", "no relevant terms"), lexicon, MockBackend(), cfg)
+    assert set(empty.meta) == keys
+    assert empty.meta["uncovered"] == [] and len(empty.meta["checklist"]) == 0
 
 
 def test_pipeline_single_section_combine_is_identity(lexicon, cfg):
