@@ -39,6 +39,9 @@ ENDPOINT_ENV = "DIALOGFORGE_ENDPOINT"
 # Heuristic, model-agnostic token estimate: about 4 characters per token.
 CHARS_PER_TOKEN = 4
 
+# Seconds an HTTP request may take before it fails as a retryable Timeout.
+REQUEST_TIMEOUT_S = 60.0
+
 
 class BackendError(Exception):
     retryable = False
@@ -137,7 +140,6 @@ class HttpBackend:
         endpoint: str,
         model: str,
         api_key: Optional[str] = None,
-        timeout: float = 60.0,
         requests_per_minute: Optional[float] = None,
     ):
         parsed = urlparse(endpoint)
@@ -146,7 +148,6 @@ class HttpBackend:
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
-        self._timeout = timeout
         self._limiter = TokenBucket(requests_per_minute) if requests_per_minute else None
 
     def complete(self, request: ChatRequest) -> str:
@@ -168,7 +169,7 @@ class HttpBackend:
                 f"{self.endpoint}/chat/completions",
                 json=body,
                 headers=headers,
-                timeout=self._timeout,
+                timeout=REQUEST_TIMEOUT_S,
             )
         except requests.exceptions.Timeout as exc:
             raise Timeout(str(exc)) from exc

@@ -8,7 +8,6 @@ config file over built-in defaults; the API key is read only from the
 """
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import logging
@@ -22,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .backend import AuthError, BackendError, ENDPOINT_ENV, HttpBackend, MockBackend
 from .concepts import LexiconError, extract_concepts, filter_semantic_groups, load_lexicon
 from .metrics import evaluate_corpus, render_report_table
-from .model import ClinicalNote, Dialogue, GenerationConfig, Provenance, Utterance, validate
+from .model import ClinicalNote, Dialogue, GenerationConfig, ModelError, Provenance, Utterance, validate
 from .prompts import load_templates
 from .refiner import run_full_pipeline
 from .segmenter import segment_note
@@ -36,10 +35,6 @@ class CliError(Exception):
     def __init__(self, message: str, exit_code: int = 1):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-class IdMismatch(CliError):
-    pass
 
 
 def _coerce(name: str, raw: str):
@@ -90,7 +85,10 @@ def build_config(args: argparse.Namespace) -> GenerationConfig:
         if flag is not None:
             values[name] = flag
     mode = values.pop("mode", "short")
-    return GenerationConfig.for_mode(mode, **values)
+    try:
+        return GenerationConfig.for_mode(mode, **values)
+    except ModelError as exc:
+        raise CliError(f"invalid config: {exc}") from exc
 
 
 def print_effective_config(cfg: GenerationConfig) -> None:
@@ -117,9 +115,9 @@ def _read_jsonl(path: str) -> List[Tuple[int, Dict]]:
 def _read_notes(path: str) -> List[ClinicalNote]:
     notes = []
     for line_no, record in _read_jsonl(path):
-        if not isinstance(record, dict) or "id" not in record or "text" not in record:
-            raise CliError(f"{path} line {line_no}: note record needs 'id' and 'text'")
-        note = ClinicalNote(id=str(record["id"]), text=str(record["text"]))
+        if not isinstance(record, dict) or "id" not in record or not isinstance(record.get("text"), str):
+            raise CliError(f"{path} line {line_no}: note record needs 'id' and a string 'text'")
+        note = ClinicalNote(id=str(record["id"]), text=record["text"])
         try:
             validate(note)
         except ValueError as exc:
@@ -236,7 +234,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     backend = _make_backend(args, cfg)
     notes = _read_notes(args.input)
     templates = load_templates(args.prompts) if args.prompts else None
-    workers = max(1, args.workers)
     auth_failed = threading.Event()
 
     def generate(note: ClinicalNote) -> Optional[Dialogue]:
@@ -254,10 +251,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
             logger.error("note %s failed: %s", note.id, exc)
             return None
 
-    with contextlib.ExitStack() as stack:
-        run = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
+    with ThreadPoolExecutor(max(1, args.workers)) as pool:
         try:
-            results = list(run(generate, notes))
+            results = list(pool.map(generate, notes))
         except AuthError as exc:
             raise CliError(f"authentication failed: {exc}", exit_code=2) from exc
     failures = results.count(None)
@@ -285,7 +281,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     refs = {d.note_id: d for d in _read_dialogues(args.ref)}
     unmatched = [h.note_id for h in hyps if h.note_id not in refs]
     if unmatched:
-        raise IdMismatch(f"hypothesis ids missing from reference file: {', '.join(unmatched)}")
+        raise CliError(f"hypothesis ids missing from reference file: {', '.join(unmatched)}")
     pairs = [(h, refs[h.note_id]) for h in hyps]
     try:
         report = evaluate_corpus(pairs, lexicon, cfg)
@@ -300,19 +296,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """``--config``, ``--print-config`` and one flag per named config field.
+
+    A command names only the fields it reads; its config file may still set
+    any field, because one file serves every command.
+    """
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--print-config", action="store_true", help="dump effective config and exit")
-    parser.add_argument("--mode", choices=["short", "long"], default=None)
-    parser.add_argument("--max-rounds", dest="max_rounds", type=int, default=None)
-    parser.add_argument("--keywords-per-turn", dest="keywords_per_turn", type=int, default=None)
-    parser.add_argument(
-        "--similarity-threshold", dest="similarity_threshold", type=float, default=None
-    )
-    parser.add_argument("--concept-threshold", dest="concept_threshold", type=float, default=None)
-    parser.add_argument(
-        "--max-context-tokens", dest="max_context_tokens", type=int, default=None
-    )
+    for name in names:
+        choices = ("short", "long") if name == "mode" else None
+        parser.add_argument("--" + name.replace("_", "-"), type=_CONFIG_FIELDS[name], choices=choices)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,14 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_segment = sub.add_parser("segment", help="split notes into header-labeled sections")
     p_segment.add_argument("--input", required=True, help="notes JSONL file")
     p_segment.add_argument("--out", help="sections JSONL file (default stdout)")
-    _add_config_flags(p_segment)
+    _add_config_flags(p_segment, "similarity_threshold")
     p_segment.set_defaults(func=cmd_segment)
 
     p_extract = sub.add_parser("extract", help="extract filtered concepts per note")
     p_extract.add_argument("--input", required=True, help="notes JSONL file")
     p_extract.add_argument("--lexicon", required=True, help="tab-separated lexicon file")
     p_extract.add_argument("--out", help="concepts JSONL file (default stdout)")
-    _add_config_flags(p_extract)
+    _add_config_flags(p_extract, "concept_threshold")
     p_extract.set_defaults(func=cmd_extract)
 
     p_generate = sub.add_parser("generate", help="run the full note-to-dialogue pipeline")
@@ -348,7 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_generate.add_argument("--workers", type=int, default=1, help="notes run at once")
     p_generate.add_argument("--prompts", help="directory of <name>.txt prompt template overrides")
-    _add_config_flags(p_generate)
+    _add_config_flags(
+        p_generate, "mode", "max_rounds", "keywords_per_turn",
+        "similarity_threshold", "concept_threshold", "max_context_tokens",
+    )
     p_generate.set_defaults(func=cmd_generate)
 
     p_evaluate = sub.add_parser("evaluate", help="score hypothesis dialogues against references")
@@ -356,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evaluate.add_argument("--ref", required=True, help="reference dialogues JSONL file")
     p_evaluate.add_argument("--lexicon", required=True, help="tab-separated lexicon file")
     p_evaluate.add_argument("--out", help="report JSON file (default stdout)")
-    _add_config_flags(p_evaluate)
+    _add_config_flags(p_evaluate, "concept_threshold")
     p_evaluate.set_defaults(func=cmd_evaluate)
 
     return parser
@@ -374,9 +371,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except AuthError as exc:
-        print(f"error: authentication failed: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -36,10 +36,9 @@ class LexiconError(Exception):
 
 
 class MalformedRecord(LexiconError):
-    def __init__(self, line_no: int, detail: str = ""):
+    def __init__(self, line_no: int, detail: str):
         self.line_no = line_no
-        suffix = f": {detail}" if detail else ""
-        super().__init__(f"malformed lexicon record at line {line_no}{suffix}")
+        super().__init__(f"malformed lexicon record at line {line_no}: {detail}")
 
 
 def words(text: str) -> List[str]:
@@ -178,9 +177,7 @@ def scan_matches(text: str, lexicon: Lexicon, approx_threshold: float) -> List[C
     return matches
 
 
-def extract_concepts(
-    text: str, lexicon: Lexicon, approx_threshold: float = 0.7
-) -> List[ConceptEntry]:
+def extract_concepts(text: str, lexicon: Lexicon, approx_threshold: float) -> List[ConceptEntry]:
     """Concepts in first-occurrence order, one per CUI."""
     seen = set()
     out = []

@@ -3,7 +3,7 @@
 All similarity scores are F1-style fractions in [0, 1]. Tokenization is
 lowercase word tokens split on any run of non-alphanumeric characters.
 
-BLEU uses clipped n-gram precisions up to ``max_n`` with a documented
+BLEU uses clipped n-gram precisions up to ``MAX_N`` with a documented
 smoothing rule: a zero precision at order n is replaced by 1 / (2 * H_n)
 where H_n is the hypothesis n-gram count (floored at 1 when the hypothesis
 is shorter than n), and the whole score is 0 when the hypothesis has no
@@ -37,6 +37,9 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from .concepts import Lexicon, extract_concepts, filter_semantic_groups, words
 from .model import Dialogue, EvalReport, GenerationConfig, format_transcript
+
+MAX_N = 4  # highest n-gram order of BLEU and Self-BLEU
+
 
 class EmptyCorpus(ValueError):
     pass
@@ -162,11 +165,11 @@ def rouge_lsum(hyp_lines: Sequence[str], ref_lines: Sequence[str]) -> float:
     return _f1(precision, recall)
 
 
-def _sibling_bleu(units: Sequence[Sequence[str]], max_n: int, scored: int) -> List[float]:
+def _sibling_bleu(units: Sequence[Sequence[str]], scored: int) -> List[float]:
     """Smoothed BLEU of each of the first ``scored`` units with all the other
     units as its references, from one n-gram count per unit and order."""
-    hits = [[0] * max_n for _ in range(scored)]
-    for n in range(1, max_n + 1):
+    hits = [[0] * MAX_N for _ in range(scored)]
+    for n in range(1, MAX_N + 1):
         counts = [_ngram_counts(unit, n) for unit in units]
         top: Dict[Tuple[str, ...], Tuple[int, int, int]] = {}  # (largest, its unit, second)
         for t, unit_counts in enumerate(counts):
@@ -188,7 +191,7 @@ def _sibling_bleu(units: Sequence[Sequence[str]], max_n: int, scored: int) -> Li
         for n, matched in enumerate(unit_hits, start=1):
             total = max(h - n + 1, 1)
             log_sum += log(matched / total if matched else 1.0 / (2 * total))
-        score = exp(log_sum / max_n)
+        score = exp(log_sum / MAX_N)
         # closest other length, ties to the shorter; lengths[k] is the unit's own
         k = bisect_left(lengths, h)
         neighbours = lengths[max(k - 1, 0) : k] + lengths[k + 1 : k + 2]
@@ -197,14 +200,14 @@ def _sibling_bleu(units: Sequence[Sequence[str]], max_n: int, scored: int) -> Li
     return scores
 
 
-def bleu(hyp: TokenizedText, refs: Sequence[TokenizedText], max_n: int = 4) -> float:
+def bleu(hyp: TokenizedText, refs: Sequence[TokenizedText]) -> float:
     """Smoothed corpus-style BLEU of one hypothesis against references."""
     if not refs:
         raise ValueError("refs must be non-empty")
-    return _sibling_bleu([hyp.tokens, *(ref.tokens for ref in refs)], max_n, 1)[0]
+    return _sibling_bleu([hyp.tokens, *(ref.tokens for ref in refs)], 1)[0]
 
 
-def self_bleu(corpus: Sequence[Dialogue], max_n: int = 4) -> float:
+def self_bleu(corpus: Sequence[Dialogue]) -> float:
     """Mean BLEU of each utterance against its dialogue siblings.
 
     Lower is more diverse. Raises TooFewUnits when any dialogue has fewer
@@ -219,7 +222,7 @@ def self_bleu(corpus: Sequence[Dialogue], max_n: int = 4) -> float:
                 f"dialogue {dialogue.note_id!r} has {len(dialogue.turns)} utterance(s); need >= 2"
             )
         units = [tokenize(turn.text).tokens for turn in dialogue.turns]
-        scores = _sibling_bleu(units, max_n, len(units))
+        scores = _sibling_bleu(units, len(units))
         dialogue_means.append(sum(scores) / len(scores))
     return sum(dialogue_means) / len(dialogue_means)
 

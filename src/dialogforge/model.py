@@ -134,8 +134,8 @@ class Utterance:
 
     def __post_init__(self):
         object.__setattr__(self, "speaker", Speaker(self.speaker))
-        if not self.text:
-            raise ModelError("utterance text is empty")
+        if not isinstance(self.text, str) or not self.text:
+            raise ModelError(f"utterance text must be a non-empty string, got {self.text!r}")
         if self.round_index < 0:
             raise ModelError("round_index must be >= 0")
 
@@ -306,6 +306,11 @@ class GenerationConfig:
             raise ModelError("keywords_per_turn must be >= 1")
         if self.max_context_tokens < 1:
             raise ModelError("max_context_tokens must be positive")
+        if self.max_reply_tokens < 1:
+            raise ModelError("max_reply_tokens must be positive")
+        for name in ("temperature", "max_retries", "retry_base_delay"):
+            if getattr(self, name) < 0:
+                raise ModelError(f"{name} must be >= 0")
         if self.mode not in ("short", "long"):
             raise ModelError(f"mode must be short or long, got {self.mode!r}")
         for name in ("similarity_threshold", "concept_threshold"):

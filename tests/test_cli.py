@@ -5,7 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from dialogforge.cli import main
+from dialogforge.cli import build_parser, main
 from dialogforge.concepts import extract_concepts, filter_semantic_groups
 from dialogforge.model import ClinicalNote
 
@@ -58,6 +58,33 @@ def test_segment_missing_input(tmp_path):
     assert main(["segment", "--input", str(tmp_path / "nope.jsonl")]) != 0
 
 
+def test_segment_rejects_non_string_note_text(tmp_path, capsys):
+    src = tmp_path / "notes.jsonl"
+    src.write_text(
+        json.dumps({"id": "a", "text": "CHIEF COMPLAINT:\nCough.\n"}) + "\n"
+        + json.dumps({"id": "b", "text": ["x"]}) + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "sections.jsonl"
+    assert main(["segment", "--input", str(src), "--out", str(out)]) == 1
+    assert f"{src} line 2: note record needs 'id' and a string 'text'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_segment_similarity_threshold_flag_is_read(tmp_path):
+    src = tmp_path / "notes.jsonl"
+    text = "CHIEF COMPLAINT:\nCough.\nMEDICATONS:\nAspirin daily.\n"
+    src.write_text(json.dumps({"id": "t", "text": text}) + "\n", encoding="utf-8")
+    headers = []
+    for extra in ([], ["--similarity-threshold", "1.0"]):
+        out = tmp_path / "sections.jsonl"
+        assert main(["segment", "--input", str(src), "--out", str(out), *extra]) == 0
+        headers.append([r["header"] for r in _read_jsonl(out)])
+    # The typo heading matches "medications" at the default 0.85, and only an
+    # exact heading matches at 1.0.
+    assert headers == [["chief complaint", "medications"], ["chief complaint"]]
+
+
 # ---------------------------------------------------------------------------
 # extract
 # ---------------------------------------------------------------------------
@@ -82,6 +109,22 @@ def test_extract_missing_lexicon(tmp_path, capsys):
     )
     assert code != 0
     assert "lexicon" in capsys.readouterr().err
+
+
+def test_extract_concept_threshold_flag_is_read(tmp_path):
+    # "obstructive pulmonary disease" shares 3 of the entry's 4 tokens: a
+    # token-set Jaccard of 0.75, the text's only (approximate) match.
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("chronic obstructive pulmonary disease\tC0024117\tdisease\n", encoding="utf-8")
+    src = tmp_path / "notes.jsonl"
+    src.write_text('{"id": "c", "text": "obstructive pulmonary disease noted"}\n', encoding="utf-8")
+    found = []
+    for extra in ([], ["--concept-threshold", "0.75"], ["--concept-threshold", "0.8"]):
+        out = tmp_path / "concepts.jsonl"
+        argv = ["extract", "--input", str(src), "--lexicon", str(lexicon), "--out", str(out), *extra]
+        assert main(argv) == 0
+        found.append([c["cui"] for c in _read_jsonl(out)[0]["concepts"]])
+    assert found == [["C0024117"], ["C0024117"], []]
 
 
 def test_extract_note_with_no_hits(tmp_path):
@@ -275,6 +318,23 @@ def test_generate_per_note_failures_exit_nonzero(tmp_path):
     assert _read_jsonl(out) == []
 
 
+@pytest.mark.parametrize(
+    "setting", ["max_retries=-1", "temperature=-1", "max_reply_tokens=0", "retry_base_delay=-1"]
+)
+def test_generate_rejects_out_of_range_request_setting_before_any_note(
+    tmp_path, capsys, caplog, setting
+):
+    config = tmp_path / "run.cfg"
+    config.write_text(setting + "\n", encoding="utf-8")
+    code, out = _generate(tmp_path, "--mock", "--config", str(config))
+    assert code == 1
+    name = setting.partition("=")[0]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: invalid config: {name} must be")
+    assert not [r for r in caplog.records if "failed" in r.getMessage()]
+    assert not out.exists()
+
+
 def test_generate_accepts_prompt_override_directory(tmp_path):
     prompts = tmp_path / "prompts"
     prompts.mkdir()
@@ -393,6 +453,37 @@ def test_evaluate_single_turn_dialogue_is_an_error(tmp_path, capsys):
     assert "evaluation failed" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_non_string_turn_text(tmp_path, capsys):
+    good = {"id": "a", "turns": [{"speaker": "doctor", "text": "hi"}, {"speaker": "patient", "text": "ok"}]}
+    bad = {"id": "b", "turns": [{"speaker": "doctor", "text": "hi"}, {"speaker": "patient", "text": 5}]}
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    code = main(["evaluate", "--hyp", str(hyp), "--ref", str(hyp), "--lexicon", str(LEXICON_PATH)])
+    assert code == 1
+    assert f"{hyp} line 2: bad turn record" in capsys.readouterr().err
+
+
+def test_evaluate_concept_threshold_flag_is_read(tmp_path):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("chronic obstructive pulmonary disease\tC0024117\tdisease\n", encoding="utf-8")
+
+    def write(name, condition):
+        path = tmp_path / name
+        turns = [{"speaker": "doctor", "text": "Any lung trouble?"}, {"speaker": "patient", "text": condition}]
+        path.write_text(json.dumps({"id": "a", "turns": turns}) + "\n", encoding="utf-8")
+        return path
+
+    hyp = write("hyp.jsonl", "I have obstructive pulmonary disease.")
+    ref = write("ref.jsonl", "I have chronic obstructive pulmonary disease.")
+    recalls = []
+    for extra in ([], ["--concept-threshold", "0.8"]):
+        out = tmp_path / "report.json"
+        argv = ["evaluate", "--hyp", str(hyp), "--ref", str(ref), "--lexicon", str(lexicon), "--out", str(out)]
+        assert main([*argv, *extra]) == 0
+        recalls.append(json.loads(out.read_text(encoding="utf-8"))["concept_recall"])
+    assert recalls == [1.0, 0.0]
+
+
 def test_evaluate_report_matches_library_evaluator(tmp_path, lexicon, cfg):
     from dialogforge.metrics import evaluate_corpus
     from dialogforge.model import Dialogue, Provenance, Utterance
@@ -501,3 +592,72 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code = main(["segment", "--input", "x", "--config", str(config)])
     assert code != 0
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["flag", "config file"])
+def test_config_range_error_is_an_error_line(tmp_path, capsys, route):
+    if route == "flag":
+        extra, message = ["--similarity-threshold", "0"], "similarity_threshold must be in (0, 1]"
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("max_rounds=0\n", encoding="utf-8")
+        extra, message = ["--config", str(config)], "max_rounds must be positive"
+    code = main(["segment", "--input", str(NOTES_PATH), *extra])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+
+
+# Each command takes --config, --print-config and a flag only for the
+# settings it reads; a config file may still set every key.
+COMMAND_OPTIONS = {
+    "segment": ["--input", "--out", "--config", "--print-config", "--similarity-threshold"],
+    "extract": ["--input", "--lexicon", "--out", "--config", "--print-config", "--concept-threshold"],
+    "generate": [
+        "--input", "--lexicon", "--out", "--mock", "--mock-script", "--endpoint", "--model",
+        "--requests-per-minute", "--workers", "--prompts", "--config", "--print-config", "--mode",
+        "--max-rounds", "--keywords-per-turn", "--similarity-threshold", "--concept-threshold",
+        "--max-context-tokens",
+    ],
+    "evaluate": [
+        "--hyp", "--ref", "--lexicon", "--out", "--config", "--print-config", "--concept-threshold",
+    ],
+}
+
+
+def test_each_command_takes_flags_only_for_the_settings_it_reads():
+    (commands,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    options = {
+        name: [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
+        for name, sub in commands.choices.items()
+    }
+    assert options == COMMAND_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["segment", "--input", "x", "--mode", "long"],
+        ["extract", "--input", "x", "--lexicon", "y", "--max-rounds", "3"],
+        ["evaluate", "--hyp", "x", "--ref", "y", "--lexicon", "z", "--keywords-per-turn", "2"],
+    ],
+)
+def test_commands_reject_settings_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["segment", "extract", "evaluate"])
+def test_config_file_sets_keys_a_command_has_no_flag_for(tmp_path, capsys, command):
+    config = tmp_path / "run.cfg"
+    config.write_text("mode=long\nkeywords_per_turn=2\n", encoding="utf-8")
+    argv = {
+        "segment": ["segment", "--input", "x"],
+        "extract": ["extract", "--input", "x", "--lexicon", "y"],
+        "evaluate": ["evaluate", "--hyp", "x", "--ref", "y", "--lexicon", "z"],
+    }[command]
+    assert main([*argv, "--config", str(config), "--print-config"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "mode=long" in out and "max_rounds=25" in out and "keywords_per_turn=2" in out
+    assert len(out) == 11

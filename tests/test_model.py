@@ -190,6 +190,23 @@ def test_generation_config_defaults_and_validation():
         GenerationConfig(similarity_threshold=0.0)
 
 
+def test_generation_config_request_settings_bounds():
+    # Zero is in range; tests/test_cli.py checks that each value just past
+    # a bound ends the command before any note runs.
+    cfg = GenerationConfig(temperature=0.0, max_retries=0, retry_base_delay=0.0, max_reply_tokens=1)
+    assert (cfg.temperature, cfg.max_retries, cfg.retry_base_delay) == (0.0, 0, 0.0)
+    for setting in ({"max_reply_tokens": 0}, {"temperature": -0.1}, {"max_retries": -1}, {"retry_base_delay": -0.5}):
+        with pytest.raises(ModelError):
+            GenerationConfig(**setting)
+
+
+def test_utterance_rejects_non_string_text():
+    with pytest.raises(ModelError):
+        Utterance(Speaker.DOCTOR, 5, 0)
+    with pytest.raises(ModelError):
+        Utterance(Speaker.DOCTOR, ["hi"], 0)
+
+
 def test_eval_report_ranges():
     report = EvalReport(1.0, 0.5, 0.5, 0.5, 0.2, 0.1, 1.0, 1.0, 1.0, 12.5)
     assert report.as_dict()["r1"] == 1.0
