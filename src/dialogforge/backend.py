@@ -148,7 +148,7 @@ class HttpBackend:
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
-        self._limiter = TokenBucket(requests_per_minute) if requests_per_minute else None
+        self._limiter = TokenBucket(requests_per_minute) if requests_per_minute is not None else None
 
     def complete(self, request: ChatRequest) -> str:
         if self._limiter is not None:

@@ -8,6 +8,7 @@ config file over built-in defaults; the API key is read only from the
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -16,7 +17,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ContextManager, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .backend import AuthError, BackendError, ENDPOINT_ENV, HttpBackend, MockBackend
 from .concepts import LexiconError, extract_concepts, filter_semantic_groups, load_lexicon
@@ -96,66 +97,72 @@ def print_effective_config(cfg: GenerationConfig) -> None:
         print(f"{field.name}={getattr(cfg, field.name)}")
 
 
-def _read_jsonl(path: str) -> List[Tuple[int, Dict]]:
+def _read_records(path: str, field: str, kind: type, shape: str) -> Iterator[Tuple[str, str, Dict]]:
+    """(``<path> line <n>``, id, record) per JSONL record: an object with an ``id``
+    and a ``field`` of type ``kind``, else the error ``shape``. An id is a non-blank
+    string or an integer (read with ``str``) that no other record of the file has."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    records = []
+    id_lines: Dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path} line {line_no}"
         try:
-            records.append((line_no, json.loads(line)))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise CliError(f"{path} line {line_no}: malformed JSON ({exc.msg})") from exc
-    return records
+            raise CliError(f"{where}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(record, dict) or "id" not in record or not isinstance(record.get(field), kind):
+            raise CliError(f"{where}: {shape}")
+        raw = record["id"]
+        if isinstance(raw, bool) or not isinstance(raw, (str, int)) or not str(raw).strip():
+            raise CliError(f"{where}: id must be a non-blank string or an integer, not {json.dumps(raw)}")
+        record_id = str(raw)
+        if record_id in id_lines:
+            raise CliError(f"{where}: id {record_id!r} is already used on line {id_lines[record_id]}")
+        id_lines[record_id] = line_no
+        yield where, record_id, record
 
 
 def _read_notes(path: str) -> List[ClinicalNote]:
     notes = []
-    for line_no, record in _read_jsonl(path):
-        if not isinstance(record, dict) or "id" not in record or not isinstance(record.get("text"), str):
-            raise CliError(f"{path} line {line_no}: note record needs 'id' and a string 'text'")
-        note = ClinicalNote(id=str(record["id"]), text=record["text"])
+    for where, note_id, record in _read_records(
+        path, "text", str, "note record needs 'id' and a string 'text'"
+    ):
+        note = ClinicalNote(id=note_id, text=record["text"])
         try:
             validate(note)
         except ValueError as exc:
-            raise CliError(f"{path} line {line_no}: {exc}") from exc
+            raise CliError(f"{where}: {exc}") from exc
         notes.append(note)
     return notes
 
 
 def _read_dialogues(path: str) -> List[Dialogue]:
     dialogues = []
-    for line_no, record in _read_jsonl(path):
-        if not isinstance(record, dict) or "id" not in record or "turns" not in record:
-            raise CliError(f"{path} line {line_no}: dialogue record needs 'id' and 'turns'")
+    for where, dialogue_id, record in _read_records(
+        path, "turns", list, "dialogue record needs 'id' and a list 'turns'"
+    ):
         try:
             turns = tuple(
                 Utterance(turn["speaker"], turn["text"], i // 2)
                 for i, turn in enumerate(record["turns"])
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{path} line {line_no}: bad turn record ({exc})") from exc
-        dialogues.append(Dialogue(str(record["id"]), turns, Provenance.COMBINED))
+            raise CliError(f"{where}: bad turn record ({exc})") from exc
+        dialogues.append(Dialogue(dialogue_id, turns, Provenance.COMBINED))
     return dialogues
 
 
-def _open_out(path: Optional[str]):
-    if path:
-        return open(path, "w", encoding="utf-8")
-    return sys.stdout
+def _output(path: Optional[str]) -> ContextManager[TextIO]:
+    """``--out`` truncated, or stdout. Open it only once the inputs are valid."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
-def _write_records(path: Optional[str], records: List[Dict]) -> None:
-    out = _open_out(path)
-    try:
-        for record in records:
-            out.write(json.dumps(record, ensure_ascii=False) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+def _write_record(out: TextIO, record: Dict) -> None:
+    out.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def _load_lexicon_file(path: str):
@@ -170,37 +177,33 @@ def _load_lexicon_file(path: str):
 
 def cmd_segment(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    records = []
-    for note in _read_notes(args.input):
-        for section in segment_note(note, cfg.similarity_threshold):
-            records.append(
-                {
+    notes = _read_notes(args.input)
+    with _output(args.out) as out:
+        for note in notes:
+            for section in segment_note(note, cfg.similarity_threshold):
+                _write_record(out, {
                     "note_id": note.id,
                     "header": section.header.canonical_name,
                     "body": section.body,
                     "span": [section.start, section.end],
-                }
-            )
-    _write_records(args.out, records)
+                })
     return 0
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     lexicon = _load_lexicon_file(args.lexicon)
-    records = []
-    for note in _read_notes(args.input):
-        concepts = filter_semantic_groups(extract_concepts(note.text, lexicon, cfg.concept_threshold))
-        records.append(
-            {
+    notes = _read_notes(args.input)
+    with _output(args.out) as out:
+        for note in notes:
+            concepts = filter_semantic_groups(extract_concepts(note.text, lexicon, cfg.concept_threshold))
+            _write_record(out, {
                 "id": note.id,
                 "concepts": [
                     {"surface": c.surface, "cui": c.cui, "semantic_group": c.semantic_group.value}
                     for c in concepts
                 ],
-            }
-        )
-    _write_records(args.out, records)
+            })
     return 0
 
 
@@ -218,6 +221,8 @@ def _make_backend(args: argparse.Namespace, cfg: GenerationConfig):
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV, "")
     if not endpoint:
         raise CliError(f"no endpoint given; use --endpoint or ${ENDPOINT_ENV}")
+    if args.requests_per_minute is not None and not args.requests_per_minute > 0:
+        raise CliError("--requests-per-minute must be positive")
     try:
         return HttpBackend(
             endpoint,
@@ -251,27 +256,28 @@ def cmd_generate(args: argparse.Namespace) -> int:
             logger.error("note %s failed: %s", note.id, exc)
             return None
 
-    with ThreadPoolExecutor(max(1, args.workers)) as pool:
+    missing = 0
+    with _output(args.out) as out, ThreadPoolExecutor(max(1, args.workers)) as pool:
         try:
-            results = list(pool.map(generate, notes))
+            # Write each record as it arrives, in input order, so a failed run keeps it.
+            for note, dialogue in zip(notes, pool.map(generate, notes)):
+                if dialogue is not None and len(dialogue.turns) < 2:
+                    # evaluate refuses a dialogue with fewer than two turns
+                    logger.warning("note %s: %d turn(s); no record written", note.id, len(dialogue.turns))
+                    dialogue = None
+                if dialogue is None:
+                    missing += 1
+                    continue
+                _write_record(out, {
+                    "id": note.id,
+                    "mode": cfg.mode,
+                    "turns": [{"speaker": t.speaker.value, "text": t.text} for t in dialogue.turns],
+                    "coverage": dialogue.meta["coverage"],
+                })
+                out.flush()
         except AuthError as exc:
             raise CliError(f"authentication failed: {exc}", exit_code=2) from exc
-    failures = results.count(None)
-
-    records = []
-    for note, dialogue in zip(notes, results):
-        if dialogue is None:
-            continue
-        records.append(
-            {
-                "id": note.id,
-                "mode": cfg.mode,
-                "turns": [{"speaker": t.speaker.value, "text": t.text} for t in dialogue.turns],
-                "coverage": dialogue.meta["coverage"],
-            }
-        )
-    _write_records(args.out, records)
-    return 1 if failures else 0
+    return 1 if missing else 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -287,11 +293,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report = evaluate_corpus(pairs, lexicon, cfg)
     except ValueError as exc:
         raise CliError(f"evaluation failed: {exc}") from exc
-    payload = json.dumps(report.as_dict(), ensure_ascii=False, indent=2)
-    if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    else:
-        print(payload)
+    with _output(args.out) as out:
+        out.write(json.dumps(report.as_dict(), ensure_ascii=False, indent=2) + "\n")
     print(render_report_table(report))
     return 0
 

@@ -345,6 +345,11 @@ def test_http_rejects_bad_endpoint():
         HttpBackend("not a url", "m")
 
 
+def test_http_rejects_zero_requests_per_minute():
+    with pytest.raises(ValueError):
+        HttpBackend("http://127.0.0.1:9", "m", requests_per_minute=0)
+
+
 def test_token_bucket_allows_burst_within_capacity():
     bucket = TokenBucket(per_minute=600000)
     for _ in range(5):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import sys
 import threading
@@ -16,6 +17,22 @@ GOLDEN_DIR = DATA_DIR / "golden"
 
 def _read_jsonl(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
+
+
+@contextlib.contextmanager
+def _serving(handler):
+    """The URL of an in-process HTTP server that answers with ``handler``."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.02), daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +289,96 @@ def test_generate_http_auth_error_exits_nonzero(tmp_path, capsys, monkeypatch, w
     assert code == 2
     assert "authentication" in capsys.readouterr().err
     assert 1 <= _Always401.posts <= workers
+
+
+class _RepliesThen401(BaseHTTPRequestHandler):
+    """Answers the first ``budget`` posts with one fixed reply, then 401."""
+
+    budget = 0
+    posts = 0
+    lock = threading.Lock()
+
+    def do_POST(self):
+        with _RepliesThen401.lock:
+            _RepliesThen401.posts += 1
+            answered = _RepliesThen401.posts <= _RepliesThen401.budget
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        if answered:
+            status, body = 200, b'{"choices": [{"message": {"content": "I see."}}]}'
+        else:
+            status, body = 401, b'{"error": "bad key"}'
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_generate_keeps_records_finished_before_an_auth_failure(tmp_path, capsys, monkeypatch, workers):
+    from dialogforge import cli
+
+    texts = [json.loads(line)["text"] for line in NOTES_PATH.read_text().splitlines()]
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text(
+        "".join(json.dumps({"id": f"a{i}", "text": texts[i % len(texts)]}) + "\n" for i in range(8)),
+        encoding="utf-8",
+    )
+    finished = []
+    pipeline = cli.run_full_pipeline
+
+    def recording_pipeline(note, *args):
+        dialogue = pipeline(note, *args)
+        finished.append(note.id)
+        return dialogue
+
+    monkeypatch.setattr(cli, "run_full_pipeline", recording_pipeline)
+    runs = []
+    # One round per section: every note needs about 11 requests, so 60
+    # replies finish some notes and not all; any reply ends a note, because
+    # an unparseable rewrite falls back.
+    for budget in (10**6, 60):
+        monkeypatch.setattr(_RepliesThen401, "budget", budget)
+        monkeypatch.setattr(_RepliesThen401, "posts", 0)
+        finished.clear()
+        with _serving(_RepliesThen401) as endpoint:
+            code, out = _generate(
+                tmp_path, "--endpoint", endpoint, "--max-rounds", "1", "--workers", str(workers), notes=notes
+            )
+        runs.append((code, out.read_bytes().splitlines(keepends=True)))
+    (full_code, full), (code, kept) = runs
+    assert full_code == 0 and len(full) == 8
+    assert code == 2
+    assert "authentication failed" in capsys.readouterr().err
+    assert 1 <= len(kept) < 8
+    assert kept == full[: len(kept)]
+    if workers == 1:
+        assert [json.loads(line)["id"] for line in kept] == finished
+
+
+def test_generate_writes_no_record_for_a_dialogue_under_two_turns(tmp_path, caplog):
+    # The first note has no reportable concept, so its dialogue has no turns.
+    src = tmp_path / "notes.jsonl"
+    fixture = NOTES_PATH.read_text(encoding="utf-8").splitlines()[0]
+    src.write_text(
+        json.dumps({"id": "a", "text": "CHIEF COMPLAINT:\nCough."}) + "\n" + fixture + "\n", encoding="utf-8"
+    )
+    code, out = _generate(tmp_path, "--mock", notes=src)
+    assert code == 1
+    assert [r["id"] for r in _read_jsonl(out)] == ["n1"]
+    warnings = [r.getMessage() for r in caplog.records if "no record" in r.getMessage()]
+    assert warnings == ["note a: 0 turn(s); no record written"]
+    assert main(["evaluate", "--hyp", str(out), "--ref", str(out), "--lexicon", str(LEXICON_PATH)]) == 0
+
+
+@pytest.mark.parametrize("rate", ["-5", "0"])
+def test_generate_rejects_non_positive_request_rate(tmp_path, capsys, rate):
+    code, out = _generate(tmp_path, "--endpoint", "http://127.0.0.1:9", "--requests-per-minute", rate)
+    assert code == 1
+    assert capsys.readouterr().err == "error: --requests-per-minute must be positive\n"
+    assert not out.exists()
 
 
 def test_generate_requires_endpoint_for_http(tmp_path, monkeypatch, capsys):
@@ -535,6 +642,36 @@ def test_evaluate_report_matches_library_evaluator(tmp_path, lexicon, cfg):
     library_report = evaluate_corpus(pairs, lexicon, cfg).as_dict()
     for key, value in library_report.items():
         assert cli_report[key] == pytest.approx(value, abs=1e-6)
+
+
+TWO_TURNS = [{"speaker": "doctor", "text": "Any cough?"}, {"speaker": "patient", "text": "Yes."}]
+
+
+@pytest.mark.parametrize(
+    "command, ids, message",
+    [
+        ("segment", [None], "line 1: id must be a non-blank string or an integer, not null"),
+        ("segment", [True], "line 1: id must be a non-blank string or an integer, not true"),
+        ("segment", [" "], 'line 1: id must be a non-blank string or an integer, not " "'),
+        ("segment", ["a", 7, "a"], "line 3: id 'a' is already used on line 1"),
+        ("evaluate", ["a", "a"], "line 2: id 'a' is already used on line 1"),
+    ],
+    ids=["null", "true", "blank", "duplicate-note", "duplicate-reference"],
+)
+def test_record_ids_are_strings_or_integers_used_once(tmp_path, capsys, command, ids, message):
+    src = tmp_path / "records.jsonl"
+    body = {"text": "CHIEF COMPLAINT:\nCough.\n"} if command == "segment" else {"turns": TWO_TURNS}
+    src.write_text("".join(json.dumps({"id": i, **body}) + "\n" for i in ids), encoding="utf-8")
+    if command == "segment":
+        argv = ["segment", "--input", str(src)]
+    else:
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text(json.dumps({"id": "a", "turns": TWO_TURNS}) + "\n", encoding="utf-8")
+        argv = ["evaluate", "--hyp", str(hyp), "--ref", str(src), "--lexicon", str(LEXICON_PATH)]
+    out = tmp_path / "out.jsonl"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {src} {message}\n"
+    assert not out.exists()
 
 
 def test_evaluate_id_mismatch(tmp_path, capsys):
