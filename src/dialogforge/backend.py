@@ -9,13 +9,13 @@ A request carries, besides its messages, the pipeline ``stage`` that built it
 the process: the HTTP client sends only model, messages, max_tokens and
 temperature.
 
-The mock has two modes. Scripted mode plays back canned replies (raising
-ScriptExhausted in strict mode when they run out). Rule mode answers by
-stage from the slot text, never from the prompt wording: doctor requests get
-a single question embedding every requested keyword verbatim, patient
-requests echo the note sentences that mention the keywords of the last
-doctor question, and the refinement stages echo the dialogue lines of their
-conversation slots. That makes a full pipeline run deterministic and
+The mock plays back its scripted replies, if any, and falls back to rule
+replies once the script runs out. A rule reply answers by stage from the
+slot text, never from the prompt wording: doctor requests get a single
+question embedding every requested keyword verbatim, patient requests echo
+the note sentences that mention the keywords of the last doctor question,
+and the refinement stages echo the dialogue lines of their conversation
+slots. That makes a full pipeline run deterministic and
 keyword-coverage-complete by construction, whatever the templates say.
 """
 
@@ -64,10 +64,6 @@ class Timeout(BackendError):
 
 
 class MalformedResponse(BackendError):
-    pass
-
-
-class ScriptExhausted(BackendError):
     pass
 
 
@@ -242,8 +238,8 @@ def _ensure_period(sentence: str) -> str:
 class MockBackend:
     """Deterministic stand-in for a chat service.
 
-    ``script`` replies are consumed first, in order; with ``strict`` the mock
-    raises ScriptExhausted instead of falling back to the rule engine.
+    ``script`` replies are consumed first, in order; once they run out, the
+    mock falls back to rule replies.
     ``style="long"`` makes the refinement-prompt rules split multi-sentence
     utterances into one utterance per sentence, so long-mode runs produce
     more, shorter turns than short-mode runs.
@@ -252,14 +248,11 @@ class MockBackend:
     def __init__(
         self,
         script: Optional[Sequence[str]] = None,
-        strict: bool = False,
         style: str = "short",
     ):
         if style not in ("short", "long"):
             raise ValueError(f"style must be short or long, got {style!r}")
         self._script: List[str] = list(script) if script else []
-        self._scripted = script is not None
-        self._strict = strict
         self._style = style
         self._lock = threading.Lock()
         self.calls = 0
@@ -269,8 +262,6 @@ class MockBackend:
             self.calls += 1
             if self._script:
                 return self._script.pop(0)
-            if self._scripted and self._strict:
-                raise ScriptExhausted(f"script exhausted after {self.calls - 1} replies")
         return self._rule_reply(request.stage, request.slots)
 
     # -- rule engine ------------------------------------------------------

@@ -146,10 +146,7 @@ def _read_dialogues(path: str) -> List[Dialogue]:
         path, "turns", list, "dialogue record needs 'id' and a list 'turns'"
     ):
         try:
-            turns = tuple(
-                Utterance(turn["speaker"], turn["text"], i // 2)
-                for i, turn in enumerate(record["turns"])
-            )
+            turns = tuple(Utterance(turn["speaker"], turn["text"]) for turn in record["turns"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{where}: bad turn record ({exc})") from exc
         dialogues.append(Dialogue(dialogue_id, turns, Provenance.COMBINED))
@@ -215,7 +212,7 @@ def _make_backend(args: argparse.Namespace, cfg: GenerationConfig):
             raise CliError(f"cannot read mock script {args.mock_script}: {exc}") from exc
         if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
             raise CliError(f"mock script {args.mock_script} must be a JSON list of strings")
-        return MockBackend(script=script, strict=False, style=cfg.mode)
+        return MockBackend(script=script, style=cfg.mode)
     if args.mock:
         return MockBackend(style=cfg.mode)
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV, "")
@@ -234,11 +231,16 @@ def _make_backend(args: argparse.Namespace, cfg: GenerationConfig):
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise CliError("--workers must be positive")
     cfg = build_config(args)
     lexicon = _load_lexicon_file(args.lexicon)
     backend = _make_backend(args, cfg)
     notes = _read_notes(args.input)
-    templates = load_templates(args.prompts) if args.prompts else None
+    try:
+        templates = load_templates(args.prompts) if args.prompts else None
+    except (OSError, ModelError) as exc:
+        raise CliError(f"cannot load prompt templates: {exc}") from exc
     auth_failed = threading.Event()
 
     def generate(note: ClinicalNote) -> Optional[Dialogue]:
@@ -257,7 +259,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             return None
 
     missing = 0
-    with _output(args.out) as out, ThreadPoolExecutor(max(1, args.workers)) as pool:
+    with _output(args.out) as out, ThreadPoolExecutor(args.workers) as pool:
         try:
             # Write each record as it arrives, in input order, so a failed run keeps it.
             for note, dialogue in zip(notes, pool.map(generate, notes)):
@@ -295,7 +297,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CliError(f"evaluation failed: {exc}") from exc
     with _output(args.out) as out:
         out.write(json.dumps(report.as_dict(), ensure_ascii=False, indent=2) + "\n")
-    print(render_report_table(report))
+    if args.out:
+        # Without --out, stdout holds the JSON report alone.
+        print(render_report_table(report))
     return 0
 
 

@@ -94,12 +94,6 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, surface: str) -> bool:
-        return " ".join(words(surface)) in self._exact
-
-    def get(self, surface: str) -> Optional[ConceptEntry]:
-        return self._exact.get(" ".join(words(surface)))
-
     def match_window(self, window: Sequence[str], approx_threshold: float) -> Optional[ConceptEntry]:
         """Entry matched by a token window, exact matches taking precedence
         over Jaccard matches; approximate ties go to insertion order.

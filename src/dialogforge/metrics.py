@@ -41,14 +41,6 @@ from .model import Dialogue, EvalReport, GenerationConfig, format_transcript
 MAX_N = 4  # highest n-gram order of BLEU and Self-BLEU
 
 
-class EmptyCorpus(ValueError):
-    pass
-
-
-class TooFewUnits(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class TokenizedText:
     tokens: Tuple[str, ...]
@@ -210,15 +202,15 @@ def bleu(hyp: TokenizedText, refs: Sequence[TokenizedText]) -> float:
 def self_bleu(corpus: Sequence[Dialogue]) -> float:
     """Mean BLEU of each utterance against its dialogue siblings.
 
-    Lower is more diverse. Raises TooFewUnits when any dialogue has fewer
+    Lower is more diverse. Raises ValueError when any dialogue has fewer
     than two utterances.
     """
     if not corpus:
-        raise EmptyCorpus("no dialogues to score")
+        raise ValueError("no dialogues to score")
     dialogue_means = []
     for dialogue in corpus:
         if len(dialogue.turns) < 2:
-            raise TooFewUnits(
+            raise ValueError(
                 f"dialogue {dialogue.note_id!r} has {len(dialogue.turns)} utterance(s); need >= 2"
             )
         units = [tokenize(turn.text).tokens for turn in dialogue.turns]
@@ -259,7 +251,7 @@ def evaluate_corpus(
     the hypothesis corpus and ``len`` is the mean hypothesis utterance count.
     """
     if not pairs:
-        raise EmptyCorpus("no dialogue pairs to evaluate")
+        raise ValueError("no dialogue pairs to evaluate")
     sums = {"r1": 0.0, "r2": 0.0, "rl": 0.0, "rlsum": 0.0, "bleu": 0.0, "cr": 0.0, "cp": 0.0}
     for hyp, ref in pairs:
         hyp_text = format_transcript(hyp.turns)

@@ -8,7 +8,7 @@ covered flags may only ever flip from False to True.
 import re
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 # The canonical section heading vocabulary, in priority order. Fuzzy header
 # matching breaks ties by position in this tuple.
@@ -42,23 +42,7 @@ PREAMBLE = "preamble"
 
 
 class ModelError(ValueError):
-    """Base class for domain validation failures."""
-
-
-class EmptyNote(ModelError):
-    pass
-
-
-class EmptyId(ModelError):
-    pass
-
-
-class UnknownHeader(ModelError):
-    pass
-
-
-class AlternationError(ModelError):
-    pass
+    """A domain validation failure."""
 
 
 def _squash(text: str) -> str:
@@ -74,12 +58,8 @@ class SectionHeader:
     def __post_init__(self):
         name = _squash(self.canonical_name)
         if name not in CANONICAL_HEADERS and name != PREAMBLE:
-            raise UnknownHeader(f"not a canonical section header: {self.canonical_name!r}")
+            raise ModelError(f"not a canonical section header: {self.canonical_name!r}")
         object.__setattr__(self, "canonical_name", name)
-
-    @property
-    def is_preamble(self) -> bool:
-        return self.canonical_name == PREAMBLE
 
 
 @dataclass(frozen=True)
@@ -89,11 +69,11 @@ class ClinicalNote:
 
 
 def validate(note: ClinicalNote) -> None:
-    """Raise EmptyId/EmptyNote unless the note satisfies its invariants."""
+    """Raise ModelError unless the note has a non-blank id and text."""
     if not note.id.strip():
-        raise EmptyId("note id is blank")
+        raise ModelError("note id is blank")
     if not note.text.strip():
-        raise EmptyNote(f"note {note.id!r} has no text")
+        raise ModelError(f"note {note.id!r} has no text")
 
 
 @dataclass(frozen=True)
@@ -130,14 +110,11 @@ class Provenance(str, Enum):
 class Utterance:
     speaker: Speaker
     text: str
-    round_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "speaker", Speaker(self.speaker))
         if not isinstance(self.text, str) or not self.text:
             raise ModelError(f"utterance text must be a non-empty string, got {self.text!r}")
-        if self.round_index < 0:
-            raise ModelError("round_index must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -162,7 +139,7 @@ class Dialogue:
             for i, turn in enumerate(self.turns):
                 expected = Speaker.DOCTOR if i % 2 == 0 else Speaker.PATIENT
                 if turn.speaker is not expected:
-                    raise AlternationError(
+                    raise ModelError(
                         f"raw dialogue turn {i} is {turn.speaker.value}, expected {expected.value}"
                     )
 
@@ -238,20 +215,23 @@ class Checklist:
     def covered_count(self) -> int:
         return sum(self._covered)
 
-    def is_complete(self) -> bool:
-        return all(self._covered)
 
-
+# Each template name, with the slots its caller binds.
+STAGE_SLOTS: Dict[str, FrozenSet[str]] = {
+    "doctor": frozenset({"note", "keywords", "history"}),
+    "patient": frozenset({"note", "history"}),
+    "polish": frozenset({"conversation", "note", "keywords"}),
+    "hallucination": frozenset({"conversation", "note", "keywords"}),
+    "postediting": frozenset({"conversation", "conversation2", "keywords", "note"}),
+    "factuality": frozenset({"note", "conversation", "keywords"}),
+}
+TEMPLATE_NAMES = frozenset(STAGE_SLOTS)
 # Slot names a prompt template may reference.
-TEMPLATE_SLOTS = frozenset({"note", "keywords", "history", "conversation", "conversation2"})
+TEMPLATE_SLOTS = frozenset().union(*STAGE_SLOTS.values())
 
 # Matches every ``{{``, with the slot name in group 1 when ``{{name}}``
 # follows. A body is valid when every match names one of TEMPLATE_SLOTS.
 TEMPLATE_SLOT_RE = re.compile(r"\{\{(?:(\w+)\}\})?")
-
-TEMPLATE_NAMES = frozenset(
-    {"doctor", "patient", "polish", "hallucination", "postediting", "factuality"}
-)
 
 
 @dataclass(frozen=True)

@@ -158,14 +158,14 @@ def run_round(
         state.history,
         cfg,
     )
-    doctor_turn = Utterance(Speaker.DOCTOR, _call(backend, doctor_request, cfg, state.round), state.round)
+    doctor_turn = Utterance(Speaker.DOCTOR, _call(backend, doctor_request, cfg, state.round))
     state.history.append(doctor_turn)
     view.append(doctor_turn)
 
     patient_request, view = _render_with_budget(
         templates["patient"], {"note": section.body}, view, cfg
     )
-    patient_turn = Utterance(Speaker.PATIENT, _call(backend, patient_request, cfg, state.round), state.round)
+    patient_turn = Utterance(Speaker.PATIENT, _call(backend, patient_request, cfg, state.round))
     state.history.append(patient_turn)
 
     mark_covered(state.checklist, [doctor_turn, patient_turn], lexicon, cfg)

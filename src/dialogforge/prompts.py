@@ -1,14 +1,14 @@
 """Built-in prompt templates and optional loading from a prompts directory.
 
 A directory may override any template with a ``<name>.txt`` file using the
-same ``{{slot}}`` placeholders; anything not overridden falls back to the
-embedded defaults below.
+slots its stage binds; anything not overridden falls back to the embedded
+defaults below.
 """
 
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from .model import PromptTemplate
+from .model import STAGE_SLOTS, ModelError, PromptTemplate
 
 DOCTOR_PROMPT = """Clinical Note: {{note}}
 Please role-play as a doctor and further ask a question based on the above dialogue to follow up the history conversation. The treatment plan, medication, and dosage you give to the patient must also be consistent with the clinical note. Your question should be around these keywords, and you cannot modify these keywords or use synonyms.
@@ -58,7 +58,8 @@ DEFAULT_TEMPLATES: Dict[str, PromptTemplate] = {
 
 
 def load_templates(directory: Optional[Union[str, Path]] = None) -> Dict[str, PromptTemplate]:
-    """Default templates, overridden per name by ``<name>.txt`` files."""
+    """Default templates, overridden per name by ``<name>.txt`` files; a file that
+    does not decode or fit its ``STAGE_SLOTS`` entry raises ModelError naming it."""
     templates = dict(DEFAULT_TEMPLATES)
     if directory is None:
         return templates
@@ -66,5 +67,13 @@ def load_templates(directory: Optional[Union[str, Path]] = None) -> Dict[str, Pr
     for name in templates:
         path = root / f"{name}.txt"
         if path.is_file():
-            templates[name] = PromptTemplate(name, path.read_text(encoding="utf-8"))
+            try:
+                template = PromptTemplate(name, path.read_text(encoding="utf-8"))
+            except ValueError as exc:  # undecodable text or a bad placeholder
+                raise ModelError(f"{path}: {exc}") from exc
+            unbound = sorted(template.referenced_slots() - STAGE_SLOTS[name])
+            if unbound:
+                slots = ", ".join(f"{{{{{slot}}}}}" for slot in unbound)
+                raise ModelError(f"{path}: the {name} stage does not bind {slots}")
+            templates[name] = template
     return templates

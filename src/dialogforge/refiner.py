@@ -62,12 +62,9 @@ def parse_transcript(text: str) -> List[Utterance]:
     if not turns:
         raise Unparseable("no speaker tags found")
     out: List[Utterance] = []
-    round_index = 0
-    for position, (speaker, lines) in enumerate(turns):
-        if position > 0 and speaker is Speaker.DOCTOR:
-            round_index += 1
+    for speaker, lines in turns:
         body = "\n".join(lines).strip()
-        out.append(Utterance(speaker, body or "...", round_index))
+        out.append(Utterance(speaker, body or "..."))
     return out
 
 

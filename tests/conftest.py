@@ -86,8 +86,21 @@ def make_dialogue(*texts, note_id="d", provenance=Provenance.RAW):
     turns = []
     for i, text in enumerate(texts):
         speaker = Speaker.DOCTOR if i % 2 == 0 else Speaker.PATIENT
-        turns.append(Utterance(speaker, text, i // 2))
+        turns.append(Utterance(speaker, text))
     return Dialogue(note_id, tuple(turns), provenance)
+
+
+class ScriptedBackend:
+    """Plays back ``replies`` in order and fails the test on a request the
+    script has no reply for."""
+
+    def __init__(self, replies):
+        self._replies = list(replies)
+
+    def complete(self, request):
+        if not self._replies:
+            pytest.fail(f"script ran out at a {request.stage or 'stageless'} request")
+        return self._replies.pop(0)
 
 
 def segmenter_corpus():

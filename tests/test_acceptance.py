@@ -214,7 +214,7 @@ def test_criterion_6_refiner_safeguard(lexicon, cfg, caplog):
         section = make_section("The note covers aspirin. It also covers asthma.")
         dialogue = run_section_loop(section, lexicon, MockBackend(), cfg, note_id="n")
         checklist = dialogue.meta["checklist"]
-        assert checklist.is_complete()
+        assert not checklist.uncovered()
         before = checklist.covered_count()
         dropping = MockBackend(script=["Doctor: Only asthma comes up.\nPatient: Yes, asthma."])
         with caplog.at_level(logging.WARNING):

@@ -13,7 +13,6 @@ from dialogforge.backend import (
     MalformedResponse,
     MockBackend,
     RateLimited,
-    ScriptExhausted,
     ServerError,
     Timeout,
     TokenBucket,
@@ -68,16 +67,8 @@ def test_mock_scripted_playback():
     assert mock.complete(user_request("anything")) == "hello"
 
 
-def test_mock_strict_script_exhaustion():
-    mock = MockBackend(script=["a", "b"], strict=True)
-    mock.complete(user_request("x"))
-    mock.complete(user_request("x"))
-    with pytest.raises(ScriptExhausted):
-        mock.complete(user_request("x"))
-
-
 def test_mock_nonstrict_falls_back_to_rules():
-    mock = MockBackend(script=["scripted"], strict=False)
+    mock = MockBackend(script=["scripted"])
     assert mock.complete(user_request("x")) == "scripted"
     reply = mock.complete(staged_request("doctor", keywords="aspirin"))
     assert "aspirin" in reply
@@ -85,8 +76,8 @@ def test_mock_nonstrict_falls_back_to_rules():
 
 def test_mock_scripted_strict_is_reproducible():
     script = ["one", "two", "three"]
-    first = MockBackend(script=script, strict=True)
-    second = MockBackend(script=script, strict=True)
+    first = MockBackend(script=script)
+    second = MockBackend(script=script)
     prompts = ["p1", "p2", "p3"]
     replies_a = [first.complete(user_request(p)) for p in prompts]
     replies_b = [second.complete(user_request(p)) for p in prompts]

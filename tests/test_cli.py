@@ -3,12 +3,13 @@ import json
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
 from dialogforge.cli import build_parser, main
 from dialogforge.concepts import extract_concepts, filter_semantic_groups
-from dialogforge.model import ClinicalNote
+from dialogforge.model import STAGE_SLOTS, ClinicalNote
 
 from conftest import DATA_DIR, LEXICON_PATH, NOTES_PATH
 
@@ -381,6 +382,14 @@ def test_generate_rejects_non_positive_request_rate(tmp_path, capsys, rate):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_generate_rejects_non_positive_workers(tmp_path, capsys, workers):
+    code, out = _generate(tmp_path, "--mock", "--workers", workers)
+    assert code == 1
+    assert capsys.readouterr().err == "error: --workers must be positive\n"
+    assert not out.exists()
+
+
 def test_generate_requires_endpoint_for_http(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("DIALOGFORGE_ENDPOINT", raising=False)
     code, _ = _generate(tmp_path)
@@ -457,6 +466,64 @@ def test_generate_accepts_prompt_override_directory(tmp_path):
     assert len(records) == 3
     for record in records:
         assert record["coverage"]["covered"] == record["coverage"]["total"]
+
+
+@pytest.mark.parametrize(
+    "name, body, problem",
+    [
+        ("polish.txt", b"Rewrite:\n{{conversation}}\nEarlier:\n{{history}}",
+         "the polish stage does not bind {{history}}"),
+        ("doctor.txt", b"Ask about {{conversaton}}",
+         "template 'doctor' has a bad placeholder at offset 10"),
+        ("patient.txt", b"\xff{{note}}\n{{history}}",
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+    ids=["unbound-slot", "bad-placeholder", "undecodable"],
+)
+def test_generate_rejects_a_bad_prompt_template_before_any_note(tmp_path, capsys, name, body, problem):
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    (prompts / name).write_bytes(body)
+    code, out = _generate(tmp_path, "--mock", "--prompts", str(prompts))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cannot load prompt templates: {prompts / name}: {problem}\n"
+    assert not out.exists()
+
+
+def test_generate_reports_an_unreadable_prompt_template(tmp_path, capsys, monkeypatch):
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    unreadable = prompts / "doctor.txt"
+    unreadable.write_text("{{note}}", encoding="utf-8")
+    read_text = Path.read_text
+
+    def refuse(self, *args, **kwargs):
+        if self == unreadable:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, out = _generate(tmp_path, "--mock", "--prompts", str(prompts))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot load prompt templates: [Errno 13] Permission denied: '{unreadable}'\n"
+    assert not out.exists()
+
+
+def test_generate_binds_every_slot_in_each_stage_table_entry(tmp_path):
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    for name, slots in STAGE_SLOTS.items():
+        body = "\n".join(f"{slot}: {{{{{slot}}}}}" for slot in sorted(slots))
+        (prompts / f"{name}.txt").write_text(body, encoding="utf-8")
+    config = tmp_path / "factuality.cfg"
+    config.write_text("enable_factuality=true\n", encoding="utf-8")
+    for mode in ("short", "long"):
+        code, out = _generate(
+            tmp_path, "--mock", "--mode", mode, "--config", str(config), "--prompts", str(prompts)
+        )
+        assert code == 0
+        assert [r["id"] for r in _read_jsonl(out)] == ["n1", "n2", "n3"]
 
 
 # Every template reworded and its slots reordered, sharing no sentence with
@@ -539,6 +606,18 @@ def test_evaluate_identity_report(tmp_path, capsys):
     assert report["len"] > 0
     table = capsys.readouterr().out
     assert "R-L-Sum" in table and "SBLEU" in table
+
+
+def test_evaluate_stdout_without_out_is_the_json_report_alone(tmp_path, capsys):
+    _, hyp = _generate(tmp_path, "--mock")
+    argv = ["evaluate", "--hyp", str(hyp), "--ref", str(hyp), "--lexicon", str(LEXICON_PATH)]
+    report_path = tmp_path / "report.json"
+    assert main([*argv, "--out", str(report_path)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert json.loads(stdout)["r1"] == pytest.approx(1.0)
+    assert stdout == report_path.read_text(encoding="utf-8")
 
 
 def test_evaluate_empty_hyp_file_is_an_error(tmp_path, capsys):
@@ -631,9 +710,7 @@ def test_evaluate_report_matches_library_evaluator(tmp_path, lexicon, cfg):
     def load(path):
         dialogues = []
         for record in _read_jsonl(path):
-            turns = tuple(
-                Utterance(t["speaker"], t["text"], i // 2) for i, t in enumerate(record["turns"])
-            )
+            turns = tuple(Utterance(t["speaker"], t["text"]) for t in record["turns"])
             dialogues.append(Dialogue(record["id"], turns, Provenance.COMBINED))
         return dialogues
 

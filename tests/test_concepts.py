@@ -27,16 +27,20 @@ def _load(text):
     return load_lexicon(io.StringIO(text))
 
 
+def _lookup(lexicon, surface):
+    """The entry a window of exactly ``surface``'s tokens matches, or None."""
+    return lexicon.match_window(words(surface), 1.0)
+
+
 def test_load_well_formed_record():
     lexicon = _load("diabetes\tC0011849\tdisease\n")
-    entry = lexicon.get("diabetes")
+    entry = _lookup(lexicon, "diabetes")
     assert entry == ConceptEntry("diabetes", "C0011849", SemanticGroup.DISEASE)
 
 
 def test_load_casefolds_surface():
     lexicon = _load("ASPIRIN\tC0004057\tdrug\n")
-    assert "aspirin" in lexicon
-    assert lexicon.get("aspirin").surface == "aspirin"
+    assert _lookup(lexicon, "aspirin").surface == "aspirin"
 
 
 def test_load_malformed_record_reports_line():
@@ -53,20 +57,19 @@ def test_load_skips_comments_and_blanks():
 def test_load_duplicate_surface_keeps_first_and_warns(caplog):
     with caplog.at_level(logging.WARNING):
         lexicon = _load("aspirin\tC0004057\tdrug\naspirin\tC9999999\tdrug\n")
-    assert lexicon.get("aspirin").cui == "C0004057"
+    assert _lookup(lexicon, "aspirin").cui == "C0004057"
     assert any("duplicate" in r.message for r in caplog.records)
 
 
 def test_load_unknown_group_maps_to_other():
     lexicon = _load("fish\tC0016163\tvertebrate\n")
-    assert lexicon.get("fish").semantic_group is SemanticGroup.OTHER
+    assert _lookup(lexicon, "fish").semantic_group is SemanticGroup.OTHER
 
 
 def test_punctuated_surface_is_keyed_by_its_tokens():
     lexicon = _load("heart-failure\tC0018801\tdisease\n")
-    assert lexicon.get("heart-failure").cui == "C0018801"
-    assert lexicon.get("Heart failure").cui == "C0018801"
-    assert "heart failure" in lexicon
+    assert _lookup(lexicon, "heart-failure").cui == "C0018801"
+    assert _lookup(lexicon, "Heart failure").cui == "C0018801"
 
 
 def test_punctuated_surface_matches_exactly_before_reordered_entry():
@@ -85,7 +88,7 @@ def test_load_duplicate_token_key_keeps_first_and_warns(caplog):
     with caplog.at_level(logging.WARNING):
         lexicon = _load("heart failure\tC1\tdisease\nheart-failure\tC2\tdisease\n")
     assert len(lexicon) == 1
-    assert lexicon.get("heart-failure").cui == "C1"
+    assert _lookup(lexicon, "heart-failure").cui == "C1"
     assert any("duplicate" in r.message for r in caplog.records)
 
 
@@ -186,7 +189,7 @@ def test_build_checklist_dedups_repeats(lexicon, cfg):
 
 
 def _utterances(*texts):
-    return [Utterance(Speaker.DOCTOR, t, 0) for t in texts]
+    return [Utterance(Speaker.DOCTOR, t) for t in texts]
 
 
 def test_mark_covered_flips_mentioned_entry(lexicon, cfg):
@@ -207,15 +210,15 @@ def test_mark_covered_credits_synonym_cui(lexicon, cfg):
         checklist, _utterances("My high blood pressure acts up sometimes."), lexicon, cfg
     )
     assert flips == 1
-    assert checklist.is_complete()
+    assert not checklist.uncovered()
 
 
 def test_mark_covered_requires_word_boundary(lexicon, cfg):
     checklist = build_checklist(make_section("gerd symptoms"), lexicon, cfg)
     mark_covered(checklist, _utterances("the gerdish feeling persists"), lexicon, cfg)
-    assert not checklist.is_complete()
+    assert checklist.uncovered()
     mark_covered(checklist, _utterances("yes, gerd."), lexicon, cfg)
-    assert checklist.is_complete()
+    assert not checklist.uncovered()
 
 
 def test_mark_covered_total_is_non_decreasing(lexicon, cfg):

@@ -6,8 +6,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dialogforge.metrics import (
-    EmptyCorpus,
-    TooFewUnits,
     _earliest_lcs_positions,
     _lcs_length,
     _match_masks,
@@ -207,7 +205,7 @@ def test_self_bleu_disjoint_pair_uses_smoothing_floor():
 
 
 def test_self_bleu_single_utterance_dialogue_rejected():
-    with pytest.raises(TooFewUnits):
+    with pytest.raises(ValueError, match=r"dialogue 'd' has 1 utterance\(s\); need >= 2"):
         self_bleu([make_dialogue("only one turn")])
 
 
@@ -434,7 +432,7 @@ def test_evaluate_corpus_identity(lexicon, cfg):
 
 
 def test_evaluate_corpus_empty_raises():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(ValueError, match="no dialogue pairs to evaluate"):
         evaluate_corpus([], None, None)
 
 

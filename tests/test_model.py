@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from dialogforge.model import (
     CANONICAL_HEADERS,
-    AlternationError,
+    PREAMBLE,
     Checklist,
     ClinicalNote,
     ConceptEntry,
     Dialogue,
-    EmptyId,
-    EmptyNote,
     EvalReport,
     GenerationConfig,
     ModelError,
@@ -22,7 +20,6 @@ from dialogforge.model import (
     SemanticGroup,
     Speaker,
     TEMPLATE_SLOTS,
-    UnknownHeader,
     Utterance,
     format_transcript,
     validate,
@@ -43,50 +40,48 @@ def test_validate_ok():
 
 
 def test_validate_blank_text():
-    with pytest.raises(EmptyNote):
+    with pytest.raises(ModelError, match="note 'n1' has no text"):
         validate(ClinicalNote(id="n1", text="   "))
 
 
 def test_validate_blank_id():
-    with pytest.raises(EmptyId):
+    with pytest.raises(ModelError, match="note id is blank"):
         validate(ClinicalNote(id="", text="x"))
 
 
 def test_section_header_normalization():
     header = SectionHeader("  Chief   COMPLAINT ")
     assert header.canonical_name == "chief complaint"
-    assert not header.is_preamble
-    assert SectionHeader("preamble").is_preamble
+    assert header.canonical_name != PREAMBLE
+    assert SectionHeader("preamble").canonical_name == PREAMBLE
 
 
 def test_section_header_rejects_unknown():
-    with pytest.raises(UnknownHeader):
+    with pytest.raises(ModelError, match="not a canonical section header: 'vital signs'"):
         SectionHeader("vital signs")
 
 
 def test_utterance_validation():
-    u = Utterance(Speaker.DOCTOR, "hello", 0)
+    u = Utterance(Speaker.DOCTOR, "hello")
     assert u.speaker is Speaker.DOCTOR
     with pytest.raises(ModelError):
-        Utterance(Speaker.DOCTOR, "", 0)
-    with pytest.raises(ModelError):
-        Utterance(Speaker.DOCTOR, "hi", -1)
+        Utterance(Speaker.DOCTOR, "")
 
 
 def test_raw_dialogue_requires_alternation():
     make_dialogue("q", "a", "q2", "a2")  # fine
-    with pytest.raises(AlternationError):
-        Dialogue("d", (Utterance(Speaker.PATIENT, "hi", 0),), Provenance.RAW)
-    with pytest.raises(AlternationError):
+    with pytest.raises(ModelError, match="raw dialogue turn 0 is patient, expected doctor"):
+        Dialogue("d", (Utterance(Speaker.PATIENT, "hi"),), Provenance.RAW)
+    with pytest.raises(ModelError, match="raw dialogue turn 1 is doctor, expected patient"):
         Dialogue(
             "d",
-            (Utterance(Speaker.DOCTOR, "q", 0), Utterance(Speaker.DOCTOR, "q2", 0)),
+            (Utterance(Speaker.DOCTOR, "q"), Utterance(Speaker.DOCTOR, "q2")),
             Provenance.RAW,
         )
 
 
 def test_combined_dialogue_relaxes_alternation():
-    turns = (Utterance(Speaker.PATIENT, "hi", 0), Utterance(Speaker.PATIENT, "again", 0))
+    turns = (Utterance(Speaker.PATIENT, "hi"), Utterance(Speaker.PATIENT, "again"))
     d = Dialogue("d", turns, Provenance.COMBINED)
     assert len(d.turns) == 2
 
@@ -118,7 +113,7 @@ def test_checklist_order_and_uncovered():
     checklist.mark(2)
     assert [e.surface for e in checklist.uncovered()] == ["term0", "term1", "term3"]
     assert checklist.covered_count() == 1
-    assert not checklist.is_complete()
+    assert checklist.uncovered()
 
 
 def test_checklist_covered_is_monotone_under_random_marks():
@@ -202,9 +197,9 @@ def test_generation_config_request_settings_bounds():
 
 def test_utterance_rejects_non_string_text():
     with pytest.raises(ModelError):
-        Utterance(Speaker.DOCTOR, 5, 0)
+        Utterance(Speaker.DOCTOR, 5)
     with pytest.raises(ModelError):
-        Utterance(Speaker.DOCTOR, ["hi"], 0)
+        Utterance(Speaker.DOCTOR, ["hi"])
 
 
 def test_eval_report_ranges():

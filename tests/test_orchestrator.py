@@ -26,7 +26,7 @@ from dialogforge.orchestrator import (
 )
 from dialogforge.prompts import DEFAULT_TEMPLATES
 
-from conftest import make_section
+from conftest import ScriptedBackend, make_section
 
 
 def reportable_surfaces(lexicon, count):
@@ -103,7 +103,7 @@ def test_render_empty_keywords_leaves_no_residue():
 
 
 def test_render_history_as_transcript_lines():
-    history = [Utterance(Speaker.DOCTOR, "q", 0), Utterance(Speaker.PATIENT, "a", 0)]
+    history = [Utterance(Speaker.DOCTOR, "q"), Utterance(Speaker.PATIENT, "a")]
     rendered = render_prompt(
         DEFAULT_TEMPLATES["patient"], {"note": "N", "history": history}
     )
@@ -167,7 +167,7 @@ def test_run_round_rule_mock_covers_keyword(lexicon, cfg):
     section = section_with_keywords(["aspirin"])
     state = LoopState(checklist=build_checklist(section, lexicon, cfg))
     run_round(state, section, lexicon, MockBackend(), cfg)
-    assert state.checklist.is_complete()
+    assert not state.checklist.uncovered()
     assert [t.speaker for t in state.history] == [Speaker.DOCTOR, Speaker.PATIENT]
     assert state.round == 1
     assert state.token_spend > 0
@@ -176,7 +176,7 @@ def test_run_round_rule_mock_covers_keyword(lexicon, cfg):
 def test_run_round_scripted_reply_without_keywords(lexicon, cfg):
     section = section_with_keywords(["aspirin", "asthma"])
     state = LoopState(checklist=build_checklist(section, lexicon, cfg))
-    backend = MockBackend(script=["Nothing to ask.", "Okay then."], strict=True)
+    backend = ScriptedBackend(["Nothing to ask.", "Okay then."])
     run_round(state, section, lexicon, backend, cfg)
     assert state.checklist.covered_count() == 0
     assert state.round == 1
@@ -220,7 +220,7 @@ def test_factuality_llm_verdict_no_logs_warning(lexicon, caplog):
     checklist = build_checklist(section, lexicon, cfg)
     checklist.mark(0)
     dialogue = run_section_loop(section, lexicon, MockBackend(), cfg)
-    backend = MockBackend(script=["No, something is missing."], strict=True)
+    backend = ScriptedBackend(["No, something is missing."])
     with caplog.at_level(logging.WARNING):
         assert factuality_check(dialogue, section, checklist, backend, cfg) == []
     assert any("factuality" in r.message for r in caplog.records)
@@ -232,7 +232,7 @@ def test_factuality_unparseable_verdict_treated_complete(lexicon, caplog):
     checklist = build_checklist(section, lexicon, cfg)
     checklist.mark(0)
     dialogue = run_section_loop(section, lexicon, MockBackend(), cfg)
-    backend = MockBackend(script=["hmm."], strict=True)
+    backend = ScriptedBackend(["hmm."])
     with caplog.at_level(logging.WARNING):
         assert factuality_check(dialogue, section, checklist, backend, cfg) == []
     assert any("unparseable" in r.message for r in caplog.records)
@@ -265,7 +265,7 @@ def test_loop_round_cap_with_unhelpful_script(lexicon):
     surfaces = reportable_surfaces(lexicon, 8)
     section = section_with_keywords(surfaces)
     script = [f"I want to ask about {', '.join(surfaces[:4])}.", "Sure, go ahead."]
-    dialogue = run_section_loop(section, lexicon, MockBackend(script=script, strict=True), cfg)
+    dialogue = run_section_loop(section, lexicon, ScriptedBackend(script), cfg)
     assert len(dialogue.turns) == 2
     assert dialogue.meta["termination"] == TERMINATE_MAX_ROUNDS
     assert sorted(dialogue.meta["uncovered"]) == sorted(surfaces[4:])
@@ -333,8 +333,8 @@ def test_history_truncation_keeps_opening_round(lexicon):
     cfg = GenerationConfig(max_context_tokens=200)
     history = []
     for i in range(4):
-        history.append(Utterance(Speaker.DOCTOR, f"question {i} " + "x" * 60, i))
-        history.append(Utterance(Speaker.PATIENT, f"answer {i} " + "y" * 60, i))
+        history.append(Utterance(Speaker.DOCTOR, f"question {i} " + "x" * 60))
+        history.append(Utterance(Speaker.PATIENT, f"answer {i} " + "y" * 60))
     request, view = _render_with_budget(
         DEFAULT_TEMPLATES["patient"], {"note": "short note"}, history, cfg
     )
@@ -350,7 +350,7 @@ def test_loop_scripted_determinism(lexicon, cfg):
     script = ["Let us cover aspirin, lisinopril, metformin.", "All noted."]
 
     def run():
-        backend = MockBackend(script=list(script), strict=False)
+        backend = MockBackend(script=list(script))
         return run_section_loop(section, lexicon, backend, cfg)
 
     first, second = run(), run()
@@ -363,9 +363,9 @@ def test_history_truncation_keeps_unanswered_question():
 
     cfg = GenerationConfig(max_context_tokens=150)
     history = [
-        Utterance(Speaker.DOCTOR, "question 0", 0),
-        Utterance(Speaker.PATIENT, "answer 0", 0),
-        Utterance(Speaker.DOCTOR, "question 1 " + "x" * 400, 1),
+        Utterance(Speaker.DOCTOR, "question 0"),
+        Utterance(Speaker.PATIENT, "answer 0"),
+        Utterance(Speaker.DOCTOR, "question 1 " + "x" * 400),
     ]
     request, view = _render_with_budget(DEFAULT_TEMPLATES["patient"], {"note": "n"}, history, cfg)
     assert view == history
@@ -377,7 +377,7 @@ def test_loop_patient_prompt_over_budget_keeps_its_question(lexicon):
     section = section_with_keywords(reportable_surfaces(lexicon, 6))
     long_question = "Anything else to add? " + "Please take your time. " * 40
     backend = RecordingMock(
-        script=["How are you today?", "Fine.", long_question, "Nothing more."], strict=False
+        script=["How are you today?", "Fine.", long_question, "Nothing more."]
     )
     dialogue = run_section_loop(section, lexicon, backend, cfg)
     round_one_patient = backend.requests[3]

@@ -1,4 +1,4 @@
-from dialogforge.model import TEMPLATE_NAMES
+from dialogforge.model import STAGE_SLOTS, TEMPLATE_NAMES
 from dialogforge.prompts import DEFAULT_TEMPLATES, load_templates
 
 
@@ -25,6 +25,8 @@ def test_default_slots_per_template():
         "keywords",
         "conversation",
     }
+    for name, template in DEFAULT_TEMPLATES.items():
+        assert template.referenced_slots() <= STAGE_SLOTS[name]
 
 
 def test_load_templates_without_directory_returns_defaults():

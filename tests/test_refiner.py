@@ -86,11 +86,6 @@ def test_parse_continuation_and_stage_directions():
     assert turns[1].text == "ok"
 
 
-def test_parse_round_indices_follow_doctor_turns():
-    turns = parse_transcript("Doctor: a\nPatient: b\nDoctor: c\nPatient: d")
-    assert [t.round_index for t in turns] == [0, 0, 1, 1]
-
-
 def test_parse_format_round_trip_on_random_dialogues():
     rng = random.Random(17)
     vocabulary = ["okay", "sure", "tell me more", "it hurts", "since tuesday", "no fever"]
@@ -114,8 +109,8 @@ def test_polish_identity_pass(lexicon, cfg):
 
 def test_polish_regression_falls_back_to_input(lexicon, cfg, caplog):
     section, checklist, dialogue = loop_dialogue(lexicon, cfg, "aspirin and asthma daily")
-    assert checklist.is_complete()
-    dropping = MockBackend(script=["Doctor: Tell me about asthma.\nPatient: Sure."], strict=False)
+    assert not checklist.uncovered()
+    dropping = MockBackend(script=["Doctor: Tell me about asthma.\nPatient: Sure."])
     with caplog.at_level(logging.WARNING):
         result = polish(dialogue, section.body, checklist, lexicon, dropping, cfg)
     assert result is dialogue
@@ -129,7 +124,7 @@ def test_polish_accepts_rewrite_that_keeps_keywords(lexicon, cfg):
         "Doctor: Let's go over your asthma first.\n"
         "Patient: My asthma is fine, and I still take aspirin."
     )
-    backend = MockBackend(script=[reply], strict=False)
+    backend = MockBackend(script=[reply])
     result = polish(dialogue, section.body, checklist, lexicon, backend, cfg)
     assert result.provenance is Provenance.POLISHED
     assert [t.text for t in result.turns] == [
@@ -153,7 +148,7 @@ def test_hallucination_identity(lexicon, cfg):
 
 def test_hallucination_unparseable_reply_keeps_input(lexicon, cfg, caplog):
     section, checklist, dialogue = loop_dialogue(lexicon, cfg, "metformin for diabetes")
-    garbage = MockBackend(script=["nothing that looks like dialogue"], strict=False)
+    garbage = MockBackend(script=["nothing that looks like dialogue"])
     with caplog.at_level(logging.WARNING):
         result = hallucination_check(dialogue, section.body, checklist, lexicon, garbage, cfg)
     assert result is dialogue
@@ -163,7 +158,7 @@ def test_hallucination_unparseable_reply_keeps_input(lexicon, cfg, caplog):
 def test_hallucination_accepts_removal_keeping_keywords(lexicon, cfg):
     section, checklist, dialogue = loop_dialogue(lexicon, cfg, "metformin for diabetes")
     reply = "Doctor: You take metformin for diabetes, correct?\nPatient: Yes."
-    backend = MockBackend(script=[reply], strict=False)
+    backend = MockBackend(script=[reply])
     result = hallucination_check(dialogue, section.body, checklist, lexicon, backend, cfg)
     assert result.provenance is Provenance.CHECKED
     assert len(result.turns) == 2
@@ -194,7 +189,7 @@ def test_combine_parse_failure_falls_back_to_concatenation(lexicon, cfg, caplog)
     checklist = build_checklist(make_section("aspirin"), lexicon, cfg)
     left = make_dialogue("q1", "a1", note_id="n")
     right = make_dialogue("q2", "a2", note_id="n")
-    backend = MockBackend(script=["not a transcript"], strict=False)
+    backend = MockBackend(script=["not a transcript"])
     with caplog.at_level(logging.WARNING):
         combined = postedit_combine(left, right, "body", checklist, lexicon, backend, cfg)
     assert [t.text for t in combined.turns] == ["q1", "a1", "q2", "a2"]
@@ -212,7 +207,7 @@ def test_combine_dropped_keyword_falls_back_to_concatenation(lexicon, cfg, caplo
     checklist = covered_checklist(lexicon, cfg, "aspirin and asthma")
     left = make_dialogue("Do you take aspirin?", "Yes, aspirin daily.", note_id="n")
     right = make_dialogue("Any asthma?", "My asthma is mild.", note_id="n")
-    dropping = MockBackend(script=["Doctor: Any asthma?\nPatient: My asthma is mild."], strict=False)
+    dropping = MockBackend(script=["Doctor: Any asthma?\nPatient: My asthma is mild."])
     with caplog.at_level(logging.WARNING):
         combined = postedit_combine(left, right, "body", checklist, lexicon, dropping, cfg)
     assert combined.turns == left.turns + right.turns
@@ -483,7 +478,7 @@ def test_pipeline_coverage_counts_the_merged_text(lexicon, cfg):
 
     dialogue = run_full_pipeline(SHARED_CUI_NOTE, lexicon, DroppingMerge(), cfg)
     assert dialogue.meta["coverage"] == {"covered": 6, "total": 6}
-    assert union_recount(SHARED_CUI_NOTE, dialogue, lexicon, cfg).is_complete()
+    assert not union_recount(SHARED_CUI_NOTE, dialogue, lexicon, cfg).uncovered()
 
 
 _TAG_LINE = re.compile(r"^(Doctor|Patient):\s*", re.MULTILINE)
@@ -541,6 +536,6 @@ def test_pipeline_coverage_recounts_emitted_turns_under_distorted_rewrites(lexic
     recount = union_recount(SHARED_CUI_NOTE, dialogue, lexicon, cfg)
     assert dialogue.meta["coverage"] == {"covered": recount.covered_count(), "total": len(recount)}
     # The rule mock's loop covers every keyword and every rewrite is guarded.
-    assert recount.is_complete()
+    assert not recount.uncovered()
     assert dialogue.turns[0].speaker is Speaker.DOCTOR
     assert all(turn.text.strip() for turn in dialogue.turns)

@@ -1,6 +1,6 @@
 import pytest
 
-from dialogforge.model import ClinicalNote, EmptyNote
+from dialogforge.model import PREAMBLE, ClinicalNote, ModelError
 from dialogforge.segmenter import (
     levenshtein,
     match_header,
@@ -78,7 +78,7 @@ def test_segment_no_headers_yields_preamble():
     note = ClinicalNote("a", "free text only")
     sections = segment_note(note)
     assert len(sections) == 1
-    assert sections[0].header.is_preamble
+    assert sections[0].header.canonical_name == PREAMBLE
     assert sections[0].body == "free text only"
 
 
@@ -100,7 +100,7 @@ def test_segment_duplicate_headers_open_new_sections():
 
 
 def test_segment_requires_valid_note():
-    with pytest.raises(EmptyNote):
+    with pytest.raises(ModelError, match="note 'a' has no text"):
         segment_note(ClinicalNote("a", "   "))
 
 
