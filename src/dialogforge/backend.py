@@ -14,9 +14,10 @@ replies once the script runs out. A rule reply answers by stage from the
 slot text, never from the prompt wording: doctor requests get a single
 question embedding every requested keyword verbatim, patient requests echo
 the note sentences that mention the keywords of the last doctor question,
-and the refinement stages echo the dialogue lines of their conversation
-slots. That makes a full pipeline run deterministic and
-keyword-coverage-complete by construction, whatever the templates say.
+and the refinement stages echo the turns of their conversation slots, read
+and written with the pipeline's own ``parse_transcript``/``format_transcript``.
+That makes a full pipeline run deterministic and keyword-coverage-complete by
+construction, whatever the templates say.
 """
 
 import logging
@@ -30,6 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlparse
 
 import requests
+
+from .model import MODES, Speaker, Unparseable, Utterance, format_transcript, parse_transcript
 
 logger = logging.getLogger(__name__)
 
@@ -222,7 +225,6 @@ def complete_with_retry(
 # Deterministic mock
 # ---------------------------------------------------------------------------
 
-_TURN_LINE_RE = re.compile(r"^(Doctor|Patient):\s*(.*)$", re.IGNORECASE)
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+|\n+")
 _DOCTOR_ASK_RE = re.compile(r"about (.+?)\?")
 
@@ -250,7 +252,7 @@ class MockBackend:
         script: Optional[Sequence[str]] = None,
         style: str = "short",
     ):
-        if style not in ("short", "long"):
+        if style not in MODES:
             raise ValueError(f"style must be short or long, got {style!r}")
         self._script: List[str] = list(script) if script else []
         self._style = style
@@ -286,16 +288,12 @@ class MockBackend:
 
     @staticmethod
     def _patient_reply(note: str, history: str) -> str:
-        question = None
-        for line in history.splitlines():
-            match = _TURN_LINE_RE.match(line)
-            if match and match.group(1).lower() == "doctor":
-                question = match.group(2)
-        keywords = []
-        if question:
-            asked = _DOCTOR_ASK_RE.search(question)
-            if asked:
-                keywords = [k.strip() for k in asked.group(1).split(",") if k.strip()]
+        try:
+            questions = [t.text for t in parse_transcript(history) if t.speaker is Speaker.DOCTOR]
+        except Unparseable:
+            questions = []
+        asked = _DOCTOR_ASK_RE.search(questions[-1]) if questions else None
+        keywords = [k.strip() for k in asked.group(1).split(",") if k.strip()] if asked else []
         sentences = _split_sentences(note)
         echoed: List[str] = []
         for keyword in keywords:
@@ -310,20 +308,17 @@ class MockBackend:
         return " ".join(echoed)
 
     def _echo_dialogue(self, *transcripts: str) -> str:
-        turns: List[Tuple[str, str]] = []
-        for line in "\n".join(transcripts).splitlines():
-            match = _TURN_LINE_RE.match(line)
-            if match:
-                turns.append((match.group(1).capitalize(), match.group(2)))
-        if not turns:
+        try:
+            turns = parse_transcript("\n".join(transcripts))
+        except Unparseable:
             return "Okay."
         if self._style == "long":
-            expanded: List[Tuple[str, str]] = []
-            for speaker, text in turns:
-                sentences = _split_sentences(text)
+            expanded: List[Utterance] = []
+            for turn in turns:
+                sentences = _split_sentences(turn.text)
                 if len(sentences) > 1:
-                    expanded.extend((speaker, _ensure_period(s)) for s in sentences)
+                    expanded.extend(Utterance(turn.speaker, _ensure_period(s)) for s in sentences)
                 else:
-                    expanded.append((speaker, text))
+                    expanded.append(turn)
             turns = expanded
-        return "\n".join(f"{speaker}: {text}" for speaker, text in turns)
+        return format_transcript(turns)

@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import ContextManager, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .backend import AuthError, BackendError, ENDPOINT_ENV, HttpBackend, MockBackend
-from .concepts import LexiconError, extract_concepts, filter_semantic_groups, load_lexicon
+from .concepts import LexiconError, load_lexicon, reportable_concepts
 from .metrics import evaluate_corpus, render_report_table
-from .model import ClinicalNote, Dialogue, GenerationConfig, ModelError, Provenance, Utterance, validate
+from .model import MODES, ClinicalNote, Dialogue, GenerationConfig, ModelError, Provenance, Utterance, validate
 from .prompts import load_templates
 from .refiner import run_full_pipeline
 from .segmenter import segment_note
@@ -106,7 +106,8 @@ def _read_records(path: str, field: str, kind: type, shape: str) -> Iterator[Tup
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     id_lines: Dict[str, int] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # Not splitlines(): ensure_ascii=False leaves U+2028, U+2029 and U+0085 raw in strings.
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         where = f"{path} line {line_no}"
@@ -193,12 +194,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
     notes = _read_notes(args.input)
     with _output(args.out) as out:
         for note in notes:
-            concepts = filter_semantic_groups(extract_concepts(note.text, lexicon, cfg.concept_threshold))
             _write_record(out, {
                 "id": note.id,
                 "concepts": [
                     {"surface": c.surface, "cui": c.cui, "semantic_group": c.semantic_group.value}
-                    for c in concepts
+                    for c in reportable_concepts(note.text, lexicon, cfg)
                 ],
             })
     return 0
@@ -312,7 +312,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--print-config", action="store_true", help="dump effective config and exit")
     for name in names:
-        choices = ("short", "long") if name == "mode" else None
+        choices = MODES if name == "mode" else None
         parser.add_argument("--" + name.replace("_", "-"), type=_CONFIG_FIELDS[name], choices=choices)
 
 

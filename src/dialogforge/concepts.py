@@ -187,10 +187,14 @@ def filter_semantic_groups(concepts: Sequence[ConceptEntry]) -> List[ConceptEntr
     return [c for c in concepts if c.semantic_group in REPORTABLE_GROUPS]
 
 
+def reportable_concepts(text: str, lexicon: Lexicon, cfg: GenerationConfig) -> List[ConceptEntry]:
+    """Concepts of ``text`` in the reportable groups, in first-occurrence order."""
+    return filter_semantic_groups(extract_concepts(text, lexicon, cfg.concept_threshold))
+
+
 def build_checklist(section: NoteSection, lexicon: Lexicon, cfg: GenerationConfig) -> Checklist:
     """Filtered concepts of the section body, in document order, uncovered."""
-    concepts = extract_concepts(section.body, lexicon, cfg.concept_threshold)
-    return Checklist(filter_semantic_groups(concepts))
+    return Checklist(reportable_concepts(section.body, lexicon, cfg))
 
 
 def mark_covered(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import exp, log
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .concepts import Lexicon, extract_concepts, filter_semantic_groups, words
+from .concepts import Lexicon, reportable_concepts, words
 from .model import Dialogue, EvalReport, GenerationConfig, format_transcript
 
 MAX_N = 4  # highest n-gram order of BLEU and Self-BLEU
@@ -226,14 +226,8 @@ def concept_scores(
     cfg: GenerationConfig,
 ) -> Tuple[float, float, float]:
     """(recall, precision, f1) of filtered CUI overlap between two texts."""
-    hyp_cuis = {
-        c.cui
-        for c in filter_semantic_groups(extract_concepts(hyp_text, lexicon, cfg.concept_threshold))
-    }
-    ref_cuis = {
-        c.cui
-        for c in filter_semantic_groups(extract_concepts(ref_text, lexicon, cfg.concept_threshold))
-    }
+    hyp_cuis = {c.cui for c in reportable_concepts(hyp_text, lexicon, cfg)}
+    ref_cuis = {c.cui for c in reportable_concepts(ref_text, lexicon, cfg)}
     overlap = len(hyp_cuis & ref_cuis)
     recall = overlap / len(ref_cuis) if ref_cuis else 0.0
     precision = overlap / len(hyp_cuis) if hyp_cuis else 0.0

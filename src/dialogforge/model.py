@@ -1,8 +1,9 @@
-"""Domain types shared across the pipeline.
+"""Domain types shared across the pipeline, and its one transcript codec.
 
-Everything here is a plain data container with construction-time validation.
-All types are immutable after construction except :class:`Checklist`, whose
-covered flags may only ever flip from False to True.
+The types are plain data containers with construction-time validation, all
+immutable except :class:`Checklist`, whose covered flags only flip to True.
+``format_transcript``/``parse_transcript`` write and read every ``Doctor:``/
+``Patient:`` transcript: prompt slots, model replies and the mock's echoes.
 """
 
 import re
@@ -148,9 +149,43 @@ def format_transcript(turns: Sequence[Utterance]) -> str:
     """Render turns one per line as ``Doctor: ...`` / ``Patient: ...``.
 
     This is the canonical rendering used for prompt history, refinement-pass
-    round-trips, and corpus evaluation.
+    round-trips, and corpus evaluation; :func:`parse_transcript` reads it back.
     """
     return "\n".join(f"{t.speaker.value.capitalize()}: {t.text}" for t in turns)
+
+
+class Unparseable(ValueError):
+    pass
+
+
+# Speaker tag at line start, tolerating markdown wrappers and list bullets.
+_TAG_RE = re.compile(r"^[\s>#*_-]*(doctor|patient)[\s*_]*:\s*(.*)$", re.IGNORECASE)
+
+
+def parse_transcript(text: str) -> List[Utterance]:
+    """Turns from speaker-tagged lines.
+
+    A line opening with ``Doctor:`` or ``Patient:`` (markdown wrappers
+    stripped) starts a turn; other non-blank lines, stage directions
+    included, continue the current turn. Raises Unparseable when no speaker
+    tags are found at all.
+    """
+    turns: List[Tuple[Speaker, List[str]]] = []
+    for line in text.splitlines():
+        match = _TAG_RE.match(line)
+        if match:
+            speaker = Speaker(match.group(1).lower())
+            opening = match.group(2).lstrip("*_ ").rstrip()
+            turns.append((speaker, [opening] if opening else []))
+        elif turns and line.strip():
+            turns[-1][1].append(line.rstrip())
+    if not turns:
+        raise Unparseable("no speaker tags found")
+    out: List[Utterance] = []
+    for speaker, lines in turns:
+        body = "\n".join(lines).strip()
+        out.append(Utterance(speaker, body or "..."))
+    return out
 
 
 class SemanticGroup(str, Enum):
@@ -225,12 +260,11 @@ STAGE_SLOTS: Dict[str, FrozenSet[str]] = {
     "postediting": frozenset({"conversation", "conversation2", "keywords", "note"}),
     "factuality": frozenset({"note", "conversation", "keywords"}),
 }
-TEMPLATE_NAMES = frozenset(STAGE_SLOTS)
-# Slot names a prompt template may reference.
+# Every slot some stage binds: a placeholder naming none of them is malformed.
 TEMPLATE_SLOTS = frozenset().union(*STAGE_SLOTS.values())
 
 # Matches every ``{{``, with the slot name in group 1 when ``{{name}}``
-# follows. A body is valid when every match names one of TEMPLATE_SLOTS.
+# follows. A body is valid when every match names a slot its stage binds.
 TEMPLATE_SLOT_RE = re.compile(r"\{\{(?:(\w+)\}\})?")
 
 
@@ -238,24 +272,32 @@ TEMPLATE_SLOT_RE = re.compile(r"\{\{(?:(\w+)\}\})?")
 class PromptTemplate:
     """Prompt text with ``{{slot}}`` placeholders.
 
-    Every ``{{`` in the body must open one of the declared slots, which
-    guarantees a fully bound render leaves no placeholder syntax behind.
+    Every ``{{`` in the body must open a slot the template's ``STAGE_SLOTS``
+    entry names, so a render with its stage's bindings leaves no placeholder.
     """
 
     name: str
     body: str
 
     def __post_init__(self):
-        if self.name not in TEMPLATE_NAMES:
+        if self.name not in STAGE_SLOTS:
             raise ModelError(f"unknown template name: {self.name!r}")
+        slots = set()
         for match in TEMPLATE_SLOT_RE.finditer(self.body):
             if match.group(1) not in TEMPLATE_SLOTS:
                 raise ModelError(
                     f"template {self.name!r} has a bad placeholder at offset {match.start()}"
                 )
+            slots.add(match.group(1))
+        unbound = ", ".join(f"{{{{{slot}}}}}" for slot in sorted(slots - STAGE_SLOTS[self.name]))
+        if unbound:
+            raise ModelError(f"the {self.name} stage does not bind {unbound}")
 
     def referenced_slots(self) -> frozenset:
         return frozenset(match.group(1) for match in TEMPLATE_SLOT_RE.finditer(self.body))
+
+
+MODES: Tuple[str, ...] = ("short", "long")
 
 
 @dataclass(frozen=True)
@@ -291,7 +333,7 @@ class GenerationConfig:
         for name in ("temperature", "max_retries", "retry_base_delay"):
             if getattr(self, name) < 0:
                 raise ModelError(f"{name} must be >= 0")
-        if self.mode not in ("short", "long"):
+        if self.mode not in MODES:
             raise ModelError(f"mode must be short or long, got {self.mode!r}")
         for name in ("similarity_threshold", "concept_threshold"):
             value = getattr(self, name)

@@ -47,12 +47,8 @@ class UnboundSlot(KeyError):
 def _render_value(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, Dialogue):
-        return format_transcript(value.turns)
     if isinstance(value, (list, tuple)):
-        if not value:
-            return ""
-        if isinstance(value[0], Utterance):
+        if value and isinstance(value[0], Utterance):
             return format_transcript(value)
         parts = [v.surface if isinstance(v, ConceptEntry) else str(v) for v in value]
         return ",".join(parts)
@@ -197,7 +193,7 @@ def factuality_check(
     templates = templates or DEFAULT_TEMPLATES
     request = _request(
         templates["factuality"],
-        {"note": section.body, "conversation": dialogue, "keywords": list(checklist.entries)},
+        {"note": section.body, "conversation": dialogue.turns, "keywords": list(checklist.entries)},
         cfg,
     )
     reply = _call(backend, request, cfg, round_index=-1)

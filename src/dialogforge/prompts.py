@@ -8,7 +8,7 @@ defaults below.
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from .model import STAGE_SLOTS, ModelError, PromptTemplate
+from .model import ModelError, PromptTemplate
 
 DOCTOR_PROMPT = """Clinical Note: {{note}}
 Please role-play as a doctor and further ask a question based on the above dialogue to follow up the history conversation. The treatment plan, medication, and dosage you give to the patient must also be consistent with the clinical note. Your question should be around these keywords, and you cannot modify these keywords or use synonyms.
@@ -58,22 +58,19 @@ DEFAULT_TEMPLATES: Dict[str, PromptTemplate] = {
 
 
 def load_templates(directory: Optional[Union[str, Path]] = None) -> Dict[str, PromptTemplate]:
-    """Default templates, overridden per name by ``<name>.txt`` files; a file that
-    does not decode or fit its ``STAGE_SLOTS`` entry raises ModelError naming it."""
+    """Default templates, overridden per name by ``<name>.txt`` files. A directory
+    that does not exist, a ``.txt`` file named for no template, and a file that
+    does not decode or fit its stage's slots raise ModelError naming the path;
+    files of other types are ignored."""
     templates = dict(DEFAULT_TEMPLATES)
     if directory is None:
         return templates
     root = Path(directory)
-    for name in templates:
-        path = root / f"{name}.txt"
-        if path.is_file():
-            try:
-                template = PromptTemplate(name, path.read_text(encoding="utf-8"))
-            except ValueError as exc:  # undecodable text or a bad placeholder
-                raise ModelError(f"{path}: {exc}") from exc
-            unbound = sorted(template.referenced_slots() - STAGE_SLOTS[name])
-            if unbound:
-                slots = ", ".join(f"{{{{{slot}}}}}" for slot in unbound)
-                raise ModelError(f"{path}: the {name} stage does not bind {slots}")
-            templates[name] = template
+    if not root.is_dir():
+        raise ModelError(f"{root}: not a directory")
+    for path in sorted(root.glob("*.txt")):
+        try:
+            templates[path.stem] = PromptTemplate(path.stem, path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # undecodable text, an unknown name or a bad placeholder
+            raise ModelError(f"{path}: {exc}") from exc
     return templates

@@ -3,15 +3,15 @@
 Per section: loop output is polished for fluency, then screened against the
 note for fabricated content. Section dialogues are then folded left to right
 into one conversation by a merge pass. All three passes go through one
-guarded rewrite: if the model reply cannot be parsed back into turns, or any
-previously covered keyword disappears from it, the pass keeps its input with
-a warning. For the merge the input is the concatenation of the two
-dialogues, so refinement can never lose coverage. The reported coverage is
-counted once, on the final turns, against the note's union checklist.
+guarded rewrite, which reads the reply with ``model.parse_transcript``: if it
+cannot be parsed back into turns, or any previously covered keyword
+disappears from it, the pass keeps its input with a warning. For the merge
+the input is the concatenation of the two dialogues, so refinement can never
+lose coverage. The reported coverage is counted once, on the final turns,
+against the note's union checklist.
 """
 
 import logging
-import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .concepts import Lexicon, mark_covered
@@ -23,8 +23,9 @@ from .model import (
     GenerationConfig,
     PromptTemplate,
     Provenance,
-    Speaker,
+    Unparseable,
     Utterance,
+    parse_transcript,
     validate,
 )
 from .orchestrator import _call, _request, run_section_loop
@@ -32,40 +33,6 @@ from .prompts import DEFAULT_TEMPLATES
 from .segmenter import segment_note
 
 logger = logging.getLogger(__name__)
-
-
-class Unparseable(ValueError):
-    pass
-
-
-# Speaker tag at line start, tolerating markdown wrappers and list bullets.
-_TAG_RE = re.compile(r"^[\s>#*_-]*(doctor|patient)[\s*_]*:\s*(.*)$", re.IGNORECASE)
-
-
-def parse_transcript(text: str) -> List[Utterance]:
-    """Turns from speaker-tagged lines.
-
-    A line opening with ``Doctor:`` or ``Patient:`` (markdown wrappers
-    stripped) starts a turn; other non-blank lines, stage directions
-    included, continue the current turn. Raises Unparseable when no speaker
-    tags are found at all.
-    """
-    turns: List[Tuple[Speaker, List[str]]] = []
-    for line in text.splitlines():
-        match = _TAG_RE.match(line)
-        if match:
-            speaker = Speaker(match.group(1).lower())
-            opening = match.group(2).lstrip("*_ ").rstrip()
-            turns.append((speaker, [opening] if opening else []))
-        elif turns and line.strip():
-            turns[-1][1].append(line.rstrip())
-    if not turns:
-        raise Unparseable("no speaker tags found")
-    out: List[Utterance] = []
-    for speaker, lines in turns:
-        body = "\n".join(lines).strip()
-        out.append(Utterance(speaker, body or "..."))
-    return out
 
 
 def _keyword_regression(
@@ -81,19 +48,26 @@ def _keyword_regression(
 
 
 def _rewrite_pass(
+    stage: str,
+    provenance: Provenance,
     dialogue: Dialogue,
-    bindings: Dict,
+    note_body: str,
     checklist: Checklist,
     lexicon: Lexicon,
     backend,
     cfg: GenerationConfig,
-    template: PromptTemplate,
-    provenance: Provenance,
+    templates: Optional[Dict[str, PromptTemplate]],
+    conversation: Sequence[Utterance],
+    conversation2: Sequence[Utterance] = (),
     head: Tuple[Utterance, ...] = (),
 ) -> Dialogue:
-    """``head`` plus the parsed reply to ``template``, or ``dialogue`` itself
-    when the reply does not parse or drops a keyword covered in
-    ``checklist``."""
+    """The one body of polish, hallucination_check and postedit_combine:
+    ``head`` plus the parsed reply to the ``stage`` template bound to the
+    conversations, note body and checklist, or ``dialogue`` itself when the
+    reply does not parse or drops a keyword covered in ``checklist``."""
+    template = (templates or DEFAULT_TEMPLATES)[stage]
+    bindings = {"conversation": conversation, "conversation2": conversation2, "note": note_body}
+    bindings["keywords"] = list(checklist.entries)
     keep = "concatenating turns" if provenance is Provenance.COMBINED else "keeping input"
     reply = _call(backend, _request(template, bindings, cfg), cfg, round_index=-1)
     try:
@@ -123,10 +97,9 @@ def polish(
     coverage regression."""
     if not dialogue.turns:
         raise ValueError("polish requires a non-empty dialogue")
-    templates = templates or DEFAULT_TEMPLATES
-    bindings = {"conversation": dialogue, "note": note_body, "keywords": list(checklist.entries)}
     return _rewrite_pass(
-        dialogue, bindings, checklist, lexicon, backend, cfg, templates["polish"], Provenance.POLISHED
+        "polish", Provenance.POLISHED, dialogue, note_body, checklist, lexicon, backend, cfg, templates,
+        dialogue.turns,
     )
 
 
@@ -142,10 +115,9 @@ def hallucination_check(
     """Note-consistency rewrite with the same safeguard as polish."""
     if not dialogue.turns:
         raise ValueError("hallucination_check requires a non-empty dialogue")
-    templates = templates or DEFAULT_TEMPLATES
-    bindings = {"conversation": dialogue, "note": note_body, "keywords": list(checklist.entries)}
     return _rewrite_pass(
-        dialogue, bindings, checklist, lexicon, backend, cfg, templates["hallucination"], Provenance.CHECKED
+        "hallucination", Provenance.CHECKED, dialogue, note_body, checklist, lexicon, backend, cfg, templates,
+        dialogue.turns,
     )
 
 
@@ -172,7 +144,6 @@ def postedit_combine(
         return right
     if not right.turns:
         return left
-    templates = templates or DEFAULT_TEMPLATES
 
     head: Tuple[Utterance, ...] = ()
     bound_left = left.turns
@@ -184,15 +155,9 @@ def postedit_combine(
     concatenation = Dialogue(
         left.note_id or right.note_id, left.turns + right.turns, Provenance.COMBINED, meta=dict(left.meta)
     )
-    bindings = {
-        "conversation": list(bound_left),
-        "conversation2": list(right.turns),
-        "keywords": list(checklist.entries),
-        "note": note_body,
-    }
     merged = _rewrite_pass(
-        concatenation, bindings, checklist, lexicon, backend, cfg,
-        templates["postediting"], Provenance.COMBINED, head,
+        "postediting", Provenance.COMBINED, concatenation, note_body, checklist, lexicon, backend, cfg,
+        templates, bound_left, right.turns, head,
     )
     # The merge tail standing in for the newest topic segment next time.
     merged.meta["tail_turns"] = min(len(merged.turns) - len(head), len(right.turns))

@@ -119,6 +119,10 @@ def test_mock_polish_returns_conversation_unchanged():
         note="Patient: irrelevant",
     )
     assert mock.complete(request) == "Doctor: How are you?\nPatient: Fine, thanks."
+    # Continuation lines belong to their turn, as in the pipeline's parser.
+    continued = "Doctor: How are you?\nAny pain today?\nPatient: Fine, thanks.\n(smiles)"
+    request = staged_request("polish", keywords="aspirin", conversation=continued, note="n")
+    assert mock.complete(request) == continued
 
 
 def test_mock_postediting_concatenates():

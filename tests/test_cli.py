@@ -490,6 +490,21 @@ def test_generate_rejects_a_bad_prompt_template_before_any_note(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("layout", ["missing-directory", "misspelled-name"])
+def test_generate_rejects_a_missing_prompt_directory_or_an_unknown_template_file(tmp_path, capsys, layout):
+    prompts = tmp_path / "prompts"
+    if layout == "missing-directory":
+        named, problem = prompts, "not a directory"
+    else:
+        prompts.mkdir()
+        named, problem = prompts / "doctr.txt", "unknown template name: 'doctr'"
+        named.write_text("Ask about {{keywords}}", encoding="utf-8")
+    code, out = _generate(tmp_path, "--mock", "--prompts", str(prompts))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cannot load prompt templates: {named}: {problem}\n"
+    assert not out.exists()
+
+
 def test_generate_reports_an_unreadable_prompt_template(tmp_path, capsys, monkeypatch):
     prompts = tmp_path / "prompts"
     prompts.mkdir()
@@ -749,6 +764,32 @@ def test_record_ids_are_strings_or_integers_used_once(tmp_path, capsys, command,
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {src} {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"], ids=["U+2028", "U+2029", "U+0085"])
+@pytest.mark.parametrize("command", ["segment", "evaluate"])
+def test_records_end_only_at_a_newline(tmp_path, capsys, command, separator):
+    # json.dumps(ensure_ascii=False), the writer of every command, leaves these
+    # characters raw inside strings; they do not end a record.
+    src = tmp_path / "records.jsonl"
+    text = f"Cough{separator}at night."
+    if command == "segment":
+        record = {"id": "a", "text": f"CHIEF COMPLAINT:\n{text}\n"}
+        argv = ["segment", "--input", str(src)]
+    else:
+        turns = [{"speaker": "doctor", "text": "Any cough?"}, {"speaker": "patient", "text": text}]
+        record = {"id": "a", "turns": turns}
+        argv = ["evaluate", "--hyp", str(src), "--ref", str(src), "--lexicon", str(LEXICON_PATH)]
+    src.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert separator in src.read_text(encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "segment":
+        [section] = [json.loads(line) for line in out.read_text(encoding="utf-8").split("\n") if line]
+        assert section["body"] == f"{text}\n"
+    else:
+        assert json.loads(out.read_text(encoding="utf-8"))["r1"] == pytest.approx(1.0)
 
 
 def test_evaluate_id_mismatch(tmp_path, capsys):

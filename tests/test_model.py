@@ -18,6 +18,7 @@ from dialogforge.model import (
     Provenance,
     SectionHeader,
     SemanticGroup,
+    STAGE_SLOTS,
     Speaker,
     TEMPLATE_SLOTS,
     Utterance,
@@ -137,6 +138,9 @@ def test_prompt_template_slot_validation():
         PromptTemplate("doctor", "dangling {{ brace")
     with pytest.raises(ModelError):
         PromptTemplate("surgeon", "{{note}}")
+    # A slot some other stage binds fails when the template is built, not rendered.
+    with pytest.raises(ModelError, match=r"^the polish stage does not bind \{\{history\}\}$"):
+        PromptTemplate("polish", "{{history}}")
 
 
 def test_prompt_template_referenced_slots():
@@ -159,15 +163,16 @@ _BODY_FRAGMENTS = (
 @example(body="{{ brace")
 @example(body="}}{{note}}}")
 def test_template_slot_scanner_agrees_with_reference(body):
-    expected = oracle_template_slots(body, TEMPLATE_SLOTS)
-    if expected is None:
-        with pytest.raises(ModelError):
-            PromptTemplate("doctor", body)
-        return
-    template = PromptTemplate("doctor", body)
-    assert template.referenced_slots() == expected
-    values = {slot: "{" + slot.upper() + "}" for slot in TEMPLATE_SLOTS}
-    assert render_prompt(template, values) == oracle_render(body, values)
+    for stage, slots in STAGE_SLOTS.items():
+        expected = oracle_template_slots(body, slots)
+        if expected is None:
+            with pytest.raises(ModelError):
+                PromptTemplate(stage, body)
+            continue
+        template = PromptTemplate(stage, body)
+        assert template.referenced_slots() == expected
+        values = {slot: "{" + slot.upper() + "}" for slot in slots}
+        assert render_prompt(template, values) == oracle_render(body, values)
 
 
 def test_generation_config_defaults_and_validation():

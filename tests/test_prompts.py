@@ -1,9 +1,9 @@
-from dialogforge.model import STAGE_SLOTS, TEMPLATE_NAMES
+from dialogforge.model import STAGE_SLOTS
 from dialogforge.prompts import DEFAULT_TEMPLATES, load_templates
 
 
 def test_default_templates_cover_all_names():
-    assert set(DEFAULT_TEMPLATES) == set(TEMPLATE_NAMES)
+    assert set(DEFAULT_TEMPLATES) == set(STAGE_SLOTS)
 
 
 def test_default_slots_per_template():
@@ -38,6 +38,7 @@ def test_load_templates_overrides_from_directory(tmp_path):
         "Clinical Note: {{note}}\nPlease act as a patient, briefly.\n{{history}}",
         encoding="utf-8",
     )
+    (tmp_path / "README.md").write_text("Only *.txt files are read: {{anything}}", encoding="utf-8")
     templates = load_templates(tmp_path)
     assert "briefly" in templates["patient"].body
     assert templates["doctor"] == DEFAULT_TEMPLATES["doctor"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dialogforge.backend import MockBackend
+from dialogforge.backend import ChatMessage, ChatRequest, MockBackend
 from dialogforge.concepts import build_checklist
 from dialogforge.model import (
     Checklist,
@@ -88,11 +88,16 @@ def test_parse_continuation_and_stage_directions():
 
 def test_parse_format_round_trip_on_random_dialogues():
     rng = random.Random(17)
-    vocabulary = ["okay", "sure", "tell me more", "it hurts", "since tuesday", "no fever"]
+    vocabulary = ["okay", "sure", "tell me more", "it hurts", "since tuesday", "no fever", "it hurts\nat night"]
+    echo = MockBackend()
     for _ in range(25):
         texts = [rng.choice(vocabulary) for _ in range(rng.randrange(2, 9))]
         dialogue = make_dialogue(*texts)
-        assert tuple(parse_transcript(format_transcript(dialogue.turns))) == dialogue.turns
+        transcript = format_transcript(dialogue.turns)
+        assert tuple(parse_transcript(transcript)) == dialogue.turns
+        # The short-style mock echoes a conversation slot through the same codec.
+        request = ChatRequest((ChatMessage("user", "-"),), stage="polish", slots={"conversation": transcript})
+        assert echo.complete(request) == transcript
 
 
 # ---------------------------------------------------------------------------
