@@ -13,9 +13,10 @@ The mock plays back its scripted replies, if any, and falls back to rule
 replies once the script runs out. A rule reply answers by stage from the
 slot text, never from the prompt wording: doctor requests get a single
 question embedding every requested keyword verbatim, patient requests echo
-the note sentences that mention the keywords of the last doctor question,
-and the refinement stages echo the turns of their conversation slots, read
-and written with the pipeline's own ``parse_transcript``/``format_transcript``.
+the note sentences that mention the keywords of the last doctor question
+(read with ``last_turn_text``), and the refinement stages echo the turns of
+their conversation slots, read and written with the pipeline's own
+``parse_transcript``/``format_transcript``.
 That makes a full pipeline run deterministic and keyword-coverage-complete by
 construction, whatever the templates say.
 """
@@ -32,7 +33,7 @@ from urllib.parse import urlparse
 
 import requests
 
-from .model import MODES, Speaker, Unparseable, Utterance, format_transcript, parse_transcript
+from .model import MODES, Speaker, Unparseable, Utterance, format_transcript, last_turn_text, parse_transcript
 
 logger = logging.getLogger(__name__)
 
@@ -288,11 +289,8 @@ class MockBackend:
 
     @staticmethod
     def _patient_reply(note: str, history: str) -> str:
-        try:
-            questions = [t.text for t in parse_transcript(history) if t.speaker is Speaker.DOCTOR]
-        except Unparseable:
-            questions = []
-        asked = _DOCTOR_ASK_RE.search(questions[-1]) if questions else None
+        question = last_turn_text(history, Speaker.DOCTOR)
+        asked = _DOCTOR_ASK_RE.search(question) if question else None
         keywords = [k.strip() for k in asked.group(1).split(",") if k.strip()] if asked else []
         sentences = _split_sentences(note)
         echoed: List[str] = []

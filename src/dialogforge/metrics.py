@@ -36,7 +36,7 @@ from math import exp, log
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .concepts import Lexicon, reportable_concepts, words
-from .model import Dialogue, EvalReport, GenerationConfig, format_transcript
+from .model import Dialogue, EvalReport, GenerationConfig, format_transcript, split_lines
 
 MAX_N = 4  # highest n-gram order of BLEU and Self-BLEU
 
@@ -255,7 +255,7 @@ def evaluate_corpus(
         sums["r1"] += rouge_n(hyp_tok, ref_tok, 1)
         sums["r2"] += rouge_n(hyp_tok, ref_tok, 2)
         sums["rl"] += rouge_l(hyp_tok, ref_tok)
-        sums["rlsum"] += rouge_lsum(hyp_text.splitlines(), ref_text.splitlines())
+        sums["rlsum"] += rouge_lsum(split_lines(hyp_text), split_lines(ref_text))
         sums["bleu"] += bleu(hyp_tok, [ref_tok])
         recall, precision, _ = concept_scores(hyp_text, ref_text, lexicon, cfg)
         sums["cr"] += recall

@@ -1,15 +1,17 @@
-"""Domain types shared across the pipeline, and its one transcript codec.
+r"""Domain types shared across the pipeline, and its one transcript codec.
 
 The types are plain data containers with construction-time validation, all
 immutable except :class:`Checklist`, whose covered flags only flip to True.
 ``format_transcript``/``parse_transcript`` write and read every ``Doctor:``/
 ``Patient:`` transcript: prompt slots, model replies and the mock's echoes.
+``last_turn_text`` reads one speaker's last turn as ``parse_transcript``
+would. A transcript line ends only at ``\n``, ``\r\n`` or ``\r``.
 """
 
 import re
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 # The canonical section heading vocabulary, in priority order. Fuzzy header
 # matching breaks ties by position in this tuple.
@@ -160,6 +162,15 @@ class Unparseable(ValueError):
 
 # Speaker tag at line start, tolerating markdown wrappers and list bullets.
 _TAG_RE = re.compile(r"^[\s>#*_-]*(doctor|patient)[\s*_]*:\s*(.*)$", re.IGNORECASE)
+_SPEAKERS = {"doctor": Speaker.DOCTOR, "patient": Speaker.PATIENT}
+
+
+def split_lines(text: str) -> List[str]:
+    r"""Lines of ``text``, ended only at ``\n``, ``\r\n`` or ``\r``. Unlike
+    ``str.splitlines()``, U+2028, U+2029, U+0085, ``\x0b``, ``\x0c`` and
+    ``\x1c``-``\x1e`` stay inside a line, and a closing line end leaves a last
+    empty line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def parse_transcript(text: str) -> List[Utterance]:
@@ -171,12 +182,11 @@ def parse_transcript(text: str) -> List[Utterance]:
     tags are found at all.
     """
     turns: List[Tuple[Speaker, List[str]]] = []
-    for line in text.splitlines():
+    for line in split_lines(text):
         match = _TAG_RE.match(line)
         if match:
-            speaker = Speaker(match.group(1).lower())
             opening = match.group(2).lstrip("*_ ").rstrip()
-            turns.append((speaker, [opening] if opening else []))
+            turns.append((_SPEAKERS[match.group(1).lower()], [opening] if opening else []))
         elif turns and line.strip():
             turns[-1][1].append(line.rstrip())
     if not turns:
@@ -186,6 +196,22 @@ def parse_transcript(text: str) -> List[Utterance]:
         body = "\n".join(lines).strip()
         out.append(Utterance(speaker, body or "..."))
     return out
+
+
+def last_turn_text(text: str, speaker: Speaker) -> Optional[str]:
+    """The text :func:`parse_transcript` gives the last turn of ``speaker``,
+    or None when there is none. Only the lines from that turn's tag to the
+    next tag are parsed."""
+    lines = split_lines(text)
+    end = len(lines)
+    for start in range(len(lines) - 1, -1, -1):
+        match = _TAG_RE.match(lines[start])
+        if match is None:
+            continue
+        if _SPEAKERS[match.group(1).lower()] is speaker:
+            return parse_transcript("\n".join(lines[start:end]))[0].text
+        end = start
+    return None
 
 
 class SemanticGroup(str, Enum):

@@ -5,6 +5,14 @@ compared to the canonical heading vocabulary by normalized Levenshtein
 similarity; an accepted match opens a section that runs to the next match or
 the end of the note. Text before the first header becomes a preamble section,
 so the emitted sections always cover every byte of the note.
+
+Two exact filters keep most lines away from the edit-distance table. A line
+equal to a heading name scores 1.0, and no other name can. The distance is
+at least the length gap (Ukkonen 1985), so ``1 - gap / longest`` bounds a
+heading's similarity from above, in floating point too, as division and
+subtraction round monotonically. A heading whose bound is below the
+threshold, or no higher than the best score so far, cannot be accepted or
+win, and is skipped.
 """
 
 import string
@@ -27,6 +35,8 @@ MAX_HEADER_CHARS = 60
 DEFAULT_THRESHOLD = 0.85
 
 _STRIP_CHARS = string.punctuation + string.whitespace
+
+_CANONICAL_NAMES = frozenset(CANONICAL_HEADERS)
 
 
 @dataclass(frozen=True)
@@ -66,15 +76,23 @@ def match_header(line: str, threshold: float = DEFAULT_THRESHOLD) -> Optional[He
     """Best canonical header for a line, or None below threshold.
 
     Ties between headers resolve to the earlier entry in the canonical list.
+    The result equals scoring every heading: an exact name is the only 1.0,
+    and a heading is skipped only when its length-gap bound, which its score
+    cannot exceed, is below ``threshold`` or at most the best score so far.
     """
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
     normalized = normalize_header(line)
     if not normalized or len(normalized) > MAX_HEADER_CHARS:
         return None
+    if normalized in _CANONICAL_NAMES:
+        return HeaderMatch(canonical=SectionHeader(normalized), similarity=1.0)
     best_name = None
     best_sim = -1.0
     for name in CANONICAL_HEADERS:
+        bound = 1.0 - abs(len(normalized) - len(name)) / max(len(normalized), len(name))
+        if bound < threshold or bound <= best_sim:
+            continue
         sim = similarity(normalized, name)
         if sim > best_sim:
             best_name, best_sim = name, sim

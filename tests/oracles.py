@@ -5,16 +5,22 @@ match-and-remove over explicit n-gram lists, LCS lengths come from memoized
 recursion on suffixes, union-LCS positions are found by enumerating candidate
 position tuples (falling back to a definitional greedy scan when enumeration
 would be too large), and concept matching enumerates every non-overlapping
-matching before selecting the canonical one. Only suitable for short inputs.
+matching before selecting the canonical one. Header matching scores every
+canonical heading with the full edit-distance table, with no filter. Only
+suitable for short inputs.
 ``oracle_mark_covered`` is the exception: it checks only the order of the
 coverage checks, so it tags text with the production tagger, which the
 concept oracles above verify on their own.
 """
 
 import re
+import string
 from functools import lru_cache
 from itertools import combinations
 from math import comb, exp, log
+
+from dialogforge.model import CANONICAL_HEADERS
+from dialogforge.segmenter import MAX_HEADER_CHARS
 
 _ASCII_WORD = re.compile(r"[a-z0-9]+")
 
@@ -300,3 +306,31 @@ def oracle_mark_covered(checklist, new_utterances, lexicon, cfg):
             checklist.mark(index)
             flips += 1
     return flips
+
+
+def oracle_levenshtein(a, b):
+    """Edit distance from the full (len(a)+1) x (len(b)+1) table."""
+    table = [[i + j if i == 0 or j == 0 else 0 for j in range(len(b) + 1)] for i in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            table[i][j] = min(table[i - 1][j] + 1, table[i][j - 1] + 1, table[i - 1][j - 1] + cost)
+    return table[len(a)][len(b)]
+
+
+def oracle_match_header(line, threshold):
+    """Score the normalized line against every heading; the earlier heading
+    wins a tie. Returns ``(canonical_name, similarity)``, or None when the
+    line is empty, longer than ``MAX_HEADER_CHARS`` or best scores below
+    ``threshold``."""
+    normalized = " ".join(line.strip(string.punctuation + string.whitespace).lower().split())
+    if not normalized or len(normalized) > MAX_HEADER_CHARS:
+        return None
+    best_name, best_sim = None, -1.0
+    for name in CANONICAL_HEADERS:
+        sim = 1.0 - oracle_levenshtein(normalized, name) / max(len(normalized), len(name))
+        if sim > best_sim:
+            best_name, best_sim = name, sim
+    if best_sim < threshold:
+        return None
+    return best_name, best_sim

@@ -473,6 +473,16 @@ def test_evaluate_corpus_matches_independent_evaluator(lexicon, cfg):
     assert report.len == pytest.approx((4 + 2 + 2) / 3)
 
 
+def test_evaluate_corpus_rouge_lsum_lines_end_only_at_newlines(lexicon, cfg):
+    # U+2028 stays inside its turn's line; splitlines() would cut it in two.
+    hyp = make_dialogue("a\u2028b", "c d")
+    ref = make_dialogue("b a", "c d")
+    hyp_text, ref_text = format_transcript(hyp.turns), format_transcript(ref.turns)
+    expected = oracle_rouge_lsum(hyp_text.split("\n"), ref_text.split("\n"))
+    assert expected != oracle_rouge_lsum(hyp_text.splitlines(), ref_text.splitlines())
+    assert abs(evaluate_corpus([(hyp, ref)], lexicon, cfg).rlsum - expected) < 1e-6
+
+
 def test_render_report_table_column_order(lexicon, cfg):
     report = evaluate_corpus(_sample_pairs(), lexicon, cfg)
     table = render_report_table(report)

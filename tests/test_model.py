@@ -21,8 +21,11 @@ from dialogforge.model import (
     STAGE_SLOTS,
     Speaker,
     TEMPLATE_SLOTS,
+    Unparseable,
     Utterance,
     format_transcript,
+    last_turn_text,
+    parse_transcript,
     validate,
 )
 from dialogforge.orchestrator import render_prompt
@@ -214,3 +217,60 @@ def test_eval_report_ranges():
         EvalReport(1.2, 0, 0, 0, 0, 0, 0, 0, 0, 0)
     with pytest.raises(ModelError):
         EvalReport(0, 0, 0, 0, 0, 0, 0, 0, 0, -1)
+
+
+# --- transcript codec: line ends ---------------------------------------------
+
+# Characters str.splitlines() breaks at that are not line ends of the codec.
+_INLINE_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("char", _INLINE_BREAKS, ids=[f"U+{ord(c):04X}" for c in _INLINE_BREAKS])
+def test_transcript_round_trip_keeps_an_inline_break(char):
+    turns = [Utterance(Speaker.DOCTOR, f"any{char}cough?"), Utterance(Speaker.PATIENT, f"at{char}night")]
+    transcript = format_transcript(turns)
+    assert parse_transcript(transcript) == turns
+    assert last_turn_text(transcript, Speaker.DOCTOR) == f"any{char}cough?"
+
+
+def test_parse_transcript_reads_crlf_and_cr_line_ends():
+    reply = "Doctor: Any cough?\r\nat night\r\n\r\nPatient: Yes.\rDoctor: Fever?\r\n"
+    assert [(t.speaker, t.text) for t in parse_transcript(reply)] == [
+        (Speaker.DOCTOR, "Any cough?\nat night"),
+        (Speaker.PATIENT, "Yes."),
+        (Speaker.DOCTOR, "Fever?"),
+    ]
+
+
+_TRANSCRIPT_LINES = [
+    "Doctor: any cough?",
+    "**Doctor:** and fever?",
+    "> DOCTOR :",
+    "Patient: yes",
+    "- patient: *at night*",
+    "patient:",
+    "  since tuesday  ",
+    "(checks chart)",
+    "Doctor said so",
+    "",
+    "   ",
+    "a\u2028b",
+]
+
+
+@given(
+    lines=st.lists(
+        st.tuples(st.sampled_from(_TRANSCRIPT_LINES), st.sampled_from(["\n", "\r\n", "\r"])), max_size=10
+    )
+)
+@example(lines=[("no tags", "\n"), ("at all", "\n")])
+@example(lines=[("Patient: fine", "\n"), ("  since tuesday  ", "\n")])
+@example(lines=[("Doctor: any cough?", "\n"), ("(checks chart)", "\n"), ("Patient: yes", "\n")])
+def test_last_turn_text_equals_the_parsed_last_turn(lines):
+    history = "".join(line + end for line, end in lines)
+    for speaker in Speaker:
+        try:
+            texts = [t.text for t in parse_transcript(history) if t.speaker is speaker]
+        except Unparseable:
+            texts = []
+        assert last_turn_text(history, speaker) == (texts[-1] if texts else None)

@@ -1,13 +1,21 @@
-import pytest
+import string
 
-from dialogforge.model import PREAMBLE, ClinicalNote, ModelError
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from dialogforge.model import CANONICAL_HEADERS, PREAMBLE, ClinicalNote, ModelError, SectionHeader
 from dialogforge.segmenter import (
+    MAX_HEADER_CHARS,
+    HeaderMatch,
     levenshtein,
     match_header,
     normalize_header,
     segment_note,
     similarity,
 )
+
+from oracles import oracle_levenshtein, oracle_match_header
 
 
 def test_normalize_casefold_and_colon():
@@ -125,3 +133,107 @@ def test_round_trip_on_fixture_corpus(segment_corpus):
 def test_similarity_symmetric_on_corpus_headers():
     assert similarity("plan", "plan") == 1.0
     assert similarity("", "plan") == 0.0
+
+
+# --- match_header against the brute-force oracle ----------------------------
+
+_LINE_CHARS = string.ascii_lowercase + string.ascii_uppercase + " :-.#*"
+_EDGE_CHARS = string.punctuation + " \t"
+
+
+@st.composite
+def _near_miss_headers(draw):
+    """A canonical name after a few typos and case changes, wrapped in
+    punctuation, and with its spaces doubled or not."""
+    chars = list(draw(st.sampled_from(CANONICAL_HEADERS)))
+    for op, at, char in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "substitute", "upper"]),
+                st.integers(0, 40),
+                st.sampled_from(string.ascii_lowercase + " "),
+            ),
+            max_size=4,
+        )
+    ):
+        at %= len(chars) + 1
+        if op == "insert":
+            chars.insert(at, char)
+        elif at < len(chars):
+            if op == "delete":
+                chars.pop(at)
+            elif op == "substitute":
+                chars[at] = char
+            else:
+                chars[at] = chars[at].upper()
+    line = "".join(chars)
+    if draw(st.booleans()):
+        line = line.replace(" ", "  ")
+    return draw(st.text(_EDGE_CHARS, max_size=3)) + line + draw(st.text(_EDGE_CHARS, max_size=3))
+
+
+@st.composite
+def _lines_near_the_length_cap(draw):
+    """A heading padded with words to within two characters of
+    MAX_HEADER_CHARS, on either side, once normalized."""
+    line = draw(st.sampled_from(CANONICAL_HEADERS))
+    target = MAX_HEADER_CHARS + draw(st.integers(-1, 2))
+    while len(line) < target:
+        line += " " + draw(st.sampled_from(["x", "of", "plan", "history"]))
+    return line[:target].rstrip() + draw(st.sampled_from(["", ":", " :"]))
+
+
+# The head of one heading on the tail of another: near ties between headings.
+_blended_headers = st.builds(
+    lambda a, b, cut: a[:cut] + b[cut:],
+    st.sampled_from(CANONICAL_HEADERS),
+    st.sampled_from(CANONICAL_HEADERS),
+    st.integers(0, 30),
+)
+
+_header_lines = st.one_of(
+    st.text(_LINE_CHARS, max_size=30),
+    _near_miss_headers(),
+    _blended_headers,
+    _lines_near_the_length_cap(),
+)
+_header_thresholds = st.one_of(
+    st.sampled_from([0.5, 0.85, 0.9, 1.0]),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+def _as_pair(match):
+    return None if match is None else (match.canonical.canonical_name, match.similarity)
+
+
+@given(line=_header_lines, threshold=_header_thresholds)
+@example(line="past medical hist", threshold=0.85)
+@example(line="past mergical history", threshold=0.85)
+@example(line="Othial History:", threshold=0.5)
+@example(line="past s history", threshold=0.5)  # a later heading wins by under 0.02
+@example(line="x" * (MAX_HEADER_CHARS + 1), threshold=0.5)
+def test_match_header_equals_the_oracle(line, threshold):
+    assert _as_pair(match_header(line, threshold)) == oracle_match_header(line, threshold)
+
+
+@given(a=st.text("abc ", max_size=8), b=st.text("abc ", max_size=8))
+def test_levenshtein_equals_the_oracle(a, b):
+    assert levenshtein(a, b) == oracle_levenshtein(a, b)
+
+
+def test_match_header_scores_a_heading_whose_bound_equals_the_threshold():
+    # Length gap 3 over 20 bounds the score at exactly 0.85, which it reaches.
+    expected = HeaderMatch(SectionHeader("past medical history"), 0.85)
+    assert match_header("past medical hist", threshold=0.85) == expected
+    assert oracle_match_header("past medical hist", 0.85) == ("past medical history", 0.85)
+
+
+def test_match_header_tie_goes_to_the_earlier_heading():
+    # One edit away from "past medical history" and "past surgical history"
+    # over 21 characters; the first comes earlier in CANONICAL_HEADERS.
+    line = "past mergical history"
+    assert similarity(line, "past medical history") == similarity(line, "past surgical history")
+    match = match_header(line, threshold=0.85)
+    assert match == HeaderMatch(SectionHeader("past medical history"), 1.0 - 2 / 21)
+    assert _as_pair(match) == oracle_match_header(line, 0.85)
