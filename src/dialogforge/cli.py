@@ -5,19 +5,25 @@ generated dialogues are ``{"id", "mode", "turns", "coverage"}`` records where
 each turn is ``{"speaker", "text"}``. Configuration precedence is flags over
 config file over built-in defaults; the API key is read only from the
 ``DIALOGFORGE_API_KEY`` environment variable.
+
+``generate --workers N`` keeps at most N backend requests in flight. A note's
+sections run concurrently, a waiting request of an earlier note goes first,
+and records are still written in input order. With N = 1, notes and their
+sections run one after another on the calling thread.
 """
 
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import logging
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from pathlib import Path
-from typing import ContextManager, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .backend import AuthError, BackendError, ENDPOINT_ENV, HttpBackend, MockBackend
 from .concepts import LexiconError, load_lexicon, reportable_concepts
@@ -230,6 +236,154 @@ def _make_backend(args: argparse.Namespace, cfg: GenerationConfig):
         raise CliError(str(exc)) from exc
 
 
+class _Lane:
+    """One admitted note's side of the scheduler: the backend its chains call,
+    and the ``submit`` callable that ``run_full_pipeline`` fans chains out by."""
+
+    def __init__(self, scheduler: "_Scheduler", index: int):
+        self._scheduler = scheduler
+        self.index = index
+        self.error: Optional[Exception] = None  # the first error of one of its chains
+        self.running = 0
+        self.chains: List[Future] = []
+
+    def complete(self, request):
+        return self._scheduler.request(self, request)
+
+    def submit(self, chain) -> Future:
+        return self._scheduler.submit(self, chain)
+
+
+class _Scheduler:
+    """Runs notes through ``generate`` under one bound of ``workers`` backend
+    requests in flight, and maps them to results in input order.
+
+    A chain is what ``run_full_pipeline`` submits: one section's loop, polish
+    and hallucination check, or one note's merge fold. A submitted chain
+    starts at once, on its own thread. Three rules share the bound:
+
+    - A request starts only while fewer than ``workers`` are in flight; a
+      waiting request of an earlier note (by input index) goes first.
+    - Notes are admitted in input order, each only while fewer than
+      ``workers`` chains run. An admitted note with no chain running counts
+      as one, so the gap between its sections and its fold admits no note.
+    - After an AuthError no request starts. Once a chain fails, the other
+      chains of its note start no request and fail with that first error. A
+      non-retryable error stops them before its slot is freed, one that ran
+      out of retries as its chain ends.
+
+    With one worker, notes run inline and one at a time, with no scheduling.
+    """
+
+    def __init__(self, backend, workers: int):
+        self._backend = backend
+        self._workers = workers
+        self._cond = threading.Condition()
+        self._in_flight = 0
+        self._waiting: List[Tuple[int, int]] = []  # (note index, ticket) per waiting request
+        self._tickets = itertools.count()
+        self._load = 0  # running chains, plus admitted notes with none running
+        self._next_note = 0
+        self._auth_error: Optional[AuthError] = None
+        self._notes = ThreadPoolExecutor(workers)
+        # A thread starts only when none is idle, so the pool holds about as
+        # many threads as chains ever ran together: the sections of the at
+        # most ``workers`` notes admitted at once. No chain waits for a thread.
+        self._chains = ThreadPoolExecutor(sys.maxsize)
+
+    def __enter__(self) -> "_Scheduler":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # Note threads wait for their chains, so they go first; a failed run
+        # starts no further note.
+        self._notes.shutdown(cancel_futures=True)
+        self._chains.shutdown()
+
+    def map(self, generate: Callable, notes: List[ClinicalNote]) -> Iterator[Optional[Dialogue]]:
+        if self._workers == 1:
+            return map(generate, notes)
+        return self._notes.map(self._run_note, itertools.repeat(generate), range(len(notes)), notes)
+
+    def _run_note(self, generate: Callable, index: int, note: ClinicalNote) -> Optional[Dialogue]:
+        with self._cond:
+            self._cond.wait_for(
+                lambda: self._auth_error or (self._next_note == index and self._load < self._workers)
+            )
+            if self._auth_error:
+                return None
+            self._next_note += 1
+            self._load += 1
+            self._cond.notify_all()  # the next note may fit too
+        lane = _Lane(self, index)
+        try:
+            return generate(note, lane, lane.submit)
+        finally:
+            # After an error, the note's other chains end at their next request.
+            wait(lane.chains)
+            with self._cond:
+                self._load -= 1
+                self._cond.notify_all()
+
+    def submit(self, lane: _Lane, chain: Callable) -> Future:
+        with self._cond:
+            if lane.running:
+                self._load += 1
+            lane.running += 1
+        future = self._chains.submit(self._run, lane, chain)
+        lane.chains.append(future)
+        return future
+
+    def _run(self, lane: _Lane, chain: Callable):
+        try:
+            return chain()
+        except Exception as exc:
+            with self._cond:
+                lane.error = lane.error or exc
+                self._cond.notify_all()
+            if lane.error is exc:
+                raise
+        finally:
+            with self._cond:
+                lane.running -= 1
+                if lane.running:
+                    self._load -= 1
+                self._cond.notify_all()
+        # This chain was stopped by the note's first error; whichever chain
+        # run_full_pipeline reads first, it raises that error.
+        raise lane.error
+
+    def request(self, lane: _Lane, request):
+        with self._cond:
+            ticket = (lane.index, next(self._tickets))
+            self._waiting.append(ticket)
+            self._cond.wait_for(lambda: self._auth_error or lane.error or (
+                self._in_flight < self._workers and min(self._waiting) == ticket
+            ))
+            self._waiting.remove(ticket)
+            if self._auth_error or lane.error:
+                self._cond.notify_all()
+                if self._auth_error:
+                    raise AuthError(str(self._auth_error))
+                raise BackendError(f"note stopped after an error: {lane.error}")
+            self._in_flight += 1
+        try:
+            return self._backend.complete(request)
+        except BackendError as exc:
+            # Before the slot is freed. A retryable error stops the chain only
+            # once its retries run out, which _run records.
+            with self._cond:
+                if isinstance(exc, AuthError):
+                    self._auth_error = self._auth_error or exc
+                if not exc.retryable:
+                    lane.error = lane.error or exc
+            raise
+        finally:
+            with self._cond:
+                self._in_flight -= 1
+                self._cond.notify_all()
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise CliError("--workers must be positive")
@@ -241,28 +395,22 @@ def cmd_generate(args: argparse.Namespace) -> int:
         templates = load_templates(args.prompts) if args.prompts else None
     except (OSError, ModelError) as exc:
         raise CliError(f"cannot load prompt templates: {exc}") from exc
-    auth_failed = threading.Event()
 
-    def generate(note: ClinicalNote) -> Optional[Dialogue]:
-        """The note's dialogue, or None when it failed or was never started."""
-        if auth_failed.is_set():
-            return None
+    def generate(note: ClinicalNote, backend=backend, submit=None) -> Optional[Dialogue]:
+        """The note's dialogue, or None when it failed."""
         try:
-            return run_full_pipeline(note, lexicon, backend, cfg, templates)
+            return run_full_pipeline(note, lexicon, backend, cfg, templates, submit)
         except AuthError:
-            # Set here, not by the reader of the results: by then an idle
-            # worker may already have started the next note.
-            auth_failed.set()
             raise
         except (BackendError, ValueError) as exc:
             logger.error("note %s failed: %s", note.id, exc)
             return None
 
     missing = 0
-    with _output(args.out) as out, ThreadPoolExecutor(args.workers) as pool:
+    with _output(args.out) as out, _Scheduler(backend, args.workers) as scheduler:
         try:
             # Write each record as it arrives, in input order, so a failed run keeps it.
-            for note, dialogue in zip(notes, pool.map(generate, notes)):
+            for note, dialogue in zip(notes, scheduler.map(generate, notes)):
                 if dialogue is not None and len(dialogue.turns) < 2:
                     # evaluate refuses a dialogue with fewer than two turns
                     logger.warning("note %s: %d turn(s); no record written", note.id, len(dialogue.turns))
@@ -347,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument(
         "--requests-per-minute", dest="requests_per_minute", type=float, default=None
     )
-    p_generate.add_argument("--workers", type=int, default=1, help="notes run at once")
+    p_generate.add_argument("--workers", type=int, default=1, help="backend requests in flight")
     p_generate.add_argument("--prompts", help="directory of <name>.txt prompt template overrides")
     _add_config_flags(
         p_generate, "mode", "max_rounds", "keywords_per_turn",

@@ -1,8 +1,10 @@
 """Refinement passes and pipeline assembly.
 
 Per section: loop output is polished for fluency, then screened against the
-note for fabricated content. Section dialogues are then folded left to right
-into one conversation by a merge pass. All three passes go through one
+note for fabricated content. That chain reads only its own section, so a
+caller may run a note's section chains concurrently. Once every chain has
+finished, the section dialogues are folded left to right into one
+conversation by a merge pass. All three passes go through one
 guarded rewrite, which reads the reply with ``model.parse_transcript``: if it
 cannot be parsed back into turns, or any previously covered keyword
 disappears from it, the pass keeps its input with a warning. For the merge
@@ -11,8 +13,10 @@ lose coverage. The reported coverage is counted once, on the final turns,
 against the note's union checklist.
 """
 
+import functools
 import logging
-from typing import Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import Future
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .concepts import Lexicon, mark_covered
 from .model import (
@@ -174,14 +178,38 @@ def _note_meta(checklist: Checklist) -> Dict:
     }
 
 
+class _Ran:
+    """A chain run inline, read like a finished Future without its lock."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, value):
+        self._value = value
+
+    def result(self):
+        return self._value
+
+
+def _run_inline(chain: Callable) -> _Ran:
+    """Runs ``chain`` now; its exception propagates at once."""
+    return _Ran(chain())
+
+
 def run_full_pipeline(
     note: ClinicalNote,
     lexicon: Lexicon,
     backend,
     cfg: GenerationConfig,
     templates: Optional[Dict[str, PromptTemplate]] = None,
+    submit: Optional[Callable[[Callable], Future]] = None,
 ) -> Dialogue:
     """Segment, run the loop per section, refine, and combine.
+
+    Each section's loop, polish and hallucination check is one chain, and the
+    merge fold is one more. ``submit`` takes a chain and returns a future of
+    its result; a caller's ``submit`` may run the section chains concurrently.
+    The fold waits for every section and merges them left to right. Without
+    ``submit`` each chain runs inline, in section order.
 
     Sections whose checklist is empty are skipped; a note with no concept
     hits anywhere returns an empty dialogue without touching the backend.
@@ -189,16 +217,19 @@ def run_full_pipeline(
     """
     validate(note)
     sections = segment_note(note, cfg.similarity_threshold)
+    submit = submit or _run_inline
 
-    refined: List[Tuple[Dialogue, Checklist]] = []
-    for section in sections:
+    def refine(section) -> Optional[Tuple[Dialogue, Checklist]]:
         dialogue = run_section_loop(section, lexicon, backend, cfg, templates, note_id=note.id)
         if not dialogue.turns:
-            continue
+            return None
         checklist = dialogue.meta["checklist"]
         dialogue = polish(dialogue, section.body, checklist, lexicon, backend, cfg, templates)
         dialogue = hallucination_check(dialogue, section.body, checklist, lexicon, backend, cfg, templates)
-        refined.append((dialogue, checklist))
+        return dialogue, checklist
+
+    chains = [submit(functools.partial(refine, section)) for section in sections]
+    refined = [r for r in (chain.result() for chain in chains) if r is not None]
 
     if not refined:
         return Dialogue(note.id, (), Provenance.COMBINED, meta=_note_meta(Checklist(())))
@@ -211,17 +242,21 @@ def run_full_pipeline(
     union = Checklist(by_cui.values())
     position = {cui: index for index, cui in enumerate(by_cui)}
 
-    combined = refined[0][0]
-    combined.meta.setdefault("tail_turns", len(combined.turns))
-    for fold, (dialogue, checklist) in enumerate(refined):
-        # The merge guard protects what the folded sections have covered.
-        for entry, done in zip(checklist.entries, checklist.covered):
-            if done:
-                union.mark(position[entry.cui])
-        if fold:
-            combined = postedit_combine(
-                combined, dialogue, note.text, union, lexicon, backend, cfg, templates
-            )
+    def merge() -> Dialogue:
+        combined = refined[0][0]
+        combined.meta.setdefault("tail_turns", len(combined.turns))
+        for fold, (dialogue, checklist) in enumerate(refined):
+            # The merge guard protects what the folded sections have covered.
+            for entry, done in zip(checklist.entries, checklist.covered):
+                if done:
+                    union.mark(position[entry.cui])
+            if fold:
+                combined = postedit_combine(
+                    combined, dialogue, note.text, union, lexicon, backend, cfg, templates
+                )
+        return combined
+
+    combined = submit(merge).result()
     final = Checklist(union.entries)
     mark_covered(final, combined.turns, lexicon, cfg)
     return Dialogue(combined.note_id, combined.turns, combined.provenance, meta=_note_meta(final))

@@ -110,11 +110,16 @@ def segment_note(note: ClinicalNote, threshold: float = DEFAULT_THRESHOLD) -> Li
     # (header, header_line_start, body_start) per accepted header line
     marks = []
     offset = 0
-    for line in text.splitlines(keepends=True):
-        match = match_header(line, threshold)
+    # A line ends only at \n, \r\n or \r, as in model.split_lines. Turning
+    # each \r into \n keeps every offset; a \r\n then leaves an empty line
+    # between its two characters, and an empty line is never a header.
+    for line in text.replace("\r", "\n").split("\n"):
+        end = offset + len(line) + 1
+        match = match_header(line, threshold) if line else None
         if match is not None:
-            marks.append((match.canonical, offset, offset + len(line)))
-        offset += len(line)
+            body_start = end + 1 if text.startswith("\r\n", end - 1) else end
+            marks.append((match.canonical, offset, body_start))
+        offset = end
 
     sections: List[NoteSection] = []
     if not marks or marks[0][1] > 0:

@@ -6,8 +6,9 @@ recursion on suffixes, union-LCS positions are found by enumerating candidate
 position tuples (falling back to a definitional greedy scan when enumeration
 would be too large), and concept matching enumerates every non-overlapping
 matching before selecting the canonical one. Header matching scores every
-canonical heading with the full edit-distance table, with no filter. Only
-suitable for short inputs.
+canonical heading with the full edit-distance table, with no filter, and
+segmentation cuts lines with a regular expression. Only suitable for short
+inputs.
 ``oracle_mark_covered`` is the exception: it checks only the order of the
 coverage checks, so it tags text with the production tagger, which the
 concept oracles above verify on their own.
@@ -334,3 +335,26 @@ def oracle_match_header(line, threshold):
     if best_sim < threshold:
         return None
     return best_name, best_sim
+
+
+_NOTE_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def oracle_segment_note(text, threshold):
+    """``(header, start, end, header_line, body)`` per section: a line, with
+    its end, runs to ``\n``, ``\r\n`` or ``\r``; each header line opens a
+    section; text before the first one is the preamble."""
+    marks, offset = [], 0
+    for line in _NOTE_LINE.findall(text):
+        match = oracle_match_header(line, threshold)
+        if match is not None:
+            marks.append((match[0], offset, offset + len(line)))
+        offset += len(line)
+    sections = []
+    if not marks or marks[0][1] > 0:
+        lead = marks[0][1] if marks else len(text)
+        sections.append(("preamble", 0, lead, "", text[:lead]))
+    for i, (name, start, body_start) in enumerate(marks):
+        end = marks[i + 1][1] if i + 1 < len(marks) else len(text)
+        sections.append((name, start, end, text[start:body_start], text[body_start:end]))
+    return sections

@@ -1,0 +1,232 @@
+"""The request scheduler behind ``generate --workers``: one bound on backend
+requests in flight, the earliest note first, and a failure kept to its note."""
+
+import json
+import sys
+import threading
+import time
+
+import pytest
+
+from dialogforge import cli
+from dialogforge.backend import MalformedResponse, MockBackend
+from dialogforge.model import ClinicalNote
+from dialogforge.segmenter import segment_note
+
+from conftest import DATA_DIR, LEXICON_PATH, NOTES_PATH
+
+GOLDEN_DIR = DATA_DIR / "golden"
+FIXTURE = [json.loads(line) for line in NOTES_PATH.read_text(encoding="utf-8").splitlines()]
+MOST_SECTIONS = max(len(segment_note(ClinicalNote(r["id"], r["text"]))) for r in FIXTURE)
+
+
+def _notes(tmp_path, count):
+    path = tmp_path / "notes.jsonl"
+    path.write_text(
+        "".join(json.dumps({"id": f"a{i}", "text": FIXTURE[i % len(FIXTURE)]["text"]}) + "\n" for i in range(count)),
+        encoding="utf-8",
+    )
+    return path
+
+
+def _generate(tmp_path, notes, *extra):
+    out = tmp_path / "dialogues.jsonl"
+    argv = ["generate", "--input", str(notes), "--lexicon", str(LEXICON_PATH), "--out", str(out), "--mock"]
+    return cli.main([*argv, *extra]), out.read_bytes()
+
+
+class _Concurrency:
+    """Counts what runs at once; ``enter`` and ``leave`` bracket one run."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.now = 0
+        self.peak = 0
+        self.threads = set()
+
+    def enter(self):
+        with self._lock:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+            self.threads.add(threading.current_thread())
+
+    def leave(self):
+        with self._lock:
+            self.now -= 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_requests_in_flight_never_exceed_workers(tmp_path, monkeypatch, workers):
+    requests, pipelines = _Concurrency(), _Concurrency()
+    complete, pipeline = MockBackend.complete, cli.run_full_pipeline
+
+    def slow_complete(backend, request):
+        requests.enter()
+        try:
+            time.sleep(0.002)
+            return complete(backend, request)
+        finally:
+            requests.leave()
+
+    def counted_pipeline(note, *args):
+        pipelines.enter()
+        try:
+            return pipeline(note, *args)
+        finally:
+            pipelines.leave()
+
+    monkeypatch.setattr(MockBackend, "complete", slow_complete)
+    monkeypatch.setattr(cli, "run_full_pipeline", counted_pipeline)
+    notes = _notes(tmp_path, 15)
+    serial = _generate(tmp_path, notes, "--workers", "1")
+    requests.threads.clear()
+    assert _generate(tmp_path, notes, "--workers", str(workers)) == serial
+    assert serial[0] == 0
+    # Sections run at once, so the bound is reached and never passed.
+    assert requests.peak == workers
+    assert pipelines.peak <= workers
+    # Threads are reused: about the sections of the notes admitted at once,
+    # far fewer than the 60 chains that 15 notes run.
+    assert len(requests.threads) <= workers * (MOST_SECTIONS + 1)
+
+
+@pytest.mark.parametrize(
+    "golden, mode, factuality",
+    [
+        ("generate_short.jsonl", "short", False),
+        ("generate_long.jsonl", "long", False),
+        ("generate_short_factuality.jsonl", "short", True),
+    ],
+)
+def test_generate_with_three_workers_matches_golden_output(tmp_path, golden, mode, factuality):
+    extra = ["--mode", mode, "--workers", "3"]
+    if factuality:
+        config = tmp_path / "factuality.cfg"
+        config.write_text("enable_factuality=true\n", encoding="utf-8")
+        extra += ["--config", str(config)]
+    assert _generate(tmp_path, NOTES_PATH, *extra) == (0, (GOLDEN_DIR / golden).read_bytes())
+
+
+class _HeldBackend:
+    """Records each request as it starts; a request in ``held`` then waits
+    until its event is set."""
+
+    def __init__(self, *held):
+        self.held = {name: threading.Event() for name in held}
+        self.started = []
+
+    def complete(self, request):
+        self.started.append(request)
+        if request in self.held:
+            assert self.held[request].wait(timeout=10)
+        return request
+
+
+def _until(condition):
+    deadline = time.monotonic() + 10
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+
+def test_a_waiting_request_of_an_earlier_note_goes_first():
+    backend = _HeldBackend("busy-1", "busy-2")
+    with cli._Scheduler(backend, 2) as scheduler:
+        lanes = {index: cli._Lane(scheduler, index) for index in (0, 1, 7)}
+        threads = []
+
+        def send(index, request):
+            thread = threading.Thread(target=scheduler.request, args=(lanes[index], request))
+            thread.start()
+            threads.append(thread)
+
+        send(0, "busy-1")
+        send(0, "busy-2")
+        _until(lambda: len(backend.started) == 2)
+        # Both slots are taken: note 7 waits first, then note 1.
+        send(7, "late")
+        _until(lambda: len(scheduler._waiting) == 1)
+        send(1, "early")
+        _until(lambda: len(scheduler._waiting) == 2)
+        backend.held["busy-1"].set()
+        _until(lambda: len(backend.started) == 4)
+        backend.held["busy-2"].set()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    assert backend.started == ["busy-1", "busy-2", "early", "late"]
+
+
+def test_a_note_starts_only_while_fewer_than_workers_chains_run():
+    # Note a runs two chains; b starts beside it and ends once a has fanned
+    # out. Then c, though a note thread is free, waits for one of a's chains.
+    fanned, x, y = threading.Event(), threading.Event(), threading.Event()
+    started = []
+
+    def generate(note, lane, submit):
+        started.append(note)
+        if note == "a":
+            chains = [submit(lambda event=event: event.wait(10)) for event in (x, y)]
+            fanned.set()
+            return [chain.result() for chain in chains]
+        if note == "b":
+            return fanned.wait(10)
+        return note
+
+    with cli._Scheduler(None, 2) as scheduler:
+        results = scheduler.map(generate, ["a", "b", "c"])
+        _until(lambda: len(started) == 2 and fanned.is_set())
+        time.sleep(0.05)
+        assert sorted(started) == ["a", "b"]
+        x.set()
+        _until(lambda: len(started) == 3)
+        y.set()
+        assert list(results) == [[True, True], True, "c"]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_failed_chain_stops_its_note_and_no_other(tmp_path, monkeypatch, workers):
+    # The fixture's second note fails at the first request of its second
+    # section. Its other sections must send nothing after that.
+    owner = {}
+    for record in FIXTURE:
+        owner[record["text"]] = record["id"]
+        for section in segment_note(ClinicalNote(record["id"], record["text"])):
+            owner[section.body] = record["id"]
+    failing_body = segment_note(ClinicalNote("n2", FIXTURE[1]["text"]))[1].body
+    complete = MockBackend.complete
+    lock = threading.Lock()
+    started = []
+    failed = {"on": False}
+
+    def failing_complete(backend, request):
+        with lock:
+            # A merge binds no note; the failing note never reaches its merge.
+            started.append(owner.get(request.slots.get("note"), "merge"))
+            fail = failed["on"] and request.slots.get("note") == failing_body
+            failed["on"] = failed["on"] and not fail
+        time.sleep(0.002)
+        if fail:
+            with lock:
+                started.append("failure")
+            raise MalformedResponse("no reply")
+        return complete(backend, request)
+
+    monkeypatch.setattr(MockBackend, "complete", failing_complete)
+    code, full = _generate(tmp_path, NOTES_PATH, "--workers", str(workers))
+    assert code == 0 and "failure" not in started
+    started.clear()
+    failed["on"] = True
+    interval = sys.getswitchinterval()
+    try:
+        # Frequent thread switches widen any window between the failed request
+        # freeing its slot and its note's other chains learning of the error.
+        sys.setswitchinterval(1e-5)
+        code, kept = _generate(tmp_path, NOTES_PATH, "--workers", str(workers))
+    finally:
+        sys.setswitchinterval(interval)
+    assert code == 1
+    after = started[started.index("failure") + 1:]
+    assert "n2" in started and "n2" not in after
+    records = full.splitlines(keepends=True)
+    assert kept.splitlines(keepends=True) == [records[0], records[2]]

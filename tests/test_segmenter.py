@@ -15,7 +15,7 @@ from dialogforge.segmenter import (
     similarity,
 )
 
-from oracles import oracle_levenshtein, oracle_match_header
+from oracles import oracle_levenshtein, oracle_match_header, oracle_segment_note
 
 
 def test_normalize_casefold_and_colon():
@@ -110,6 +110,17 @@ def test_segment_duplicate_headers_open_new_sections():
 def test_segment_requires_valid_note():
     with pytest.raises(ModelError, match="note 'a' has no text"):
         segment_note(ClinicalNote("a", "   "))
+
+
+# Characters that str.splitlines() ends a line at, but a note line does not.
+_INLINE_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("char", _INLINE_BREAKS)
+def test_segment_ends_a_line_only_at_a_line_end(char):
+    note = ClinicalNote("a", f"Cough since Monday.{char}Plan\nrest and fluids")
+    sections = segment_note(note)
+    assert [(s.header.canonical_name, s.start, s.end) for s in sections] == [(PREAMBLE, 0, 40)]
 
 
 def _assert_lossless(note, sections):
@@ -237,3 +248,26 @@ def test_match_header_tie_goes_to_the_earlier_heading():
     match = match_header(line, threshold=0.85)
     assert match == HeaderMatch(SectionHeader("past medical history"), 1.0 - 2 / 21)
     assert _as_pair(match) == oracle_match_header(line, 0.85)
+
+
+_note_lines = st.lists(
+    st.tuples(
+        st.one_of(_header_lines, st.text(_LINE_CHARS + "".join(_INLINE_BREAKS), max_size=20)),
+        st.sampled_from(["\n", "\r\n", "\r", ""]),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(lines=_note_lines)
+@example(lines=[("Cough since Monday.\u2028Plan", "\n"), ("rest and fluids", "")])
+@example(lines=[("PLAN:", "\r\n"), ("", "\r\n"), ("rest", "\r"), ("ASSESSMENT", "\r"), ("stable", "\n")])
+def test_segment_note_equals_the_oracle(lines):
+    text = "".join(line + end for line, end in lines)
+    if not text.strip():
+        return
+    sections = segment_note(ClinicalNote("a", text), threshold=0.85)
+    assert [
+        (s.header.canonical_name, s.start, s.end, s.header_line, s.body) for s in sections
+    ] == oracle_segment_note(text, 0.85)
