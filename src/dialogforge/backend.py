@@ -114,8 +114,8 @@ class TokenBucket:
         if per_minute <= 0:
             raise ValueError("per_minute must be positive")
         self._per_second = per_minute / 60.0
-        self._capacity = float(per_minute)
-        self._tokens = float(per_minute)
+        # Room for one token at least, or a rate under one a minute grants nothing.
+        self._capacity = self._tokens = max(1.0, float(per_minute))
         self._stamp = time.monotonic()
         self._lock = threading.Lock()
 

@@ -7,9 +7,10 @@ config file over built-in defaults; the API key is read only from the
 ``DIALOGFORGE_API_KEY`` environment variable.
 
 ``generate --workers N`` keeps at most N backend requests in flight. A note's
-sections run concurrently, a waiting request of an earlier note goes first,
-and records are still written in input order. With N = 1, notes and their
-sections run one after another on the calling thread.
+sections run concurrently and its merge fold on the note's own thread, a
+waiting request of an earlier note goes first, and records are still written
+in input order. With N = 1, notes and their sections run one after another on
+the calling thread.
 """
 
 import argparse
@@ -21,7 +22,7 @@ import logging
 import os
 import sys
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
@@ -238,39 +239,47 @@ def _make_backend(args: argparse.Namespace, cfg: GenerationConfig):
 
 class _Lane:
     """One admitted note's side of the scheduler: the backend its chains call,
-    and the ``submit`` callable that ``run_full_pipeline`` fans chains out by."""
+    and the ``map_sections`` that ``run_full_pipeline`` fans chains out by."""
 
     def __init__(self, scheduler: "_Scheduler", index: int):
         self._scheduler = scheduler
         self.index = index
         self.error: Optional[Exception] = None  # the first error of one of its chains
         self.running = 0
-        self.chains: List[Future] = []
 
     def complete(self, request):
         return self._scheduler.request(self, request)
 
-    def submit(self, chain) -> Future:
-        return self._scheduler.submit(self, chain)
+    def map(self, chain: Callable, sections: Sequence) -> List:
+        """Runs ``chain`` on every section at once and waits for all of them:
+        the results in section order, or the note's first error."""
+        scheduler = self._scheduler
+        with scheduler._cond:
+            self.running += len(sections)
+        futures = [scheduler._chains.submit(scheduler._run, self, chain, section) for section in sections]
+        wait(futures)
+        if self.error:
+            raise self.error
+        return [future.result() for future in futures]
 
 
 class _Scheduler:
     """Runs notes through ``generate`` under one bound of ``workers`` backend
     requests in flight, and maps them to results in input order.
 
-    A chain is what ``run_full_pipeline`` submits: one section's loop, polish
-    and hallucination check, or one note's merge fold. A submitted chain
-    starts at once, on its own thread. Three rules share the bound:
+    A chain is one section's loop, polish and hallucination check; a note's
+    ``map_sections`` starts all of its chains at once, each on its own
+    thread, and the note's merge fold then runs on the note's thread. Three
+    rules share the bound:
 
     - A request starts only while fewer than ``workers`` are in flight; a
       waiting request of an earlier note (by input index) goes first.
-    - Notes are admitted in input order, each only while fewer than
-      ``workers`` chains run. An admitted note with no chain running counts
-      as one, so the gap between its sections and its fold admits no note.
+    - Notes are admitted in input order, each only while the admitted notes
+      run fewer than ``workers`` chains. A note with no chain running, in its
+      fold for one, counts as one, so the fold admits no note.
     - After an AuthError no request starts. Once a chain fails, the other
-      chains of its note start no request and fail with that first error. A
-      non-retryable error stops them before its slot is freed, one that ran
-      out of retries as its chain ends.
+      chains of its note start no request. A non-retryable error stops them
+      before its slot is freed, one that ran out of retries as its chain ends.
 
     With one worker, notes run inline and one at a time, with no scheduling.
     """
@@ -282,7 +291,7 @@ class _Scheduler:
         self._in_flight = 0
         self._waiting: List[Tuple[int, int]] = []  # (note index, ticket) per waiting request
         self._tickets = itertools.count()
-        self._load = 0  # running chains, plus admitted notes with none running
+        self._admitted: List[_Lane] = []
         self._next_note = 0
         self._auth_error: Optional[AuthError] = None
         self._notes = ThreadPoolExecutor(workers)
@@ -306,52 +315,34 @@ class _Scheduler:
         return self._notes.map(self._run_note, itertools.repeat(generate), range(len(notes)), notes)
 
     def _run_note(self, generate: Callable, index: int, note: ClinicalNote) -> Optional[Dialogue]:
+        lane = _Lane(self, index)
         with self._cond:
-            self._cond.wait_for(
-                lambda: self._auth_error or (self._next_note == index and self._load < self._workers)
-            )
+            self._cond.wait_for(lambda: self._auth_error or (
+                self._next_note == index
+                and sum(max(admitted.running, 1) for admitted in self._admitted) < self._workers
+            ))
             if self._auth_error:
                 return None
             self._next_note += 1
-            self._load += 1
+            self._admitted.append(lane)
             self._cond.notify_all()  # the next note may fit too
-        lane = _Lane(self, index)
         try:
-            return generate(note, lane, lane.submit)
+            return generate(note, lane, lane.map)
         finally:
-            # After an error, the note's other chains end at their next request.
-            wait(lane.chains)
             with self._cond:
-                self._load -= 1
+                self._admitted.remove(lane)
                 self._cond.notify_all()
 
-    def submit(self, lane: _Lane, chain: Callable) -> Future:
-        with self._cond:
-            if lane.running:
-                self._load += 1
-            lane.running += 1
-        future = self._chains.submit(self._run, lane, chain)
-        lane.chains.append(future)
-        return future
-
-    def _run(self, lane: _Lane, chain: Callable):
+    def _run(self, lane: _Lane, chain: Callable, section):
         try:
-            return chain()
+            return chain(section)
         except Exception as exc:
             with self._cond:
-                lane.error = lane.error or exc
-                self._cond.notify_all()
-            if lane.error is exc:
-                raise
+                lane.error = lane.error or exc  # which map raises
         finally:
             with self._cond:
                 lane.running -= 1
-                if lane.running:
-                    self._load -= 1
                 self._cond.notify_all()
-        # This chain was stopped by the note's first error; whichever chain
-        # run_full_pipeline reads first, it raises that error.
-        raise lane.error
 
     def request(self, lane: _Lane, request):
         with self._cond:
@@ -396,10 +387,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except (OSError, ModelError) as exc:
         raise CliError(f"cannot load prompt templates: {exc}") from exc
 
-    def generate(note: ClinicalNote, backend=backend, submit=None) -> Optional[Dialogue]:
+    def generate(note: ClinicalNote, backend=backend, map_sections=map) -> Optional[Dialogue]:
         """The note's dialogue, or None when it failed."""
         try:
-            return run_full_pipeline(note, lexicon, backend, cfg, templates, submit)
+            return run_full_pipeline(note, lexicon, backend, cfg, templates, map_sections)
         except AuthError:
             raise
         except (BackendError, ValueError) as exc:

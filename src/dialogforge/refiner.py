@@ -2,9 +2,9 @@
 
 Per section: loop output is polished for fluency, then screened against the
 note for fabricated content. That chain reads only its own section, so a
-caller may run a note's section chains concurrently. Once every chain has
-finished, the section dialogues are folded left to right into one
-conversation by a merge pass. All three passes go through one
+caller's ``map_sections`` may run a note's section chains concurrently. The
+section dialogues are then folded left to right into one conversation by a
+merge pass, on the calling thread. All three passes go through one
 guarded rewrite, which reads the reply with ``model.parse_transcript``: if it
 cannot be parsed back into turns, or any previously covered keyword
 disappears from it, the pass keeps its input with a warning. For the merge
@@ -13,9 +13,7 @@ lose coverage. The reported coverage is counted once, on the final turns,
 against the note's union checklist.
 """
 
-import functools
 import logging
-from concurrent.futures import Future
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .concepts import Lexicon, mark_covered
@@ -178,38 +176,21 @@ def _note_meta(checklist: Checklist) -> Dict:
     }
 
 
-class _Ran:
-    """A chain run inline, read like a finished Future without its lock."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value):
-        self._value = value
-
-    def result(self):
-        return self._value
-
-
-def _run_inline(chain: Callable) -> _Ran:
-    """Runs ``chain`` now; its exception propagates at once."""
-    return _Ran(chain())
-
-
 def run_full_pipeline(
     note: ClinicalNote,
     lexicon: Lexicon,
     backend,
     cfg: GenerationConfig,
     templates: Optional[Dict[str, PromptTemplate]] = None,
-    submit: Optional[Callable[[Callable], Future]] = None,
+    map_sections: Callable = map,
 ) -> Dialogue:
     """Segment, run the loop per section, refine, and combine.
 
-    Each section's loop, polish and hallucination check is one chain, and the
-    merge fold is one more. ``submit`` takes a chain and returns a future of
-    its result; a caller's ``submit`` may run the section chains concurrently.
-    The fold waits for every section and merges them left to right. Without
-    ``submit`` each chain runs inline, in section order.
+    Each section's loop, polish and hallucination check is one chain.
+    ``map_sections(chain, sections)`` runs it on every section and yields the
+    results in section order, like the builtin ``map``, which runs them one
+    after another; a caller's ``map_sections`` may run them concurrently. The
+    merge fold then runs here, left to right.
 
     Sections whose checklist is empty are skipped; a note with no concept
     hits anywhere returns an empty dialogue without touching the backend.
@@ -217,7 +198,6 @@ def run_full_pipeline(
     """
     validate(note)
     sections = segment_note(note, cfg.similarity_threshold)
-    submit = submit or _run_inline
 
     def refine(section) -> Optional[Tuple[Dialogue, Checklist]]:
         dialogue = run_section_loop(section, lexicon, backend, cfg, templates, note_id=note.id)
@@ -228,8 +208,7 @@ def run_full_pipeline(
         dialogue = hallucination_check(dialogue, section.body, checklist, lexicon, backend, cfg, templates)
         return dialogue, checklist
 
-    chains = [submit(functools.partial(refine, section)) for section in sections]
-    refined = [r for r in (chain.result() for chain in chains) if r is not None]
+    refined = [r for r in map_sections(refine, sections) if r is not None]
 
     if not refined:
         return Dialogue(note.id, (), Provenance.COMBINED, meta=_note_meta(Checklist(())))
@@ -242,21 +221,18 @@ def run_full_pipeline(
     union = Checklist(by_cui.values())
     position = {cui: index for index, cui in enumerate(by_cui)}
 
-    def merge() -> Dialogue:
-        combined = refined[0][0]
-        combined.meta.setdefault("tail_turns", len(combined.turns))
-        for fold, (dialogue, checklist) in enumerate(refined):
-            # The merge guard protects what the folded sections have covered.
-            for entry, done in zip(checklist.entries, checklist.covered):
-                if done:
-                    union.mark(position[entry.cui])
-            if fold:
-                combined = postedit_combine(
-                    combined, dialogue, note.text, union, lexicon, backend, cfg, templates
-                )
-        return combined
+    combined = refined[0][0]
+    combined.meta.setdefault("tail_turns", len(combined.turns))
+    for fold, (dialogue, checklist) in enumerate(refined):
+        # The merge guard protects what the folded sections have covered.
+        for entry, done in zip(checklist.entries, checklist.covered):
+            if done:
+                union.mark(position[entry.cui])
+        if fold:
+            combined = postedit_combine(
+                combined, dialogue, note.text, union, lexicon, backend, cfg, templates
+            )
 
-    combined = submit(merge).result()
     final = Checklist(union.entries)
     mark_covered(final, combined.turns, lexicon, cfg)
     return Dialogue(combined.note_id, combined.turns, combined.provenance, meta=_note_meta(final))

@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from dialogforge import backend as backend_module
 from dialogforge.backend import (
     AuthError,
     ChatMessage,
@@ -349,4 +350,28 @@ def test_token_bucket_allows_burst_within_capacity():
     bucket = TokenBucket(per_minute=600000)
     for _ in range(5):
         bucket.acquire()
+
+
+class _FakeTime:
+    """``monotonic`` and ``sleep`` on a clock that only ``sleep`` advances."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+        assert self.now < 3600, "the bucket never granted the request"
+
+
+def test_token_bucket_under_one_a_minute_grants_one_request_per_period(monkeypatch):
+    clock = _FakeTime()
+    monkeypatch.setattr(backend_module, "time", clock)
+    bucket = TokenBucket(per_minute=0.5)
+    bucket.acquire()
+    assert clock.now == 0
+    bucket.acquire()
+    assert clock.now == pytest.approx(120)
 

@@ -2,6 +2,7 @@ import logging
 import random
 import re
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -363,6 +364,19 @@ def test_pipeline_long_style_produces_more_turns(lexicon, fixture_notes):
         short_turns.append(len(run_full_pipeline(note, lexicon, MockBackend(style="short"), short_cfg).turns))
         long_turns.append(len(run_full_pipeline(note, lexicon, MockBackend(style="long"), long_cfg).turns))
     assert sum(long_turns) / len(long_turns) > sum(short_turns) / len(short_turns)
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_pipeline_with_an_executor_map_equals_the_default(lexicon, fixture_notes, mode):
+    # A stock executor's map is a valid map_sections: it yields in section
+    # order, whatever order the chains finish in.
+    cfg = GenerationConfig.for_mode(mode)
+    with ThreadPoolExecutor(4) as pool:
+        for note in fixture_notes:
+            inline = run_full_pipeline(note, lexicon, MockBackend(style=mode), cfg)
+            mapped = run_full_pipeline(note, lexicon, MockBackend(style=mode), cfg, None, pool.map)
+            assert mapped.turns == inline.turns
+            assert mapped.meta["coverage"] == inline.meta["coverage"]
 
 
 def test_pipeline_combines_sections_left_to_right(lexicon, cfg):

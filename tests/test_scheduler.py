@@ -9,7 +9,7 @@ import time
 import pytest
 
 from dialogforge import cli
-from dialogforge.backend import MalformedResponse, MockBackend
+from dialogforge.backend import BackendError, MalformedResponse, MockBackend
 from dialogforge.model import ClinicalNote
 from dialogforge.segmenter import segment_note
 
@@ -158,30 +158,109 @@ def test_a_waiting_request_of_an_earlier_note_goes_first():
 
 
 def test_a_note_starts_only_while_fewer_than_workers_chains_run():
-    # Note a runs two chains; b starts beside it and ends once a has fanned
-    # out. Then c, though a note thread is free, waits for one of a's chains.
-    fanned, x, y = threading.Event(), threading.Event(), threading.Event()
-    started = []
+    # Note a waits for b to start, then runs two chains; b ends once both
+    # run. Then c, though a note thread is free, waits for one of a's chains.
+    b_started, x, y = threading.Event(), threading.Event(), threading.Event()
+    started, running = [], []
 
-    def generate(note, lane, submit):
+    def chain(event):
+        running.append(event)
+        return event.wait(10)
+
+    def generate(note, lane, map_sections):
         started.append(note)
         if note == "a":
-            chains = [submit(lambda event=event: event.wait(10)) for event in (x, y)]
-            fanned.set()
-            return [chain.result() for chain in chains]
+            assert b_started.wait(10)
+            return map_sections(chain, (x, y))
         if note == "b":
-            return fanned.wait(10)
+            b_started.set()
+            _until(lambda: len(running) == 2)
+            return True
         return note
 
     with cli._Scheduler(None, 2) as scheduler:
         results = scheduler.map(generate, ["a", "b", "c"])
-        _until(lambda: len(started) == 2 and fanned.is_set())
+        _until(lambda: len(started) == 2 and len(running) == 2)
         time.sleep(0.05)
         assert sorted(started) == ["a", "b"]
         x.set()
         _until(lambda: len(started) == 3)
         y.set()
         assert list(results) == [[True, True], True, "c"]
+
+
+def test_a_note_in_its_merge_fold_counts_as_one_chain():
+    # Notes a, b and f fill the three workers. a's sections end and it holds
+    # in its fold; once f has started, b runs two chains; f ends then. Though
+    # f's note thread is free, c waits until a's fold ends: a counts as one,
+    # b as two.
+    folding, fold, x, y = (threading.Event() for _ in range(4))
+    started, running = [], []
+
+    def chain(event):
+        running.append(event)
+        return event.wait(10)
+
+    def generate(note, lane, map_sections):
+        started.append(note)
+        if note == "a":
+            sections = map_sections(str.upper, ["s"])
+            folding.set()
+            assert fold.wait(10)
+            return sections
+        if note == "b":
+            _until(lambda: "f" in started)
+            return map_sections(chain, (x, y))
+        if note == "f":
+            _until(lambda: folding.is_set() and len(running) == 2)
+        return note
+
+    with cli._Scheduler(None, 3) as scheduler:
+        results = scheduler.map(generate, ["a", "b", "f", "c"])
+        _until(lambda: folding.is_set() and len(running) == 2)
+        time.sleep(0.05)
+        assert sorted(started) == ["a", "b", "f"]
+        fold.set()
+        _until(lambda: len(started) == 4)
+        x.set()
+        y.set()
+        assert list(results) == [["S"], [True, True], "f", "c"]
+
+
+def test_a_non_retryable_error_stops_its_note_before_its_slot_is_freed():
+    # Request b of the same note waits for the one slot that a holds. a's
+    # MalformedResponse marks the note before it frees the slot, so b never
+    # reaches the backend.
+    backend = _HeldBackend("a")
+    complete = backend.complete
+
+    def failing_complete(request):
+        complete(request)
+        raise MalformedResponse(f"no reply to {request}")
+
+    backend.complete = failing_complete
+    errors = {}
+    with cli._Scheduler(backend, 1) as scheduler:
+        lane = cli._Lane(scheduler, 0)
+
+        def send(request):
+            try:
+                scheduler.request(lane, request)
+            except BackendError as exc:
+                errors[request] = exc
+
+        threads = [threading.Thread(target=send, args=(request,)) for request in ("a", "b")]
+        threads[0].start()
+        _until(lambda: backend.started == ["a"])
+        threads[1].start()
+        _until(lambda: len(scheduler._waiting) == 1)
+        backend.held["a"].set()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    assert backend.started == ["a"]
+    assert isinstance(errors["a"], MalformedResponse)
+    assert type(errors["b"]) is BackendError and "note stopped after an error" in str(errors["b"])
 
 
 @pytest.mark.parametrize("workers", [2, 3])
