@@ -28,6 +28,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
+from email.utils import parsedate_to_datetime
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlparse
 
@@ -57,6 +58,10 @@ class AuthError(BackendError):
 
 class RateLimited(BackendError):
     retryable = True
+
+    def __init__(self, message: str, retry_after: Optional[float] = None):
+        super().__init__(message)
+        self.retry_after = retry_after  # seconds the server asked to wait, if it said
 
 
 class ServerError(BackendError):
@@ -132,6 +137,22 @@ class TokenBucket:
             time.sleep(wait)
 
 
+def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
+    """Seconds a ``Retry-After`` value asks to wait, as delta-seconds or an
+    HTTP-date (RFC 9110 §10.2.3); None when absent or unreadable."""
+    if value is None:
+        return None
+    try:
+        return max(0.0, float(value))
+    except ValueError:
+        pass
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    return max(0.0, when.timestamp() - time.time())
+
+
 class HttpBackend:
     """POSTs chat-completion requests to ``<endpoint>/chat/completions``."""
 
@@ -180,7 +201,7 @@ class HttpBackend:
         if response.status_code in (401, 403):
             raise AuthError(f"status {response.status_code}")
         if response.status_code == 429:
-            raise RateLimited("status 429")
+            raise RateLimited("status 429", _retry_after_seconds(response.headers.get("Retry-After")))
         if response.status_code >= 500:
             raise ServerError(f"status {response.status_code}")
         if response.status_code != 200:
@@ -206,7 +227,9 @@ def complete_with_retry(
     """Retry retryable failures with exponential backoff and full jitter.
 
     Attempt ``n`` (0-based) sleeps uniform(0, base_delay * 2**n) before the
-    next try. Non-retryable errors propagate immediately.
+    next try, or longer if a 429 asked for a longer wait; a 429 that asks for
+    more than ``REQUEST_TIMEOUT_S`` propagates at once, as do non-retryable
+    errors.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
@@ -218,7 +241,13 @@ def complete_with_retry(
         except BackendError as exc:
             if not exc.retryable or attempt >= max_retries:
                 raise
-            sleep(pick(0.0, base_delay * (2 ** attempt)))
+            delay = pick(0.0, base_delay * (2 ** attempt))
+            asked = exc.retry_after if isinstance(exc, RateLimited) else None
+            if asked is not None:
+                if asked > REQUEST_TIMEOUT_S:
+                    raise
+                delay = max(delay, asked)
+            sleep(delay)
             attempt += 1
 
 

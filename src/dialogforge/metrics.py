@@ -23,6 +23,22 @@ and its zero bits below bit ``l`` count LCS(a[:k], b[:l]). ``rouge_lsum``
 runs it on both lines reversed, so LCS(a[i:], b[j:]) = (m - j) -
 popcount(rows[n - i] & (2**(m - j) - 1)) and each walk step reads one bit.
 
+``rouge_lsum`` runs the kernel once per target line against all opposing
+lines at once (multiple-pattern packing; Hyyrö, Fredriksson & Navarro, ACM
+JEA 2005). Each non-empty opposing line, reversed, gets its own field of one
+wide int, with a zero guard bit above it; a token's mask ORs its position
+masks at each field's offset, and ``full`` ORs the fields without their guard
+bits. The step is unchanged and each field equals its own single-line run:
+``u ⊆ v`` inside every field, so ``v - u`` never borrows across a field, and a
+carry out of ``v + u`` stops in the zero guard bit, which ``& full`` clears.
+Each walk reads its bit at its field's offset. A walk can hit only target
+positions whose token occurs in its line, so a line is skipped once all of
+those are hit; that also stops a target line whose reachable positions are
+all hit. Lines are walked longest LCS first (read off the last row), which
+leaves the fewest to walk; the union of hits does not depend on the order.
+The cost is one kernel run over wide ints per target line, not one per line
+pair, plus the walks that can still add a hit.
+
 Self-BLEU counts each utterance's n-grams once. Per n-gram, the largest count,
 its owner and the second-largest count give the best count among any
 utterance's siblings in O(1): O(n-grams) per dialogue, not O(T^2) Counter
@@ -33,7 +49,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from math import exp, log
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .concepts import Lexicon, reportable_concepts, words
 from .model import Dialogue, EvalReport, GenerationConfig, format_transcript, split_lines
@@ -83,9 +99,9 @@ def _match_masks(b: Sequence[str]) -> Dict[str, int]:
     return masks
 
 
-def _lcs_rows(a: Sequence[str], masks: Dict[str, int], m: int) -> List[int]:
-    """Rows 0..len(a) of the bit-parallel LCS table of ``a`` against ``masks``."""
-    full = (1 << m) - 1
+def _lcs_rows(a: Sequence[str], masks: Dict[str, int], full: int) -> List[int]:
+    """Rows 0..len(a) of the bit-parallel LCS table of ``a`` against ``masks``,
+    whose pattern bits are those of ``full``."""
     v = full
     rows = [v]
     for token in a:
@@ -96,7 +112,7 @@ def _lcs_rows(a: Sequence[str], masks: Dict[str, int], m: int) -> List[int]:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    return len(b) - _lcs_rows(a, _match_masks(b), len(b))[-1].bit_count()
+    return len(b) - _lcs_rows(a, _match_masks(b), (1 << len(b)) - 1)[-1].bit_count()
 
 
 def rouge_l(hyp: TokenizedText, ref: TokenizedText) -> float:
@@ -107,24 +123,23 @@ def rouge_l(hyp: TokenizedText, ref: TokenizedText) -> float:
     return _f1(lcs / len(hyp.tokens), lcs / len(ref.tokens))
 
 
-def _earliest_lcs_positions(
-    a: Sequence[str], b: Sequence[str], reversed_masks: Dict[str, int]
-) -> Set[int]:
-    """Positions in ``a`` of the greedy earliest maximum-length alignment, given
-    the match masks of ``b[::-1]``. Takes a match whenever the tokens agree (a
-    match always starts a maximal alignment); else advances in ``b`` unless
-    that shortens the alignment, keeping the earliest ``a`` positions free."""
+def _earliest_lcs_positions(a: Sequence[str], b: Sequence[str], rows: List[int], offset: int) -> int:
+    """Bitmask of the positions in ``a`` of the greedy earliest maximum-length
+    alignment, given the rows of ``a[::-1]`` against ``b[::-1]``, whose field
+    starts at bit ``offset``. Takes a match whenever the tokens agree (a match
+    always starts a maximal alignment); else advances in ``b`` unless that
+    shortens the alignment, keeping the earliest ``a`` positions free."""
     n, m = len(a), len(b)
-    rows = _lcs_rows(a[::-1], reversed_masks, m)
-    positions: Set[int] = set()
+    top = offset + m - 1
+    positions = 0
     i = j = 0
     while i < n and j < m:
         if a[i] == b[j]:
-            positions.add(i)
+            positions |= 1 << i
             i += 1
             j += 1
         # LCS(a[i:], b[j + 1:]) == LCS(a[i:], b[j:]) exactly when this bit is set
-        elif rows[n - i] >> (m - j - 1) & 1:
+        elif rows[n - i] >> (top - j) & 1:
             j += 1
         else:
             i += 1
@@ -132,15 +147,57 @@ def _earliest_lcs_positions(
 
 
 def _union_hits(target_lines: List[Tuple[str, ...]], other_lines: List[Tuple[str, ...]]) -> int:
-    opposing = [(other, _match_masks(other[::-1])) for other in other_lines if other]
+    """Sum over ``target_lines`` of the positions hit by the earliest LCS
+    against any of ``other_lines``, from one packed kernel run a target line."""
+    fields: List[Tuple[Tuple[str, ...], int, int]] = []  # (line, offset, field mask)
+    masks: Dict[str, int] = {}
+    lines_with: Dict[str, int] = {}  # token -> bitmask of the fields holding it
+    full = offset = 0
+    for other in other_lines:
+        if not other:
+            continue
+        line_bit = 1 << len(fields)
+        for token, mask in _match_masks(other[::-1]).items():
+            masks[token] = masks.get(token, 0) | mask << offset
+            lines_with[token] = lines_with.get(token, 0) | line_bit
+        field = (1 << len(other)) - 1
+        fields.append((other, offset, field))
+        full |= field << offset
+        offset += len(other) + 1  # the guard bit stays zero
     total = 0
     for target in target_lines:
-        hits: Set[int] = set()
-        present = set(target)
-        for other, reversed_masks in opposing:
-            if not present.isdisjoint(reversed_masks):
-                hits |= _earliest_lcs_positions(target, other, reversed_masks)
-        total += len(hits)
+        at: Dict[str, int] = {}  # token -> bitmask of its target positions
+        for i, token in enumerate(target):
+            if token in lines_with:
+                at[token] = at.get(token, 0) | 1 << i
+        # (its positions, the fields holding it) per token with a position not yet hit
+        open_tokens = [(positions, lines_with[token]) for token, positions in at.items()]
+        pending = 0
+        for _, lines in open_tokens:
+            pending |= lines
+        if not pending:
+            continue
+        rows = _lcs_rows(target[::-1], masks, full)
+        last = rows[-1]
+        # longest LCS first: a field's LCS is its line's length less the set
+        # bits of its last row
+        negated_lcs = [(last >> offset & field).bit_count() - len(other) for other, offset, field in fields]
+        order = sorted(range(len(fields)), key=negated_lcs.__getitem__)
+        hits = 0
+        for k in order:
+            if not pending >> k & 1:
+                continue
+            other, offset, _ = fields[k]
+            new = _earliest_lcs_positions(target, other, rows, offset) & ~hits
+            if new:
+                hits |= new
+                open_tokens = [(positions, lines) for positions, lines in open_tokens if positions & ~hits]
+                pending = 0
+                for _, lines in open_tokens:
+                    pending |= lines
+                if not pending:
+                    break
+        total += hits.bit_count()
     return total
 
 

@@ -9,6 +9,9 @@ matching before selecting the canonical one. Header matching scores every
 canonical heading with the full edit-distance table, with no filter, and
 segmentation cuts lines with a regular expression. Only suitable for short
 inputs.
+``reference_union_hits`` is polynomial: it runs the bit-parallel LCS kernel
+once for every line pair, not once per line against a packed side, so it
+checks the packing on lines too long for the enumeration above.
 ``oracle_mark_covered`` is the exception: it checks only the order of the
 coverage checks, so it tags text with the production tagger, which the
 concept oracles above verify on their own.
@@ -127,6 +130,50 @@ def oracle_earliest_positions(a, b):
     if comb(len(a), length) <= _ENUM_LIMIT:
         return _earliest_by_enumeration(a, b, length)
     return _earliest_by_definition(a, b, length)
+
+
+def _reversed_lcs_rows(a, b):
+    """Bit-parallel LCS rows of ``a[::-1]`` against ``b[::-1]``, one pair at a
+    time: bit ``m - j - 1`` of row ``n - i`` is set exactly when
+    LCS(a[i:], b[j + 1:]) == LCS(a[i:], b[j:])."""
+    masks = {}
+    for j, token in enumerate(reversed(b)):
+        masks[token] = masks.get(token, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
+    rows = [v]
+    for token in reversed(a):
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+        rows.append(v)
+    return rows
+
+
+def reference_union_hits(target_lines, other_lines):
+    """Sum over ``target_lines`` of the positions hit by the greedy earliest
+    LCS against any of ``other_lines``: one kernel run and one walk for every
+    line pair that shares a token. Polynomial, so it reaches lines far longer
+    than ``oracle_rouge_lsum`` does."""
+    total = 0
+    for a in target_lines:
+        hits = set()
+        for b in other_lines:
+            if set(a).isdisjoint(b):
+                continue
+            n, m = len(a), len(b)
+            rows = _reversed_lcs_rows(a, b)
+            i = j = 0
+            while i < n and j < m:
+                if a[i] == b[j]:
+                    hits.add(i)
+                    i += 1
+                    j += 1
+                elif rows[n - i] >> (m - j - 1) & 1:
+                    j += 1
+                else:
+                    i += 1
+        total += len(hits)
+    return total
 
 
 def oracle_rouge_lsum(hyp_lines, ref_lines):

@@ -1,6 +1,8 @@
 import json
 import random
 import threading
+import time
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -236,7 +238,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.server.seen.append(
             {"path": self.path, "headers": dict(self.headers), "body": json.loads(raw)}
         )
-        status, payload = (
+        # a reply is (status, payload) or (status, payload, extra headers)
+        status, payload, *extra = (
             self.server.replies.pop(0)
             if self.server.replies
             else (200, json.dumps({"choices": [{"message": {"content": "stub reply"}}]}))
@@ -245,6 +248,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -334,6 +339,38 @@ def test_http_retry_integration(stub_server):
     reply = complete_with_retry(backend, user_request("hi"), max_retries=3, base_delay=0.0)
     assert reply == "finally"
     assert len(stub_server.seen) == 3
+
+
+def _retry_after_run(server, value, max_retries=3):
+    """complete_with_retry against one 429 carrying ``Retry-After: value``,
+    then a reply; returns (reply or raised error, the sleeps asked for)."""
+    body = json.dumps({"choices": [{"message": {"content": "later"}}]})
+    server.replies.extend([(429, "{}", {"Retry-After": value}), (200, body)])
+    backend = HttpBackend(_endpoint(server), "m", api_key="k")
+    sleeps = []
+    try:
+        return complete_with_retry(
+            backend, user_request("hi"), max_retries=max_retries, base_delay=0.0, sleep=sleeps.append
+        ), sleeps
+    except RateLimited as exc:
+        return exc, sleeps
+
+
+def test_http_retry_after_seconds_sets_the_wait(stub_server):
+    reply, sleeps = _retry_after_run(stub_server, "0.05")
+    assert reply == "later" and sleeps == [0.05] and len(stub_server.seen) == 2
+
+
+def test_http_retry_after_date_sets_the_wait(stub_server):
+    reply, sleeps = _retry_after_run(stub_server, formatdate(time.time() + 30, usegmt=True))
+    # an HTTP-date has whole seconds, so the wait is 29 to 30 s
+    assert reply == "later" and len(sleeps) == 1 and 28.0 < sleeps[0] <= 30.0
+
+
+def test_http_retry_after_longer_than_the_request_timeout_gives_up(stub_server):
+    error, sleeps = _retry_after_run(stub_server, str(int(backend_module.REQUEST_TIMEOUT_S) + 60))
+    assert isinstance(error, RateLimited) and error.retry_after == backend_module.REQUEST_TIMEOUT_S + 60
+    assert sleeps == [] and len(stub_server.seen) == 1
 
 
 def test_http_rejects_bad_endpoint():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from dialogforge.metrics import (
     _earliest_lcs_positions,
     _lcs_length,
+    _lcs_rows,
     _match_masks,
+    _union_hits,
     bleu,
     concept_scores,
     evaluate_corpus,
@@ -32,6 +34,7 @@ from oracles import (
     oracle_rouge_n,
     oracle_self_bleu,
     otokenize,
+    reference_union_hits,
 )
 
 VOCAB = ["the", "cat", "sat", "mat", "dog", "ran", "fast", "home", "red", "big", "now", "then"]
@@ -333,7 +336,9 @@ def test_lcs_length_matches_oracle(pair):
 @example((LONG_B[:20], LONG_A))
 def test_earliest_lcs_positions_match_oracle(pair):
     a, b = pair
-    assert _earliest_lcs_positions(a, b, _match_masks(b[::-1])) == oracle_earliest_positions(a, b)
+    rows = _lcs_rows(a[::-1], _match_masks(b[::-1]), (1 << len(b)) - 1)
+    positions = _earliest_lcs_positions(a, b, rows, 0)
+    assert {i for i in range(len(a)) if positions >> i & 1} == oracle_earliest_positions(a, b)
 
 
 @given(line_sets())
@@ -341,6 +346,30 @@ def test_earliest_lcs_positions_match_oracle(pair):
 def test_rouge_lsum_matches_oracle(lines):
     hyp, ref = lines
     assert abs(rouge_lsum(hyp, ref) - oracle_rouge_lsum(hyp, ref)) < 1e-6
+
+
+@st.composite
+def packed_line_sets(draw):
+    alphabet = LETTERS[: draw(st.integers(1, 4))]
+    line = st.lists(st.sampled_from(alphabet), max_size=80).map(tuple)
+    return draw(st.lists(line, max_size=12)), draw(st.lists(line, max_size=12))
+
+
+# Fields of 63, 64 and 65 tokens put a guard bit on, and a field across, a
+# 64-bit word boundary; fifteen 70-token lines pack into over 1,024 bits.
+WORD_EDGE = [LONG_A[:63], LONG_B[:64], LONG_A[:65]]
+WIDE = [LONG_A[k:] + LONG_A[:k] for k in range(15)]
+
+
+@given(packed_line_sets())
+@example(([("a", "b"), ("b",)], [(), ()]))
+@example(([("a",), ("b",), ()], [("a",), ("a",), ("b",)]))
+@example((WORD_EDGE, WORD_EDGE[::-1] + [LONG_B[:40]]))
+@example((WIDE[:3] + [LONG_B], WIDE))
+def test_packed_union_hits_match_reference(lines):
+    targets, others = lines
+    assert _union_hits(targets, others) == reference_union_hits(targets, others)
+    assert _union_hits(others, targets) == reference_union_hits(others, targets)
 
 
 @given(dialogue_texts())

@@ -286,12 +286,25 @@ def test_a_failed_chain_stops_its_note_and_no_other(tmp_path, monkeypatch, worke
             failed["on"] = failed["on"] and not fail
         time.sleep(0.002)
         if fail:
-            with lock:
-                started.append("failure")
             raise MalformedResponse("no reply")
         return complete(backend, request)
 
+    scheduler_request = cli._Scheduler.request
+
+    def marking_request(scheduler, lane, request):
+        # Recorded once the failure has left the scheduler, which has marked
+        # the note by then. A request of the note recorded after the failure
+        # passed the gate after the mark, unless the few steps from its gate
+        # to its record outlast the failed request's whole unwind.
+        try:
+            return scheduler_request(scheduler, lane, request)
+        except MalformedResponse:
+            with lock:
+                started.append("failure")
+            raise
+
     monkeypatch.setattr(MockBackend, "complete", failing_complete)
+    monkeypatch.setattr(cli._Scheduler, "request", marking_request)
     code, full = _generate(tmp_path, NOTES_PATH, "--workers", str(workers))
     assert code == 0 and "failure" not in started
     started.clear()
