@@ -116,7 +116,7 @@ class TokenBucket:
     """Thread-safe request gate refilled at ``per_minute`` tokens a minute."""
 
     def __init__(self, per_minute: float):
-        if per_minute <= 0:
+        if not per_minute > 0:  # NaN too
             raise ValueError("per_minute must be positive")
         self._per_second = per_minute / 60.0
         # Room for one token at least, or a rate under one a minute grants nothing.

@@ -29,7 +29,7 @@ from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Seq
 from .backend import AuthError, BackendError, ENDPOINT_ENV, HttpBackend, MockBackend
 from .concepts import LexiconError, load_lexicon, reportable_concepts
 from .metrics import evaluate_corpus, render_report_table
-from .model import MODES, ClinicalNote, Dialogue, GenerationConfig, ModelError, Provenance, Utterance, validate
+from .model import MODES, ClinicalNote, Dialogue, GenerationConfig, ModelError, Utterance, validate
 from .prompts import load_templates
 from .refiner import run_full_pipeline
 from .segmenter import segment_note
@@ -157,7 +157,7 @@ def _read_dialogues(path: str) -> List[Dialogue]:
             turns = tuple(Utterance(turn["speaker"], turn["text"]) for turn in record["turns"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{where}: bad turn record ({exc})") from exc
-        dialogues.append(Dialogue(dialogue_id, turns, Provenance.COMBINED))
+        dialogues.append(Dialogue(dialogue_id, turns))
     return dialogues
 
 
@@ -409,11 +409,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 if dialogue is None:
                     missing += 1
                     continue
+                checklist = dialogue.meta["checklist"]
                 _write_record(out, {
                     "id": note.id,
                     "mode": cfg.mode,
                     "turns": [{"speaker": t.speaker.value, "text": t.text} for t in dialogue.turns],
-                    "coverage": dialogue.meta["coverage"],
+                    "coverage": {"covered": checklist.covered_count(), "total": len(checklist)},
                 })
                 out.flush()
         except AuthError as exc:

@@ -8,6 +8,7 @@ immutable except :class:`Checklist`, whose covered flags only flip to True.
 would. A transcript line ends only at ``\n``, ``\r\n`` or ``\r``.
 """
 
+import math
 import re
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
@@ -102,13 +103,6 @@ class Speaker(str, Enum):
     PATIENT = "patient"
 
 
-class Provenance(str, Enum):
-    RAW = "raw"
-    POLISHED = "polished"
-    CHECKED = "checked"
-    COMBINED = "combined"
-
-
 @dataclass(frozen=True)
 class Utterance:
     speaker: Speaker
@@ -124,27 +118,18 @@ class Utterance:
 class Dialogue:
     """An ordered conversation attributed to a note.
 
-    ``meta`` carries non-contractual bookkeeping (coverage counts, per-round
-    keyword assignments, termination reason) and is excluded from equality.
-    Raw dialogues must strictly alternate doctor/patient starting with the
-    doctor; refined provenances may relax alternation.
+    ``meta`` holds only what the turns cannot give back and is excluded from
+    equality: a section loop's ``checklist``, ``termination`` and
+    ``round_keywords``, or the note's ``checklist`` from ``run_full_pipeline``.
+    Nothing changes it once the dialogue is built.
     """
 
     note_id: str
     turns: Tuple[Utterance, ...]
-    provenance: Provenance = Provenance.RAW
     meta: Dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "turns", tuple(self.turns))
-        object.__setattr__(self, "provenance", Provenance(self.provenance))
-        if self.provenance is Provenance.RAW:
-            for i, turn in enumerate(self.turns):
-                expected = Speaker.DOCTOR if i % 2 == 0 else Speaker.PATIENT
-                if turn.speaker is not expected:
-                    raise ModelError(
-                        f"raw dialogue turn {i} is {turn.speaker.value}, expected {expected.value}"
-                    )
 
 
 def format_transcript(turns: Sequence[Utterance]) -> str:
@@ -357,8 +342,10 @@ class GenerationConfig:
         if self.max_reply_tokens < 1:
             raise ModelError("max_reply_tokens must be positive")
         for name in ("temperature", "max_retries", "retry_base_delay"):
-            if getattr(self, name) < 0:
-                raise ModelError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            # Not ``value < 0``, which lets NaN through.
+            if not (math.isfinite(value) and value >= 0):
+                raise ModelError(f"{name} must be finite and >= 0, got {value}")
         if self.mode not in MODES:
             raise ModelError(f"mode must be short or long, got {self.mode!r}")
         for name in ("similarity_threshold", "concept_threshold"):

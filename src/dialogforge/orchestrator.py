@@ -21,7 +21,6 @@ from .model import (
     GenerationConfig,
     NoteSection,
     PromptTemplate,
-    Provenance,
     Speaker,
     TEMPLATE_SLOT_RE,
     Utterance,
@@ -213,7 +212,8 @@ def run_section_loop(
     templates: Optional[Dict[str, PromptTemplate]] = None,
     note_id: str = "",
 ) -> Dialogue:
-    """Generate a raw dialogue for one section.
+    """Generate a dialogue for one section, with ``meta`` keeping its
+    ``checklist``, ``termination`` reason and ``round_keywords``.
 
     A section with no filtered concepts yields an empty dialogue without any
     backend calls. When the factuality pass is enabled, entries still missing
@@ -233,14 +233,7 @@ def run_section_loop(
         if cfg.enable_factuality:
             if checklist.uncovered():
                 run_round(state, section, lexicon, backend, cfg, templates)
-            dialogue = Dialogue(note_id, tuple(state.history), Provenance.RAW)
-            factuality_check(dialogue, section, checklist, backend, cfg, templates)
+            factuality_check(Dialogue(note_id, state.history), section, checklist, backend, cfg, templates)
 
-    meta = {
-        "coverage": {"covered": checklist.covered_count(), "total": len(checklist)},
-        "termination": reason,
-        "round_keywords": state.round_keywords,
-        "uncovered": [e.surface for e in checklist.uncovered()],
-        "checklist": checklist,
-    }
-    return Dialogue(note_id=note_id, turns=tuple(state.history), provenance=Provenance.RAW, meta=meta)
+    meta = {"checklist": checklist, "termination": reason, "round_keywords": state.round_keywords}
+    return Dialogue(note_id, state.history, meta)

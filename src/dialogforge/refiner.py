@@ -6,10 +6,10 @@ caller's ``map_sections`` may run a note's section chains concurrently. The
 section dialogues are then folded left to right into one conversation by a
 merge pass, on the calling thread. All three passes go through one
 guarded rewrite, which reads the reply with ``model.parse_transcript``: if it
-cannot be parsed back into turns, or any previously covered keyword
-disappears from it, the pass keeps its input with a warning. For the merge
-the input is the concatenation of the two dialogues, so refinement can never
-lose coverage. The reported coverage is counted once, on the final turns,
+cannot be parsed back into turns, changes who speaks first, or loses any
+previously covered keyword, the pass keeps its input with a warning. For the
+merge the input is the concatenation of the two dialogues, so refinement can
+never lose coverage. The reported coverage is counted once, on the final turns,
 against the note's union checklist.
 """
 
@@ -24,11 +24,9 @@ from .model import (
     Dialogue,
     GenerationConfig,
     PromptTemplate,
-    Provenance,
     Unparseable,
     Utterance,
     parse_transcript,
-    validate,
 )
 from .orchestrator import _call, _request, run_section_loop
 from .prompts import DEFAULT_TEMPLATES
@@ -51,7 +49,6 @@ def _keyword_regression(
 
 def _rewrite_pass(
     stage: str,
-    provenance: Provenance,
     dialogue: Dialogue,
     note_body: str,
     checklist: Checklist,
@@ -66,24 +63,27 @@ def _rewrite_pass(
     """The one body of polish, hallucination_check and postedit_combine:
     ``head`` plus the parsed reply to the ``stage`` template bound to the
     conversations, note body and checklist, or ``dialogue`` itself when the
-    reply does not parse or drops a keyword covered in ``checklist``."""
+    reply does not parse, changes who speaks first or drops a keyword covered
+    in ``checklist``."""
     template = (templates or DEFAULT_TEMPLATES)[stage]
     bindings = {"conversation": conversation, "conversation2": conversation2, "note": note_body}
     bindings["keywords"] = list(checklist.entries)
-    keep = "concatenating turns" if provenance is Provenance.COMBINED else "keeping input"
+    keep = "concatenating turns" if stage == "postediting" else "keeping input"
     reply = _call(backend, _request(template, bindings, cfg), cfg, round_index=-1)
     try:
         turns = head + tuple(parse_transcript(reply))
     except Unparseable:
-        logger.warning("%s reply for note %r is unparseable; %s", template.name, dialogue.note_id, keep)
-        return dialogue
-    lost = _keyword_regression(checklist, turns, lexicon, cfg)
-    if lost:
-        logger.warning(
-            "%s reply for note %r dropped keywords %s; %s", template.name, dialogue.note_id, lost, keep
-        )
-        return dialogue
-    return Dialogue(dialogue.note_id, turns, provenance, meta=dict(dialogue.meta))
+        problem = "is unparseable"
+    else:
+        if turns[0].speaker is not dialogue.turns[0].speaker:
+            # The parser drops an untagged opening line, and its turn with it.
+            problem = "changes who speaks first"
+        elif lost := _keyword_regression(checklist, turns, lexicon, cfg):
+            problem = f"dropped keywords {lost}"
+        else:
+            return Dialogue(dialogue.note_id, turns)
+    logger.warning("%s reply for note %r %s; %s", template.name, dialogue.note_id, problem, keep)
+    return dialogue
 
 
 def polish(
@@ -95,13 +95,12 @@ def polish(
     cfg: GenerationConfig,
     templates: Optional[Dict[str, PromptTemplate]] = None,
 ) -> Dialogue:
-    """Fluency rewrite; falls through to the input on parse failure or any
-    coverage regression."""
+    """Fluency rewrite; falls through to the input on parse failure, a changed
+    first speaker or any coverage regression."""
     if not dialogue.turns:
         raise ValueError("polish requires a non-empty dialogue")
     return _rewrite_pass(
-        "polish", Provenance.POLISHED, dialogue, note_body, checklist, lexicon, backend, cfg, templates,
-        dialogue.turns,
+        "polish", dialogue, note_body, checklist, lexicon, backend, cfg, templates, dialogue.turns
     )
 
 
@@ -118,8 +117,7 @@ def hallucination_check(
     if not dialogue.turns:
         raise ValueError("hallucination_check requires a non-empty dialogue")
     return _rewrite_pass(
-        "hallucination", Provenance.CHECKED, dialogue, note_body, checklist, lexicon, backend, cfg, templates,
-        dialogue.turns,
+        "hallucination", dialogue, note_body, checklist, lexicon, backend, cfg, templates, dialogue.turns
     )
 
 
@@ -132,48 +130,24 @@ def postedit_combine(
     backend,
     cfg: GenerationConfig,
     templates: Optional[Dict[str, PromptTemplate]] = None,
+    head: int = 0,
 ) -> Dialogue:
     """Merge two section dialogues into one.
 
-    In long mode only the most recent segment of the accumulated conversation
-    (tracked via ``meta["tail_turns"]``) is bound into the prompt alongside
-    the new segment, which keeps merge contexts small on long conversations;
-    in short mode the full accumulated conversation is bound. The merge is
-    guarded like the other rewrites: if the reply does not parse or drops a
-    keyword covered in ``checklist``, the turns are concatenated verbatim.
+    The first ``head`` turns of ``left`` are kept verbatim and not bound into
+    the prompt; the rest of ``left`` is bound alongside ``right``. The merge
+    is guarded like the other rewrites, with the kept turns counted; when the
+    guard refuses the reply, the turns are concatenated verbatim.
     """
     if not left.turns:
         return right
     if not right.turns:
         return left
-
-    head: Tuple[Utterance, ...] = ()
-    bound_left = left.turns
-    tail = left.meta.get("tail_turns", 0)
-    if cfg.mode == "long" and 0 < tail < len(left.turns):
-        head = left.turns[:-tail]
-        bound_left = left.turns[-tail:]
-
-    concatenation = Dialogue(
-        left.note_id or right.note_id, left.turns + right.turns, Provenance.COMBINED, meta=dict(left.meta)
+    concatenation = Dialogue(left.note_id or right.note_id, left.turns + right.turns)
+    return _rewrite_pass(
+        "postediting", concatenation, note_body, checklist, lexicon, backend, cfg, templates,
+        left.turns[head:], right.turns, left.turns[:head],
     )
-    merged = _rewrite_pass(
-        "postediting", Provenance.COMBINED, concatenation, note_body, checklist, lexicon, backend, cfg,
-        templates, bound_left, right.turns, head,
-    )
-    # The merge tail standing in for the newest topic segment next time.
-    merged.meta["tail_turns"] = min(len(merged.turns) - len(head), len(right.turns))
-    return merged
-
-
-def _note_meta(checklist: Checklist) -> Dict:
-    """The note's bookkeeping, all of it from the recount of the final turns."""
-    return {
-        "coverage": {"covered": checklist.covered_count(), "total": len(checklist)},
-        "keywords": [e.surface for e in checklist.entries],
-        "uncovered": [e.surface for e in checklist.uncovered()],
-        "checklist": checklist,
-    }
 
 
 def run_full_pipeline(
@@ -192,11 +166,17 @@ def run_full_pipeline(
     after another; a caller's ``map_sections`` may run them concurrently. The
     merge fold then runs here, left to right.
 
+    In short mode every merge binds the whole conversation so far. In long
+    mode a later merge binds only the newest turns the previous merge wrote,
+    at most as many as its right side had, and keeps the older ones verbatim.
+
+    The result holds the turns and ``meta["checklist"]``: the note's CUIs once
+    each, first section first, marked on the final turns.
+
     Sections whose checklist is empty are skipped; a note with no concept
     hits anywhere returns an empty dialogue without touching the backend.
     Backend errors propagate so the caller can retry the whole note.
     """
-    validate(note)
     sections = segment_note(note, cfg.similarity_threshold)
 
     def refine(section) -> Optional[Tuple[Dialogue, Checklist]]:
@@ -211,7 +191,7 @@ def run_full_pipeline(
     refined = [r for r in map_sections(refine, sections) if r is not None]
 
     if not refined:
-        return Dialogue(note.id, (), Provenance.COMBINED, meta=_note_meta(Checklist(())))
+        return Dialogue(note.id, (), {"checklist": Checklist(())})
 
     # The note's checklist: each CUI once, first section first.
     by_cui: Dict[str, ConceptEntry] = {}
@@ -222,7 +202,7 @@ def run_full_pipeline(
     position = {cui: index for index, cui in enumerate(by_cui)}
 
     combined = refined[0][0]
-    combined.meta.setdefault("tail_turns", len(combined.turns))
+    head = 0  # the leading turns of ``combined`` that merges keep unbound
     for fold, (dialogue, checklist) in enumerate(refined):
         # The merge guard protects what the folded sections have covered.
         for entry, done in zip(checklist.entries, checklist.covered):
@@ -230,9 +210,11 @@ def run_full_pipeline(
                 union.mark(position[entry.cui])
         if fold:
             combined = postedit_combine(
-                combined, dialogue, note.text, union, lexicon, backend, cfg, templates
+                combined, dialogue, note.text, union, lexicon, backend, cfg, templates, head
             )
+            if cfg.mode == "long":
+                head = max(head, len(combined.turns) - len(dialogue.turns))
 
     final = Checklist(union.entries)
     mark_covered(final, combined.turns, lexicon, cfg)
-    return Dialogue(combined.note_id, combined.turns, combined.provenance, meta=_note_meta(final))
+    return Dialogue(note.id, combined.turns, {"checklist": final})

@@ -15,7 +15,6 @@ from dialogforge.model import (
     Dialogue,
     GenerationConfig,
     NoteSection,
-    Provenance,
     SectionHeader,
     Speaker,
     Utterance,
@@ -82,12 +81,24 @@ def user_request(prompt, max_reply_tokens=256, temperature=0.7):
     return ChatRequest((ChatMessage("user", prompt),), max_reply_tokens, temperature)
 
 
-def make_dialogue(*texts, note_id="d", provenance=Provenance.RAW):
+def make_dialogue(*texts, note_id="d"):
     turns = []
     for i, text in enumerate(texts):
         speaker = Speaker.DOCTOR if i % 2 == 0 else Speaker.PATIENT
         turns.append(Utterance(speaker, text))
-    return Dialogue(note_id, tuple(turns), provenance)
+    return Dialogue(note_id, tuple(turns))
+
+
+def coverage(dialogue):
+    """``{"covered", "total"}`` of the checklist in the dialogue's meta, as a
+    generate record counts it."""
+    checklist = dialogue.meta["checklist"]
+    return {"covered": checklist.covered_count(), "total": len(checklist)}
+
+
+def uncovered(dialogue):
+    """The surfaces the checklist in the dialogue's meta leaves uncovered."""
+    return [entry.surface for entry in dialogue.meta["checklist"].uncovered()]
 
 
 class ScriptedBackend:

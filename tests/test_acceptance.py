@@ -25,8 +25,10 @@ from conftest import (
     LEXICON_PATH,
     NOTES_PATH,
     SUITE_SECONDS,
+    coverage,
     make_dialogue,
     make_section,
+    uncovered,
     user_request,
 )
 from oracles import (
@@ -187,9 +189,7 @@ def test_criterion_4_loop_coverage_property(lexicon):
             body = " ".join(f"The chart mentions {s} this visit." for s in surfaces)
             cfg = GenerationConfig(keywords_per_turn=4, max_rounds=math.ceil(k / 4))
             dialogue = run_section_loop(make_section(body), lexicon, MockBackend(), cfg)
-            coverage = dialogue.meta["coverage"]
-            assert coverage["total"] == k
-            assert coverage["covered"] == k, f"uncovered: {dialogue.meta['uncovered']}"
+            assert coverage(dialogue) == {"covered": k, "total": k}, f"uncovered: {uncovered(dialogue)}"
             rounds = len(dialogue.turns) // 2
             assert rounds == math.ceil(k / 4)
             _LOOP_DIALOGUES.append((dialogue, cfg))

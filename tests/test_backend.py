@@ -383,6 +383,11 @@ def test_http_rejects_zero_requests_per_minute():
         HttpBackend("http://127.0.0.1:9", "m", requests_per_minute=0)
 
 
+def test_token_bucket_rejects_a_nan_rate():
+    with pytest.raises(ValueError, match="per_minute must be positive"):
+        TokenBucket(float("nan"))
+
+
 def test_token_bucket_allows_burst_within_capacity():
     bucket = TokenBucket(per_minute=600000)
     for _ in range(5):

@@ -435,7 +435,11 @@ def test_generate_per_note_failures_exit_nonzero(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "setting", ["max_retries=-1", "temperature=-1", "max_reply_tokens=0", "retry_base_delay=-1"]
+    "setting",
+    [
+        "max_retries=-1", "temperature=-1", "max_reply_tokens=0", "retry_base_delay=-1",
+        "retry_base_delay=nan", "retry_base_delay=inf", "temperature=nan",
+    ],
 )
 def test_generate_rejects_out_of_range_request_setting_before_any_note(
     tmp_path, capsys, caplog, setting
@@ -687,7 +691,7 @@ def test_evaluate_concept_threshold_flag_is_read(tmp_path):
 
 def test_evaluate_report_matches_library_evaluator(tmp_path, lexicon, cfg):
     from dialogforge.metrics import evaluate_corpus
-    from dialogforge.model import Dialogue, Provenance, Utterance
+    from dialogforge.model import Dialogue, Utterance
 
     _, hyp_path = _generate(tmp_path, "--mock", "--mode", "short")
     long_out = tmp_path / "long.jsonl"
@@ -726,7 +730,7 @@ def test_evaluate_report_matches_library_evaluator(tmp_path, lexicon, cfg):
         dialogues = []
         for record in _read_jsonl(path):
             turns = tuple(Utterance(t["speaker"], t["text"]) for t in record["turns"])
-            dialogues.append(Dialogue(record["id"], turns, Provenance.COMBINED))
+            dialogues.append(Dialogue(record["id"], turns))
         return dialogues
 
     refs = {d.note_id: d for d in load(long_out)}

@@ -15,7 +15,6 @@ from dialogforge.model import (
     GenerationConfig,
     ModelError,
     PromptTemplate,
-    Provenance,
     SectionHeader,
     SemanticGroup,
     STAGE_SLOTS,
@@ -72,21 +71,9 @@ def test_utterance_validation():
         Utterance(Speaker.DOCTOR, "")
 
 
-def test_raw_dialogue_requires_alternation():
-    make_dialogue("q", "a", "q2", "a2")  # fine
-    with pytest.raises(ModelError, match="raw dialogue turn 0 is patient, expected doctor"):
-        Dialogue("d", (Utterance(Speaker.PATIENT, "hi"),), Provenance.RAW)
-    with pytest.raises(ModelError, match="raw dialogue turn 1 is doctor, expected patient"):
-        Dialogue(
-            "d",
-            (Utterance(Speaker.DOCTOR, "q"), Utterance(Speaker.DOCTOR, "q2")),
-            Provenance.RAW,
-        )
-
-
 def test_combined_dialogue_relaxes_alternation():
     turns = (Utterance(Speaker.PATIENT, "hi"), Utterance(Speaker.PATIENT, "again"))
-    d = Dialogue("d", turns, Provenance.COMBINED)
+    d = Dialogue("d", turns)
     assert len(d.turns) == 2
 
 
@@ -201,6 +188,14 @@ def test_generation_config_request_settings_bounds():
     for setting in ({"max_reply_tokens": 0}, {"temperature": -0.1}, {"max_retries": -1}, {"retry_base_delay": -0.5}):
         with pytest.raises(ModelError):
             GenerationConfig(**setting)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["temperature", "retry_base_delay"])
+def test_generation_config_rejects_non_finite_request_settings(name, value):
+    # NaN compares False with everything, so a plain ``< 0`` check let it in.
+    with pytest.raises(ModelError, match=f"{name} must be finite and >= 0"):
+        GenerationConfig(**{name: value})
 
 
 def test_utterance_rejects_non_string_text():

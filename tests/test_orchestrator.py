@@ -6,7 +6,6 @@ from dialogforge.backend import MockBackend, RateLimited
 from dialogforge.concepts import build_checklist
 from dialogforge.model import (
     GenerationConfig,
-    Provenance,
     SemanticGroup,
     Speaker,
     Utterance,
@@ -26,7 +25,7 @@ from dialogforge.orchestrator import (
 )
 from dialogforge.prompts import DEFAULT_TEMPLATES
 
-from conftest import ScriptedBackend, make_section
+from conftest import ScriptedBackend, coverage, make_section, uncovered
 
 
 def reportable_surfaces(lexicon, count):
@@ -247,9 +246,8 @@ def test_loop_five_keywords_two_rounds(lexicon, cfg):
     section = section_with_keywords(reportable_surfaces(lexicon, 5))
     dialogue = run_section_loop(section, lexicon, MockBackend(), cfg, note_id="n")
     assert len(dialogue.turns) == 4
-    assert dialogue.meta["coverage"] == {"covered": 5, "total": 5}
+    assert coverage(dialogue) == {"covered": 5, "total": 5}
     assert dialogue.meta["termination"] == TERMINATE_CHECKLIST_EMPTY
-    assert dialogue.provenance is Provenance.RAW
 
 
 def test_loop_empty_checklist_no_backend_calls(lexicon, cfg):
@@ -257,7 +255,7 @@ def test_loop_empty_checklist_no_backend_calls(lexicon, cfg):
     dialogue = run_section_loop(make_section("nothing relevant"), lexicon, backend, cfg)
     assert dialogue.turns == ()
     assert backend.calls == 0
-    assert dialogue.meta["coverage"] == {"covered": 0, "total": 0}
+    assert coverage(dialogue) == {"covered": 0, "total": 0}
 
 
 def test_loop_round_cap_with_unhelpful_script(lexicon):
@@ -268,8 +266,8 @@ def test_loop_round_cap_with_unhelpful_script(lexicon):
     dialogue = run_section_loop(section, lexicon, ScriptedBackend(script), cfg)
     assert len(dialogue.turns) == 2
     assert dialogue.meta["termination"] == TERMINATE_MAX_ROUNDS
-    assert sorted(dialogue.meta["uncovered"]) == sorted(surfaces[4:])
-    assert dialogue.meta["coverage"] == {"covered": 4, "total": 8}
+    assert sorted(uncovered(dialogue)) == sorted(surfaces[4:])
+    assert coverage(dialogue) == {"covered": 4, "total": 8}
 
 
 def test_loop_factuality_extra_round_completes_coverage(lexicon):
@@ -280,8 +278,8 @@ def test_loop_factuality_extra_round_completes_coverage(lexicon):
     dialogue = run_section_loop(section, lexicon, backend, cfg)
     # one capped round, then one remediation round, then one verdict
     assert len(dialogue.turns) == 4
-    assert dialogue.meta["coverage"] == {"covered": 8, "total": 8}
-    assert dialogue.meta["uncovered"] == []
+    assert coverage(dialogue) == {"covered": 8, "total": 8}
+    assert uncovered(dialogue) == []
     assert [r.stage for r in backend.requests] == ["doctor", "patient", "doctor", "patient", "factuality"]
 
 
@@ -355,7 +353,7 @@ def test_loop_scripted_determinism(lexicon, cfg):
 
     first, second = run(), run()
     assert first.turns == second.turns
-    assert first.meta["coverage"] == second.meta["coverage"]
+    assert coverage(first) == coverage(second)
 
 
 def test_history_truncation_keeps_unanswered_question():
@@ -393,7 +391,7 @@ def test_note_key_words_line_does_not_replace_keywords(lexicon, cfg):
     body += section_with_keywords(surfaces[3:]).body
     backend = RecordingMock()
     dialogue = run_section_loop(make_section(body), lexicon, backend, cfg)
-    assert dialogue.meta["coverage"] == {"covered": 6, "total": 6}
+    assert coverage(dialogue) == {"covered": 6, "total": 6}
     assert len(dialogue.meta["round_keywords"]) == 2  # ceil(6 / 4)
     assert backend.requests[0].slots["keywords"] == ",".join(surfaces[:4])
     assert "none recorded" not in dialogue.turns[0].text

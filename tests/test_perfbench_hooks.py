@@ -80,3 +80,33 @@ def test_pipeline_request_carries_the_whole_prompt(lexicon, cfg, fixture_notes):
         assert len(request.messages) == 1
         body = DEFAULT_TEMPLATES[request.stage].body
         assert request.messages[-1].content == oracle_render(body, request.slots)
+
+
+def test_tracer_reads_hold_on_a_traced_run(tracing, lexicon, fixture_notes):
+    # ``_attrs`` reads the results of the traced functions (the section loop's
+    # ``meta`` among them). A read that no longer holds fails the traced
+    # benchmark only, so run the tracer here over a long-mode note of several
+    # sections, with the factuality pass, and over one evaluation.
+    import dialogforge
+    from dialogforge.backend import MockBackend
+    from dialogforge.model import GenerationConfig
+
+    for name in tracing.MODULES:
+        importlib.import_module(f"dialogforge.{name}")
+    cfg = GenerationConfig.for_mode("long", enable_factuality=True)
+    tracer = tracing.Tracer(dialogforge)
+    tracer.install()
+    try:
+        backend = MockBackend(style="long")
+        dialogue = dialogforge.refiner.run_full_pipeline(fixture_notes[0], lexicon, backend, cfg)
+        dialogforge.metrics.evaluate_corpus([(dialogue, dialogue)], lexicon, cfg)
+    finally:
+        tracer.remove()
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("refiner.postedit_combine") >= 1 and "orchestrator.factuality_check" in names
+    assert "metrics.evaluate_corpus" in names
+    assert [span for span in tracer.spans if "error" in span] == []
+    loops = [span for span in tracer.spans if span["name"] == "orchestrator.run_section_loop"]
+    assert len(loops) >= 2
+    assert all("rounds" in span and "termination" in span for span in loops)
+    assert sum(span["rounds"] for span in loops) > 0

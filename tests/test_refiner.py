@@ -15,8 +15,8 @@ from dialogforge.model import (
     ClinicalNote,
     Dialogue,
     GenerationConfig,
-    Provenance,
     Speaker,
+    Utterance,
     format_transcript,
 )
 from dialogforge.orchestrator import run_section_loop
@@ -30,23 +30,26 @@ from dialogforge.refiner import (
     run_full_pipeline,
 )
 
-from conftest import make_dialogue, make_section
+from conftest import coverage, make_dialogue, make_section, uncovered
 from oracles import oracle_mark_covered
 
 
 class Recorder:
-    """Wraps a backend and keeps every prompt it was sent, and the count of
-    requests per stage."""
+    """Wraps a backend and keeps every prompt it was sent, each request with
+    its reply, and the count of requests per stage."""
 
     def __init__(self, inner):
         self.inner = inner
         self.prompts = []
+        self.seen = []
         self.stages = Counter()
 
     def complete(self, request):
         self.prompts.append(request.messages[-1].content)
         self.stages[request.stage] += 1
-        return self.inner.complete(request)
+        reply = self.inner.complete(request)
+        self.seen.append((request, reply))
+        return reply
 
 
 def loop_dialogue(lexicon, cfg, body, backend=None):
@@ -110,7 +113,7 @@ def test_polish_identity_pass(lexicon, cfg):
     section, checklist, dialogue = loop_dialogue(lexicon, cfg, "aspirin and asthma daily")
     polished = polish(dialogue, section.body, checklist, lexicon, MockBackend(), cfg)
     assert polished.turns == dialogue.turns
-    assert polished.provenance is Provenance.POLISHED
+    assert polished is not dialogue  # the rewrite was taken
 
 
 def test_polish_regression_falls_back_to_input(lexicon, cfg, caplog):
@@ -120,7 +123,6 @@ def test_polish_regression_falls_back_to_input(lexicon, cfg, caplog):
     with caplog.at_level(logging.WARNING):
         result = polish(dialogue, section.body, checklist, lexicon, dropping, cfg)
     assert result is dialogue
-    assert result.provenance is Provenance.RAW
     assert any("dropped keywords" in r.message for r in caplog.records)
 
 
@@ -132,15 +134,25 @@ def test_polish_accepts_rewrite_that_keeps_keywords(lexicon, cfg):
     )
     backend = MockBackend(script=[reply])
     result = polish(dialogue, section.body, checklist, lexicon, backend, cfg)
-    assert result.provenance is Provenance.POLISHED
     assert [t.text for t in result.turns] == [
         "Let's go over your asthma first.",
         "My asthma is fine, and I still take aspirin.",
     ]
 
 
+def test_polish_reply_that_changes_the_first_speaker_keeps_input(lexicon, cfg, caplog):
+    # The question has lost its tag, so the parser drops it: the reply keeps
+    # every keyword but would open with the patient.
+    section, checklist, dialogue = loop_dialogue(lexicon, cfg, "aspirin and asthma daily")
+    reply = "Any aspirin or asthma?\nPatient: Aspirin daily, and my asthma is mild."
+    with caplog.at_level(logging.WARNING):
+        result = polish(dialogue, section.body, checklist, lexicon, MockBackend(script=[reply]), cfg)
+    assert result is dialogue
+    assert any("changes who speaks first; keeping input" in r.message for r in caplog.records)
+
+
 def test_polish_requires_non_empty_dialogue(lexicon, cfg):
-    empty = Dialogue("n", (), Provenance.RAW)
+    empty = Dialogue("n", ())
     with pytest.raises(ValueError):
         polish(empty, "body", build_checklist(make_section("x"), lexicon, cfg), lexicon, MockBackend(), cfg)
 
@@ -149,7 +161,7 @@ def test_hallucination_identity(lexicon, cfg):
     section, checklist, dialogue = loop_dialogue(lexicon, cfg, "metformin for diabetes")
     checked = hallucination_check(dialogue, section.body, checklist, lexicon, MockBackend(), cfg)
     assert checked.turns == dialogue.turns
-    assert checked.provenance is Provenance.CHECKED
+    assert checked is not dialogue  # the rewrite was taken
 
 
 def test_hallucination_unparseable_reply_keeps_input(lexicon, cfg, caplog):
@@ -166,8 +178,8 @@ def test_hallucination_accepts_removal_keeping_keywords(lexicon, cfg):
     reply = "Doctor: You take metformin for diabetes, correct?\nPatient: Yes."
     backend = MockBackend(script=[reply])
     result = hallucination_check(dialogue, section.body, checklist, lexicon, backend, cfg)
-    assert result.provenance is Provenance.CHECKED
-    assert len(result.turns) == 2
+    assert result is not dialogue
+    assert [t.text for t in result.turns] == ["You take metformin for diabetes, correct?", "Yes."]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +189,7 @@ def test_hallucination_accepts_removal_keeping_keywords(lexicon, cfg):
 
 def test_combine_identity_on_empty_left(lexicon, cfg):
     checklist = build_checklist(make_section("aspirin"), lexicon, cfg)
-    empty = Dialogue("n", (), Provenance.RAW)
+    empty = Dialogue("n", ())
     right = make_dialogue("q", "a", note_id="n")
     assert postedit_combine(empty, right, "body", checklist, lexicon, MockBackend(), cfg) is right
 
@@ -188,7 +200,6 @@ def test_combine_concatenation_mock(lexicon, cfg):
     right = make_dialogue("q2", "a2", note_id="n")
     combined = postedit_combine(left, right, "body", checklist, lexicon, MockBackend(), cfg)
     assert [t.text for t in combined.turns] == ["q1", "a1", "q2", "a2"]
-    assert combined.provenance is Provenance.COMBINED
 
 
 def test_combine_parse_failure_falls_back_to_concatenation(lexicon, cfg, caplog):
@@ -217,7 +228,6 @@ def test_combine_dropped_keyword_falls_back_to_concatenation(lexicon, cfg, caplo
     with caplog.at_level(logging.WARNING):
         combined = postedit_combine(left, right, "body", checklist, lexicon, dropping, cfg)
     assert combined.turns == left.turns + right.turns
-    assert combined.provenance is Provenance.COMBINED
     assert any("dropped keywords" in r.message and "concatenating" in r.message for r in caplog.records)
 
 
@@ -231,24 +241,21 @@ def test_combine_accepts_merge_that_keeps_keywords(lexicon, cfg):
         "Do you take aspirin, and is there asthma?",
         "Aspirin daily; mild asthma.",
     ]
-    assert combined.meta["tail_turns"] == 2
 
 
 def test_combine_long_mode_dropped_tail_keyword_keeps_head(lexicon, caplog):
     cfg = GenerationConfig.for_mode("long")
     checklist = covered_checklist(lexicon, cfg, "aspirin and asthma")
     left = make_dialogue("Do you take aspirin?", "Yes, daily.", "Any asthma?", "Mild asthma.", note_id="n")
-    left.meta["tail_turns"] = 2
     right = make_dialogue("Any cough?", "No cough.", note_id="n")
     # The head still says aspirin; the reply loses the tail's asthma.
     reply = "Doctor: Any breathing trouble?\nPatient: Mild.\nDoctor: Any cough?\nPatient: No cough."
     backend = Recorder(MockBackend(script=[reply]))
     with caplog.at_level(logging.WARNING):
-        combined = postedit_combine(left, right, "body", checklist, lexicon, backend, cfg)
+        combined = postedit_combine(left, right, "body", checklist, lexicon, backend, cfg, head=2)
     assert "Do you take aspirin?" not in backend.prompts[0]
     assert combined.turns == left.turns + right.turns
     assert combined.turns[:2] == left.turns[:2]
-    assert combined.meta["tail_turns"] == 2
     assert any("dropped keywords ['asthma']" in r.message for r in caplog.records)
 
 
@@ -256,24 +263,22 @@ def test_combine_long_mode_guard_counts_the_head(lexicon):
     cfg = GenerationConfig.for_mode("long")
     checklist = covered_checklist(lexicon, cfg, "aspirin and asthma")
     left = make_dialogue("Do you take aspirin?", "Yes, daily.", "Any asthma?", "Mild asthma.", note_id="n")
-    left.meta["tail_turns"] = 2
     right = make_dialogue("Any cough?", "No cough.", note_id="n")
     # Aspirin is said only in the unbound head, which the merge keeps.
     reply = "Doctor: Any asthma or cough?\nPatient: Mild asthma, no cough."
-    combined = postedit_combine(left, right, "body", checklist, lexicon, MockBackend(script=[reply]), cfg)
+    backend = MockBackend(script=[reply])
+    combined = postedit_combine(left, right, "body", checklist, lexicon, backend, cfg, head=2)
     assert combined.turns[:2] == left.turns[:2]
     assert [t.text for t in combined.turns[2:]] == ["Any asthma or cough?", "Mild asthma, no cough."]
-    assert combined.meta["tail_turns"] == 2
 
 
 def test_combine_long_mode_binds_only_tail(lexicon):
     cfg = GenerationConfig.for_mode("long")
     checklist = build_checklist(make_section("aspirin"), lexicon, cfg)
     left = make_dialogue("old question", "old answer", "recent question", "recent answer", note_id="n")
-    left.meta["tail_turns"] = 2
     right = make_dialogue("new question", "new answer", note_id="n")
     backend = Recorder(MockBackend())
-    combined = postedit_combine(left, right, "body", checklist, lexicon, backend, cfg)
+    combined = postedit_combine(left, right, "body", checklist, lexicon, backend, cfg, head=2)
     prompt = backend.prompts[0]
     assert "recent question" in prompt
     assert "old question" not in prompt
@@ -285,19 +290,6 @@ def test_combine_long_mode_binds_only_tail(lexicon):
         "new question",
         "new answer",
     ]
-    assert combined.meta["tail_turns"] == 2
-
-
-def test_combine_short_mode_binds_everything(lexicon):
-    cfg = GenerationConfig.for_mode("short")
-    checklist = build_checklist(make_section("aspirin"), lexicon, cfg)
-    left = make_dialogue("old question", "old answer", "recent question", "recent answer", note_id="n")
-    left.meta["tail_turns"] = 2
-    right = make_dialogue("new question", "new answer", note_id="n")
-    backend = Recorder(MockBackend())
-    combined = postedit_combine(left, right, "body", checklist, lexicon, backend, cfg)
-    assert "old question" in backend.prompts[0]
-    assert len(combined.turns) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +301,12 @@ def test_pipeline_two_sections_full_coverage(lexicon, cfg, fixture_notes):
     note = fixture_notes[0]  # two productive sections
     backend = MockBackend()
     dialogue = run_full_pipeline(note, lexicon, backend, cfg)
-    assert dialogue.provenance is Provenance.COMBINED
-    coverage = dialogue.meta["coverage"]
-    assert coverage["total"] > 0
-    assert coverage["covered"] == coverage["total"]
+    counts = coverage(dialogue)
+    assert counts["total"] > 0
+    assert counts["covered"] == counts["total"]
     text = format_transcript(dialogue.turns).lower()
-    for surface in dialogue.meta["keywords"]:
-        assert surface in text
+    for entry in dialogue.meta["checklist"].entries:
+        assert entry.surface in text
 
 
 def test_pipeline_no_hits_returns_empty_without_calls(lexicon, cfg):
@@ -324,7 +315,7 @@ def test_pipeline_no_hits_returns_empty_without_calls(lexicon, cfg):
     dialogue = run_full_pipeline(note, lexicon, backend, cfg)
     assert dialogue.turns == ()
     assert backend.calls == 0
-    assert dialogue.meta["coverage"] == {"covered": 0, "total": 0}
+    assert coverage(dialogue) == {"covered": 0, "total": 0}
 
 
 def test_pipeline_meta_describes_the_note_not_its_first_section(lexicon):
@@ -335,24 +326,21 @@ def test_pipeline_meta_describes_the_note_not_its_first_section(lexicon):
     )
     cfg = GenerationConfig(max_rounds=1)
     dialogue = run_full_pipeline(note, lexicon, MockBackend(), cfg)
-    keys = {"coverage", "keywords", "uncovered", "checklist"}
-    assert set(dialogue.meta) == keys
-    assert dialogue.meta["coverage"] == {"covered": 5, "total": 7}
-    checklist = dialogue.meta["checklist"]
-    assert dialogue.meta["uncovered"] == [e.surface for e in checklist.uncovered()]
-    assert len(dialogue.meta["uncovered"]) == 2
+    assert set(dialogue.meta) == {"checklist"}
+    assert coverage(dialogue) == {"covered": 5, "total": 7}
+    assert len(uncovered(dialogue)) == 2
 
     empty = run_full_pipeline(ClinicalNote("q", "no relevant terms"), lexicon, MockBackend(), cfg)
-    assert set(empty.meta) == keys
-    assert empty.meta["uncovered"] == [] and len(empty.meta["checklist"]) == 0
+    assert set(empty.meta) == {"checklist"}
+    assert uncovered(empty) == [] and len(empty.meta["checklist"]) == 0
 
 
 def test_pipeline_single_section_combine_is_identity(lexicon, cfg):
     note = ClinicalNote("p", "MEDICATIONS:\naspirin daily and metformin nightly\n")
-    dialogue = run_full_pipeline(note, lexicon, MockBackend(), cfg)
-    assert dialogue.provenance is Provenance.CHECKED
-    coverage = dialogue.meta["coverage"]
-    assert coverage["covered"] == coverage["total"] == 2
+    backend = Recorder(MockBackend())
+    dialogue = run_full_pipeline(note, lexicon, backend, cfg)
+    assert backend.stages["hallucination"] == 1 and backend.stages["postediting"] == 0
+    assert coverage(dialogue) == {"covered": 2, "total": 2}
 
 
 def test_pipeline_long_style_produces_more_turns(lexicon, fixture_notes):
@@ -376,7 +364,76 @@ def test_pipeline_with_an_executor_map_equals_the_default(lexicon, fixture_notes
             inline = run_full_pipeline(note, lexicon, MockBackend(style=mode), cfg)
             mapped = run_full_pipeline(note, lexicon, MockBackend(style=mode), cfg, None, pool.map)
             assert mapped.turns == inline.turns
-            assert mapped.meta["coverage"] == inline.meta["coverage"]
+            assert coverage(mapped) == coverage(inline)
+
+
+FOUR_SECTION_NOTE = ClinicalNote(
+    "p",
+    "MEDICATIONS:\ntakes aspirin nightly. Also lisinopril.\n"
+    "PLAN:\nschedule a colonoscopy. Recheck in a week.\n"
+    "LABS:\nstart insulin soon. Check anemia.\n"
+    "ASSESSMENT:\nasthma is stable. Mild migraine.\n",
+)
+
+
+class SqueezedMerges(MockBackend):
+    """The rule mock, except that a merge reply says everything in one doctor
+    turn and one patient turn, fewer turns than a section may have."""
+
+    def complete(self, request):
+        reply = super().complete(request)
+        if request.stage != "postediting":
+            return reply
+        turns = parse_transcript(reply)
+        return format_transcript([
+            Utterance(speaker, " ".join(t.text for t in turns if t.speaker is speaker))
+            for speaker in (Speaker.DOCTOR, Speaker.PATIENT)
+        ])
+
+
+@pytest.mark.parametrize(
+    "mode, backend_class",
+    [
+        pytest.param("short", MockBackend, id="short"),
+        pytest.param("long", MockBackend, id="long"),
+        pytest.param("long", SqueezedMerges, id="long-squeezed"),
+    ],
+)
+def test_pipeline_merges_bind_the_conversation_by_mode(lexicon, mode, backend_class):
+    # Short mode binds the whole conversation so far into every merge. Long
+    # mode does so only for the first merge; each later one binds the newest
+    # turns of the previous merge's reply, at most as many as that merge's
+    # right side had, and keeps the older turns as they are.
+    backend = Recorder(backend_class(style=mode))
+    dialogue = run_full_pipeline(FOUR_SECTION_NOTE, lexicon, backend, GenerationConfig.for_mode(mode))
+    # Sections run in order, so the first hallucination reply is the first
+    # section's dialogue.
+
+    def turns(text):
+        return tuple(parse_transcript(text))
+
+    so_far = next(turns(reply) for request, reply in backend.seen if request.stage == "hallucination")
+    merges = [
+        (turns(request.slots["conversation"]), turns(request.slots["conversation2"]), turns(reply))
+        for request, reply in backend.seen
+        if request.stage == "postediting"
+    ]
+    assert len(merges) == 3
+    previous, partial = None, False
+    for bound, right, reply in merges:
+        if mode == "short" or previous is None:
+            assert bound == so_far
+        else:
+            previous_right, previous_reply = previous
+            assert bound == previous_reply[-min(len(previous_reply), len(previous_right)):]
+            assert so_far[len(so_far) - len(bound):] == bound
+            partial = partial or len(bound) < len(so_far)
+        so_far = so_far[:len(so_far) - len(bound)] + reply
+        previous = (right, reply)
+    assert dialogue.turns == so_far
+    # The plain mock's merge replies outgrow their right side, so long mode
+    # leaves older turns unbound; squeezed replies never do.
+    assert partial == (mode == "long" and backend_class is MockBackend)
 
 
 def test_pipeline_combines_sections_left_to_right(lexicon, cfg):
@@ -453,7 +510,7 @@ def test_note_patient_line_is_not_copied_into_dialogue(lexicon, cfg):
     dialogue = run_full_pipeline(note, lexicon, MockBackend(), cfg)
     assert dialogue.turns[0].speaker is Speaker.DOCTOR
     assert not any("John Doe" in t.text for t in dialogue.turns)
-    assert dialogue.meta["coverage"] == {"covered": 2, "total": 2}
+    assert coverage(dialogue) == {"covered": 2, "total": 2}
 
 
 SHARED_CUI_NOTE = ClinicalNote(
@@ -481,8 +538,8 @@ def test_pipeline_counts_a_shared_cui_once(lexicon, mode):
     cfg = GenerationConfig.for_mode(mode)
     assert checklist_sizes(SHARED_CUI_NOTE, lexicon, cfg) == [4, 2, 1]
     dialogue = run_full_pipeline(SHARED_CUI_NOTE, lexicon, MockBackend(style=mode), cfg)
-    assert dialogue.meta["coverage"] == {"covered": 6, "total": 6}
-    assert dialogue.meta["keywords"] == [
+    assert coverage(dialogue) == {"covered": 6, "total": 6}
+    assert [entry.surface for entry in dialogue.meta["checklist"].entries] == [
         "asthma", "hypertension", "albuterol", "inhaler", "echocardiogram", "aspirin",
     ]
 
@@ -496,7 +553,7 @@ def test_pipeline_coverage_counts_the_merged_text(lexicon, cfg):
             return "Doctor: Anything else?\nPatient: No." if request.stage == "postediting" else reply
 
     dialogue = run_full_pipeline(SHARED_CUI_NOTE, lexicon, DroppingMerge(), cfg)
-    assert dialogue.meta["coverage"] == {"covered": 6, "total": 6}
+    assert coverage(dialogue) == {"covered": 6, "total": 6}
     assert not union_recount(SHARED_CUI_NOTE, dialogue, lexicon, cfg).uncovered()
 
 
@@ -549,11 +606,12 @@ class DistortedRewrites:
 @example(mode="short", distortions=[("keep", 0)] * 6 + [("drop_keyword", 2), ("drop_keyword", 4)])
 @example(mode="long", distortions=[("keep", 0)] * 6 + [("markdown_tags", 0), ("drop_keyword", 0)])
 @example(mode="short", distortions=[("oversized", 3)] * 9)
+@example(mode="short", distortions=[("some_tags_missing", 0)])
 def test_pipeline_coverage_recounts_emitted_turns_under_distorted_rewrites(lexicon, mode, distortions):
     cfg = GenerationConfig.for_mode(mode)
     dialogue = run_full_pipeline(SHARED_CUI_NOTE, lexicon, DistortedRewrites(mode, distortions), cfg)
     recount = union_recount(SHARED_CUI_NOTE, dialogue, lexicon, cfg)
-    assert dialogue.meta["coverage"] == {"covered": recount.covered_count(), "total": len(recount)}
+    assert coverage(dialogue) == {"covered": recount.covered_count(), "total": len(recount)}
     # The rule mock's loop covers every keyword and every rewrite is guarded.
     assert not recount.uncovered()
     assert dialogue.turns[0].speaker is Speaker.DOCTOR

@@ -1,15 +1,19 @@
 """The request scheduler behind ``generate --workers``: one bound on backend
 requests in flight, the earliest note first, and a failure kept to its note."""
 
+import hashlib
 import json
+import random
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dialogforge import cli
-from dialogforge.backend import BackendError, MalformedResponse, MockBackend
+from dialogforge.backend import AuthError, BackendError, MalformedResponse, MockBackend, RateLimited
 from dialogforge.model import ClinicalNote
 from dialogforge.segmenter import segment_note
 
@@ -322,3 +326,121 @@ def test_a_failed_chain_stops_its_note_and_no_other(tmp_path, monkeypatch, worke
     assert "n2" in started and "n2" not in after
     records = full.splitlines(keepends=True)
     assert kept.splitlines(keepends=True) == [records[0], records[2]]
+
+
+# Distinct notes, so that a request's section body or note text names its note.
+POOL = [record["text"] for record in FIXTURE] + [
+    "MEDICATIONS:\ntakes aspirin nightly. Also lisinopril.\nPLAN:\nschedule a colonoscopy.\n",
+    "CHIEF COMPLAINT:\nasthma today.\nLABS:\nstart insulin soon. Check anemia.\n",
+    "ASSESSMENT:\nMild migraine and bronchitis.\n",
+]
+POOL_OWNER = {}
+for _index, _text in enumerate(POOL):
+    for _body in [_text] + [section.body for section in segment_note(ClinicalNote("p", _text))]:
+        assert POOL_OWNER.setdefault(_body, _index) == _index
+
+
+class _Faults:
+    """What one drawn example does to the mock backend: each request sleeps,
+    and may fail, by a digest of its note, stage and slots, so the same
+    requests fail on every schedule. ``events`` records each start with the
+    note the scheduler runs it for, and each mark of a note or of the run."""
+
+    def __init__(self, salt, failure_rate, kinds):
+        self.salt, self.failure_rate, self.kinds = salt, failure_rate, kinds
+        self.lock = threading.Lock()
+        self.local = threading.local()
+        self.events = []
+        self.requests = _Concurrency()
+
+    def digest(self, request):
+        owner = POOL_OWNER.get(request.slots.get("note"))  # None for a merge, which binds no note
+        content = json.dumps([self.salt, owner, request.stage, request.slots], sort_keys=True)
+        return int.from_bytes(hashlib.sha256(content.encode()).digest()[:8], "big")
+
+    def complete(self, backend, request, original):
+        # Recorded first, so that little runs between the gate and the record.
+        with self.lock:
+            self.events.append(("start", getattr(self.local, "note", None)))
+        digest = self.digest(request)
+        self.requests.enter()
+        try:
+            time.sleep(random.Random(digest).uniform(0, 0.002))
+            if digest % 100 < self.failure_rate:
+                raise self.kinds[digest // 100 % len(self.kinds)](f"failed: {request.stage}")
+            return original(backend, request)
+        finally:
+            self.requests.leave()
+
+    def request(self, scheduler, lane, request, original):
+        self.local.note = lane.index
+        try:
+            return original(scheduler, lane, request)
+        except (AuthError, MalformedResponse) as exc:
+            # Recorded once the error has left the scheduler, which has marked
+            # the run or the note by then.
+            with self.lock:
+                self.events.append(("auth", None) if isinstance(exc, AuthError) else ("mark", lane.index))
+            raise
+
+    def run(self, scheduler, lane, chain, section, original):
+        result = original(scheduler, lane, chain, section)
+        if lane.error:  # a chain that ran out of retries marks its note here
+            with self.lock:
+                self.events.append(("mark", lane.index))
+        return result
+
+
+def _records(output):
+    return output.splitlines(keepends=True)
+
+
+@settings(max_examples=20)
+@given(
+    picks=st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=4, unique=True),
+    workers=st.integers(1, 4),
+    salt=st.integers(0, 10**6),
+    failure_rate=st.sampled_from([0, 3, 10, 25]),
+    auth=st.booleans(),
+)
+# An AuthError in an early note while later notes still wait to start.
+@example(picks=[0, 1, 2, 3], workers=2, salt=1, failure_rate=3, auth=True)
+@example(picks=[3, 0, 5, 1], workers=3, salt=3, failure_rate=3, auth=True)
+def test_the_scheduler_writes_what_one_worker_writes(
+    tmp_path_factory, picks, workers, salt, failure_rate, auth
+):
+    # AuthError ends the run, and which note reaches one first depends on the
+    # schedule, so it is drawn alone; the other failures stay in their note.
+    faults = _Faults(salt, failure_rate, [AuthError] if auth else [MalformedResponse, RateLimited])
+    tmp_path = tmp_path_factory.mktemp("property")
+    notes = tmp_path / "notes.jsonl"
+    records = (json.dumps({"id": f"n{i}", "text": POOL[i]}) + "\n" for i in picks)
+    notes.write_text("".join(records), encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    config.write_text("retry_base_delay=0\n", encoding="utf-8")
+    complete, request, run = MockBackend.complete, cli._Scheduler.request, cli._Scheduler._run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MockBackend, "complete", lambda backend, r: faults.complete(backend, r, complete))
+        patch.setattr(cli._Scheduler, "request", lambda *args: faults.request(*args, request))
+        patch.setattr(cli._Scheduler, "_run", lambda *args: faults.run(*args, run))
+        serial = _generate(tmp_path, notes, "--workers", "1", "--config", str(config))
+        faults.events.clear()
+        faults.requests = _Concurrency()
+        scheduled = _generate(tmp_path, notes, "--workers", str(workers), "--config", str(config))
+
+    assert scheduled[0] == serial[0]
+    if auth:
+        # Notes run whole or not at all, so the run wrote a prefix.
+        assert _records(serial[1])[:len(_records(scheduled[1]))] == _records(scheduled[1])
+    else:
+        assert scheduled == serial
+    assert faults.requests.peak <= workers
+    auth_seen, marked = False, set()
+    for kind, note in faults.events:
+        if kind == "start":
+            assert not auth_seen, "a request started after an AuthError"
+            assert note not in marked, f"note {note} sent a request after it was marked"
+        elif kind == "auth":
+            auth_seen = True
+        else:
+            marked.add(note)
