@@ -29,7 +29,7 @@ from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Seq
 from .backend import AuthError, BackendError, ENDPOINT_ENV, HttpBackend, MockBackend
 from .concepts import LexiconError, load_lexicon, reportable_concepts
 from .metrics import evaluate_corpus, render_report_table
-from .model import MODES, ClinicalNote, Dialogue, GenerationConfig, ModelError, Utterance, validate
+from .model import MODES, ClinicalNote, Dialogue, GenerationConfig, ModelError, Utterance
 from .prompts import load_templates
 from .refiner import run_full_pipeline
 from .segmenter import segment_note
@@ -86,7 +86,7 @@ def load_config_file(path: str) -> Dict[str, object]:
 
 def build_config(args: argparse.Namespace) -> GenerationConfig:
     values: Dict[str, object] = {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(load_config_file(args.config))
     for name in _CONFIG_FIELDS:
         flag = getattr(args, name, None)
@@ -139,12 +139,10 @@ def _read_notes(path: str) -> List[ClinicalNote]:
     for where, note_id, record in _read_records(
         path, "text", str, "note record needs 'id' and a string 'text'"
     ):
-        note = ClinicalNote(id=note_id, text=record["text"])
         try:
-            validate(note)
-        except ValueError as exc:
+            notes.append(ClinicalNote(id=note_id, text=record["text"]))
+        except ModelError as exc:
             raise CliError(f"{where}: {exc}") from exc
-        notes.append(note)
     return notes
 
 
@@ -163,7 +161,12 @@ def _read_dialogues(path: str) -> List[Dialogue]:
 
 def _output(path: Optional[str]) -> ContextManager[TextIO]:
     """``--out`` truncated, or stdout. Open it only once the inputs are valid."""
-    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_record(out: TextIO, record: Dict) -> None:
@@ -180,8 +183,7 @@ def _load_lexicon_file(path: str):
         raise CliError(f"lexicon {path}: {exc}") from exc
 
 
-def cmd_segment(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
+def cmd_segment(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     notes = _read_notes(args.input)
     with _output(args.out) as out:
         for note in notes:
@@ -195,8 +197,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
+def cmd_extract(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     lexicon = _load_lexicon_file(args.lexicon)
     notes = _read_notes(args.input)
     with _output(args.out) as out:
@@ -277,9 +278,12 @@ class _Scheduler:
     - Notes are admitted in input order, each only while the admitted notes
       run fewer than ``workers`` chains. A note with no chain running, in its
       fold for one, counts as one, so the fold admits no note.
-    - After an AuthError no request starts. Once a chain fails, the other
-      chains of its note start no request. A non-retryable error stops them
-      before its slot is freed, one that ran out of retries as its chain ends.
+    - Once the run stops, no request starts and no note is admitted. An
+      AuthError stops it, and so does any exception that leaves the ``with``
+      block: a failed write, a full disk or a Ctrl-C. Once a chain fails, the
+      other chains of its note start no request. A non-retryable error stops
+      them before its slot is freed, one that ran out of retries as its chain
+      ends.
 
     With one worker, notes run inline and one at a time, with no scheduling.
     """
@@ -293,7 +297,7 @@ class _Scheduler:
         self._tickets = itertools.count()
         self._admitted: List[_Lane] = []
         self._next_note = 0
-        self._auth_error: Optional[AuthError] = None
+        self._stop: Optional[BaseException] = None  # what stopped the run
         self._notes = ThreadPoolExecutor(workers)
         # A thread starts only when none is idle, so the pool holds about as
         # many threads as chains ever ran together: the sections of the at
@@ -303,11 +307,16 @@ class _Scheduler:
     def __enter__(self) -> "_Scheduler":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        # Note threads wait for their chains, so they go first; a failed run
-        # starts no further note.
+    def __exit__(self, exc_type, exc, tb) -> None:
+        with self._cond:
+            self._stop = self._stop or exc
+            self._cond.notify_all()
+        # Note threads wait for their chains, so they go first.
         self._notes.shutdown(cancel_futures=True)
         self._chains.shutdown()
+        # exc's traceback holds the caller's frame, which holds this scheduler;
+        # without this, that cycle keeps the run's inputs alive until a GC pass.
+        self._stop = None
 
     def map(self, generate: Callable, notes: List[ClinicalNote]) -> Iterator[Optional[Dialogue]]:
         if self._workers == 1:
@@ -317,11 +326,11 @@ class _Scheduler:
     def _run_note(self, generate: Callable, index: int, note: ClinicalNote) -> Optional[Dialogue]:
         lane = _Lane(self, index)
         with self._cond:
-            self._cond.wait_for(lambda: self._auth_error or (
+            self._cond.wait_for(lambda: self._stop or (
                 self._next_note == index
                 and sum(max(admitted.running, 1) for admitted in self._admitted) < self._workers
             ))
-            if self._auth_error:
+            if self._stop:
                 return None
             self._next_note += 1
             self._admitted.append(lane)
@@ -348,15 +357,15 @@ class _Scheduler:
         with self._cond:
             ticket = (lane.index, next(self._tickets))
             self._waiting.append(ticket)
-            self._cond.wait_for(lambda: self._auth_error or lane.error or (
+            self._cond.wait_for(lambda: self._stop or lane.error or (
                 self._in_flight < self._workers and min(self._waiting) == ticket
             ))
             self._waiting.remove(ticket)
-            if self._auth_error or lane.error:
+            if self._stop or lane.error:
                 self._cond.notify_all()
-                if self._auth_error:
-                    raise AuthError(str(self._auth_error))
-                raise BackendError(f"note stopped after an error: {lane.error}")
+                if isinstance(self._stop, AuthError):
+                    raise AuthError(str(self._stop))
+                raise BackendError(f"note stopped after an error: {lane.error or self._stop}")
             self._in_flight += 1
         try:
             return self._backend.complete(request)
@@ -365,7 +374,7 @@ class _Scheduler:
             # once its retries run out, which _run records.
             with self._cond:
                 if isinstance(exc, AuthError):
-                    self._auth_error = self._auth_error or exc
+                    self._stop = self._stop or exc
                 if not exc.retryable:
                     lane.error = lane.error or exc
             raise
@@ -375,10 +384,9 @@ class _Scheduler:
                 self._cond.notify_all()
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     if args.workers < 1:
         raise CliError("--workers must be positive")
-    cfg = build_config(args)
     lexicon = _load_lexicon_file(args.lexicon)
     backend = _make_backend(args, cfg)
     notes = _read_notes(args.input)
@@ -422,8 +430,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 1 if missing else 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
+def cmd_evaluate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     lexicon = _load_lexicon_file(args.lexicon)
     hyps = _read_dialogues(args.hyp)
     refs = {d.note_id: d for d in _read_dialogues(args.ref)}
@@ -511,10 +518,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "print_config", False):
-            print_effective_config(build_config(args))
+        cfg = build_config(args)
+        if args.print_config:
+            print_effective_config(cfg)
             return 0
-        return args.func(args)
+        return args.func(args, cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -68,16 +68,17 @@ class SectionHeader:
 
 @dataclass(frozen=True)
 class ClinicalNote:
+    """A note to turn into dialogue; building one with a blank id or text
+    raises ModelError."""
+
     id: str
     text: str
 
-
-def validate(note: ClinicalNote) -> None:
-    """Raise ModelError unless the note has a non-blank id and text."""
-    if not note.id.strip():
-        raise ModelError("note id is blank")
-    if not note.text.strip():
-        raise ModelError(f"note {note.id!r} has no text")
+    def __post_init__(self):
+        if not self.id.strip():
+            raise ModelError("note id is blank")
+        if not self.text.strip():
+            raise ModelError(f"note {self.id!r} has no text")
 
 
 @dataclass(frozen=True)

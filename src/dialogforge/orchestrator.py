@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .backend import ChatMessage, ChatRequest, complete_with_retry, estimate_tokens, BackendError
+from .backend import ChatMessage, ChatRequest, complete_with_retry, estimate_tokens
 from .concepts import Lexicon, build_checklist, mark_covered
 from .model import (
     Checklist,
@@ -103,18 +103,8 @@ def _request(template: PromptTemplate, bindings: Dict, cfg: GenerationConfig) ->
     return ChatRequest((message,), cfg.max_reply_tokens, cfg.temperature, template.name, slots)
 
 
-def _call(backend, request: ChatRequest, cfg: GenerationConfig, round_index: int) -> str:
-    try:
-        reply = complete_with_retry(
-            backend,
-            request,
-            max_retries=cfg.max_retries,
-            base_delay=cfg.retry_base_delay,
-        )
-    except BackendError as exc:
-        exc.round_index = round_index
-        raise
-    return reply.strip()
+def _call(backend, request: ChatRequest, cfg: GenerationConfig) -> str:
+    return complete_with_retry(backend, request, cfg.max_retries, cfg.retry_base_delay).strip()
 
 
 def _render_with_budget(
@@ -153,14 +143,14 @@ def run_round(
         state.history,
         cfg,
     )
-    doctor_turn = Utterance(Speaker.DOCTOR, _call(backend, doctor_request, cfg, state.round))
+    doctor_turn = Utterance(Speaker.DOCTOR, _call(backend, doctor_request, cfg))
     state.history.append(doctor_turn)
     view.append(doctor_turn)
 
     patient_request, view = _render_with_budget(
         templates["patient"], {"note": section.body}, view, cfg
     )
-    patient_turn = Utterance(Speaker.PATIENT, _call(backend, patient_request, cfg, state.round))
+    patient_turn = Utterance(Speaker.PATIENT, _call(backend, patient_request, cfg))
     state.history.append(patient_turn)
 
     mark_covered(state.checklist, [doctor_turn, patient_turn], lexicon, cfg)
@@ -195,7 +185,7 @@ def factuality_check(
         {"note": section.body, "conversation": dialogue.turns, "keywords": list(checklist.entries)},
         cfg,
     )
-    reply = _call(backend, request, cfg, round_index=-1)
+    reply = _call(backend, request, cfg)
     verdict = _VERDICT_RE.search(reply)
     if verdict is None:
         logger.warning("factuality verdict unparseable for note %r; treating as complete", dialogue.note_id)

@@ -69,7 +69,7 @@ def _rewrite_pass(
     bindings = {"conversation": conversation, "conversation2": conversation2, "note": note_body}
     bindings["keywords"] = list(checklist.entries)
     keep = "concatenating turns" if stage == "postediting" else "keeping input"
-    reply = _call(backend, _request(template, bindings, cfg), cfg, round_index=-1)
+    reply = _call(backend, _request(template, bindings, cfg), cfg)
     try:
         turns = head + tuple(parse_transcript(reply))
     except Unparseable:

@@ -19,14 +19,7 @@ import string
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .model import (
-    CANONICAL_HEADERS,
-    PREAMBLE,
-    ClinicalNote,
-    NoteSection,
-    SectionHeader,
-    validate,
-)
+from .model import CANONICAL_HEADERS, PREAMBLE, ClinicalNote, NoteSection, SectionHeader
 
 # Lines longer than this after normalization are never header candidates;
 # stops body sentences from fuzzy-matching a heading.
@@ -103,8 +96,8 @@ def match_header(line: str, threshold: float = DEFAULT_THRESHOLD) -> Optional[He
 
 def segment_note(note: ClinicalNote, threshold: float = DEFAULT_THRESHOLD) -> List[NoteSection]:
     """Scan line by line and emit ordered, disjoint sections covering the
-    whole note. A note with no header matches yields one preamble section."""
-    validate(note)
+    whole note. Text before the first header match, or the whole note when
+    there is none, is a preamble section with an empty ``header_line``."""
     text = note.text
 
     # (header, header_line_start, body_start) per accepted header line
@@ -120,27 +113,11 @@ def segment_note(note: ClinicalNote, threshold: float = DEFAULT_THRESHOLD) -> Li
             body_start = end + 1 if text.startswith("\r\n", end - 1) else end
             marks.append((match.canonical, offset, body_start))
         offset = end
+    if not marks or marks[0][1] > 0:
+        marks.insert(0, (SectionHeader(PREAMBLE), 0, 0))
 
     sections: List[NoteSection] = []
-    if not marks or marks[0][1] > 0:
-        lead_end = marks[0][1] if marks else len(text)
-        sections.append(
-            NoteSection(
-                header=SectionHeader(PREAMBLE),
-                body=text[:lead_end],
-                start=0,
-                end=lead_end,
-            )
-        )
     for i, (header, start, body_start) in enumerate(marks):
         end = marks[i + 1][1] if i + 1 < len(marks) else len(text)
-        sections.append(
-            NoteSection(
-                header=header,
-                body=text[body_start:end],
-                start=start,
-                end=end,
-                header_line=text[start:body_start],
-            )
-        )
+        sections.append(NoteSection(header, text[body_start:end], start, end, text[start:body_start]))
     return sections

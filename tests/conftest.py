@@ -24,6 +24,9 @@ from dialogforge.model import (
 # database, so a tier-1 result does not depend on earlier runs. No deadline:
 # per-example time varies with the load of a shared machine.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+# ``--hypothesis-profile=fresh`` draws new examples on every run and prints
+# the blob that reproduces a failure.
+settings.register_profile("fresh", derandomize=False, database=None, deadline=None, print_blob=True)
 settings.load_profile("deterministic")
 
 # Any accidental external HTTP goes to an unroutable proxy for the whole

@@ -796,6 +796,21 @@ def test_records_end_only_at_a_newline(tmp_path, capsys, command, separator):
         assert json.loads(out.read_text(encoding="utf-8"))["r1"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("command", ["segment", "extract", "generate", "evaluate"])
+def test_an_unwritable_out_is_one_error_line(tmp_path, capsys, command):
+    dialogues = GOLDEN_DIR / "generate_short.jsonl"
+    argv = {
+        "segment": ["segment", "--input", str(NOTES_PATH)],
+        "extract": ["extract", "--input", str(NOTES_PATH), "--lexicon", str(LEXICON_PATH)],
+        "generate": ["generate", "--mock", "--input", str(NOTES_PATH), "--lexicon", str(LEXICON_PATH)],
+        "evaluate": ["evaluate", "--hyp", str(dialogues), "--ref", str(dialogues), "--lexicon", str(LEXICON_PATH)],
+    }[command]
+    out = tmp_path / "missing" / "out.jsonl"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 def test_evaluate_id_mismatch(tmp_path, capsys):
     _, hyp = _generate(tmp_path, "--mock")
     ref = tmp_path / "refs.jsonl"

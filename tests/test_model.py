@@ -25,7 +25,6 @@ from dialogforge.model import (
     format_transcript,
     last_turn_text,
     parse_transcript,
-    validate,
 )
 from dialogforge.orchestrator import render_prompt
 
@@ -39,17 +38,17 @@ def test_canonical_header_count():
 
 
 def test_validate_ok():
-    validate(ClinicalNote(id="n1", text="CHIEF COMPLAINT: cough"))
+    ClinicalNote(id="n1", text="CHIEF COMPLAINT: cough")
 
 
 def test_validate_blank_text():
     with pytest.raises(ModelError, match="note 'n1' has no text"):
-        validate(ClinicalNote(id="n1", text="   "))
+        ClinicalNote(id="n1", text="   ")
 
 
 def test_validate_blank_id():
     with pytest.raises(ModelError, match="note id is blank"):
-        validate(ClinicalNote(id="", text="x"))
+        ClinicalNote(id="", text="x")
 
 
 def test_section_header_normalization():

@@ -1,12 +1,14 @@
 """The request scheduler behind ``generate --workers``: one bound on backend
 requests in flight, the earliest note first, and a failure kept to its note."""
 
+import gc
 import hashlib
 import json
 import random
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -326,6 +328,96 @@ def test_a_failed_chain_stops_its_note_and_no_other(tmp_path, monkeypatch, worke
     assert "n2" in started and "n2" not in after
     records = full.splitlines(keepends=True)
     assert kept.splitlines(keepends=True) == [records[0], records[2]]
+
+
+class _GateLog(cli._Scheduler):
+    """The scheduler, appending to ``log`` under its lock ``"pass"`` as its
+    gate admits a request (the request takes a slot) and ``"stop"`` as the
+    run stops."""
+
+    def __init__(self, backend, workers, log):
+        self._log = log
+        super().__init__(backend, workers)
+
+    @property
+    def _in_flight(self):
+        return self._slots_taken
+
+    @_in_flight.setter
+    def _in_flight(self, value):
+        if value > getattr(self, "_slots_taken", 0):
+            self._log.append("pass")
+        self._slots_taken = value
+
+    @property
+    def _stop(self):
+        return self._stopped_by
+
+    @_stop.setter
+    def _stop(self, value):
+        if value and not getattr(self, "_stopped_by", None):
+            self._log.append("stop")
+        self._stopped_by = value
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_failed_write_stops_the_run(tmp_path, monkeypatch, workers):
+    # The first record fails to write while later notes wait to start and
+    # running notes' sections wait for a slot. The run stops once the error
+    # reaches the scheduler, and no request passes the gate after that.
+    log = []
+    complete = MockBackend.complete
+
+    def slow_complete(backend, request):
+        time.sleep(0.003)
+        return complete(backend, request)
+
+    def failing_write(out, record):
+        log.append("raise")
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(MockBackend, "complete", slow_complete)
+    monkeypatch.setattr(cli, "_Scheduler", lambda backend, workers: _GateLog(backend, workers, log))
+    monkeypatch.setattr(cli, "_write_record", failing_write)
+    interval = sys.getswitchinterval()
+    try:
+        # Frequent thread switches let more requests reach the gate while
+        # the error unwinds to the scheduler.
+        sys.setswitchinterval(1e-5)
+        with pytest.raises(BrokenPipeError):
+            _generate(tmp_path, _notes(tmp_path, 20), "--workers", str(workers))
+    finally:
+        sys.setswitchinterval(interval)
+    assert "stop" in log, "the failed write did not stop the run"
+    assert "pass" in log[:log.index("raise")] and log.index("raise") < log.index("stop")
+    assert log[log.index("stop"):].count("pass") == 0
+
+
+def test_a_failed_run_frees_its_scheduler_without_a_gc_pass(tmp_path, monkeypatch):
+    # The scheduler keeps the exception that stopped the run; that exception's
+    # traceback holds cmd_generate's frame, with the scheduler and the run's
+    # inputs. Once the error is handled, they must go at once, not wait in a
+    # reference cycle for the collector.
+    schedulers = []
+    scheduler_class = cli._Scheduler
+
+    def recorded(backend, workers):
+        scheduler = scheduler_class(backend, workers)
+        schedulers.append(weakref.ref(scheduler))
+        return scheduler
+
+    def failing_write(out, record):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_Scheduler", recorded)
+    monkeypatch.setattr(cli, "_write_record", failing_write)
+    gc.disable()
+    try:
+        with pytest.raises(BrokenPipeError):
+            _generate(tmp_path, NOTES_PATH, "--workers", "1")
+        assert schedulers and schedulers[0]() is None
+    finally:
+        gc.enable()
 
 
 # Distinct notes, so that a request's section body or note text names its note.
