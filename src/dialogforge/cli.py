@@ -24,7 +24,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
-from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .backend import AuthError, BackendError, ENDPOINT_ENV, HttpBackend, MockBackend
 from .concepts import LexiconError, load_lexicon, reportable_concepts
@@ -159,18 +159,50 @@ def _read_dialogues(path: str) -> List[Dialogue]:
     return dialogues
 
 
-def _output(path: Optional[str]) -> ContextManager[TextIO]:
-    """``--out`` truncated, or stdout. Open it only once the inputs are valid."""
+@contextlib.contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """``--out`` truncated, or stdout; closed or flushed when the block ends.
+    Open it only once the inputs are valid."""
     if not path:
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        with _writing(sys.stdout):
+            sys.stdout.flush()
+        return
     try:
-        return open(path, "w", encoding="utf-8")
+        out = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
+    try:
+        yield out
+        with _writing(out):
+            out.close()
+    finally:
+        with contextlib.suppress(OSError):
+            out.close()  # after an error; a no-op once closed
+
+
+@contextlib.contextmanager
+def _writing(out: TextIO) -> Iterator[None]:
+    """Turns an OSError from writing ``out`` into one ``error:`` line. A failed
+    stdout is pointed at the null device, so that the interpreter's flush at
+    exit reports nothing more."""
+    try:
+        yield
+    except OSError as exc:
+        if out is not sys.stdout:
+            raise CliError(f"cannot write {out.name}: {exc}") from exc
+        # Skipped for a stream without a descriptor, as under redirect_stdout.
+        with contextlib.suppress(OSError):
+            fd = out.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise CliError(f"cannot write stdout: {exc}") from exc
 
 
 def _write_record(out: TextIO, record: Dict) -> None:
-    out.write(json.dumps(record, ensure_ascii=False) + "\n")
+    with _writing(out):
+        out.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def _load_lexicon_file(path: str):
@@ -340,6 +372,7 @@ class _Scheduler:
         finally:
             with self._cond:
                 self._admitted.remove(lane)
+                lane.error = None  # its traceback holds the lane, which a GC pass would have to free
                 self._cond.notify_all()
 
     def _run(self, lane: _Lane, chain: Callable, section):
@@ -402,7 +435,9 @@ def cmd_generate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
         except AuthError:
             raise
         except (BackendError, ValueError) as exc:
-            logger.error("note %s failed: %s", note.id, exc)
+            # The text: a handler that keeps the record would keep the
+            # exception, and through its traceback the scheduler.
+            logger.error("note %s failed: %s", note.id, str(exc))
             return None
 
     missing = 0
@@ -424,7 +459,8 @@ def cmd_generate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
                     "turns": [{"speaker": t.speaker.value, "text": t.text} for t in dialogue.turns],
                     "coverage": {"covered": checklist.covered_count(), "total": len(checklist)},
                 })
-                out.flush()
+                with _writing(out):
+                    out.flush()
         except AuthError as exc:
             raise CliError(f"authentication failed: {exc}", exit_code=2) from exc
     return 1 if missing else 0
@@ -442,11 +478,12 @@ def cmd_evaluate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
         report = evaluate_corpus(pairs, lexicon, cfg)
     except ValueError as exc:
         raise CliError(f"evaluation failed: {exc}") from exc
-    with _output(args.out) as out:
+    with _output(args.out) as out, _writing(out):
         out.write(json.dumps(report.as_dict(), ensure_ascii=False, indent=2) + "\n")
     if args.out:
         # Without --out, stdout holds the JSON report alone.
-        print(render_report_table(report))
+        with _writing(sys.stdout):
+            print(render_report_table(report), flush=True)
     return 0
 
 

@@ -8,7 +8,6 @@ spans never overlap; repeated concepts are deduplicated by CUI.
 """
 
 import logging
-import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -16,15 +15,14 @@ from .model import (
     Checklist,
     ConceptEntry,
     GenerationConfig,
+    ModelError,
     NoteSection,
     SemanticGroup,
     Utterance,
+    words,
 )
 
 logger = logging.getLogger(__name__)
-
-# Word tokens: alphanumeric runs, Unicode-aware, underscore excluded.
-_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 REPORTABLE_GROUPS = frozenset(
     {SemanticGroup.DISEASE, SemanticGroup.DRUG, SemanticGroup.DEVICE, SemanticGroup.PROCEDURE}
@@ -41,16 +39,11 @@ class MalformedRecord(LexiconError):
         super().__init__(f"malformed lexicon record at line {line_no}: {detail}")
 
 
-def words(text: str) -> List[str]:
-    """Lowercased word tokens of ``text``."""
-    return _WORD_RE.findall(text.lower())
-
-
 class Lexicon:
     """Immutable surface-term dictionary mapping to CUIs and semantic groups.
 
-    Surfaces are keyed by their word tokens joined by spaces, so "heart-failure"
-    and "heart failure" are one key; duplicate keys keep the first occurrence.
+    Entries are indexed by their ``key``, so "heart-failure" and "heart
+    failure" are one key; duplicate keys keep the first occurrence.
     Insertion order is the tie-break for approximate matches, whose candidates
     come from an inverted index of token -> entry ids (SimString, Okazaki &
     Tsujii 2010).
@@ -65,16 +58,13 @@ class Lexicon:
         sizes: List[int] = []
         longest = 1
         for entry in entries:
-            tokens = words(entry.surface)
-            if not tokens:
-                raise LexiconError(f"surface {entry.surface!r} has no word tokens")
-            key = " ".join(tokens)
-            if key in exact:
+            if entry.key in exact:
                 logger.warning("duplicate lexicon surface %r ignored", entry.surface)
                 continue
-            exact[key] = entry
+            exact[entry.key] = entry
             entry_id = len(kept)
             kept.append(entry)
+            tokens = entry.key.split(" ")
             token_set = set(tokens)
             sizes.append(len(token_set))
             for token in token_set:
@@ -123,7 +113,8 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
     """Parse tab-separated ``surface<TAB>cui<TAB>group`` records.
 
     Blank lines and ``#`` comments are skipped. Unknown groups map to
-    ``other``; duplicate surfaces keep the first record and log a warning.
+    ``other``; duplicate surfaces keep the first record and log a warning. A
+    record that cannot form a ``ConceptEntry`` raises MalformedRecord.
     """
     entries = []
     for line_no, raw in enumerate(source, start=1):
@@ -134,9 +125,10 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
         if len(fields) != 3:
             raise MalformedRecord(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
         surface, cui, group = (f.strip() for f in fields)
-        if not surface or not cui:
-            raise MalformedRecord(line_no, "empty surface or cui")
-        entries.append(ConceptEntry(surface=surface, cui=cui, semantic_group=SemanticGroup.parse(group)))
+        try:
+            entries.append(ConceptEntry(surface, cui, SemanticGroup.parse(group)))
+        except ModelError as exc:
+            raise MalformedRecord(line_no, str(exc)) from exc
     return Lexicon(entries)
 
 
@@ -220,8 +212,7 @@ def mark_covered(
     for index, (entry, done) in enumerate(zip(checklist.entries, checklist.covered)):
         if done:
             continue
-        phrase = " ".join(words(entry.surface))
-        if phrase and f" {phrase} " in padded:
+        if f" {entry.key} " in padded:
             checklist.mark(index)
             flips += 1
         else:

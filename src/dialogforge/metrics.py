@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from math import exp, log
 from typing import Dict, List, Sequence, Tuple
 
-from .concepts import Lexicon, reportable_concepts, words
-from .model import Dialogue, EvalReport, GenerationConfig, format_transcript, split_lines
+from .concepts import Lexicon, reportable_concepts
+from .model import Dialogue, EvalReport, GenerationConfig, f1_score, format_transcript, split_lines, words
 
 MAX_N = 4  # highest n-gram order of BLEU and Self-BLEU
 
@@ -65,12 +65,6 @@ class TokenizedText:
 def tokenize(text: str) -> TokenizedText:
     """Lowercase word tokens; digits kept, underscores split."""
     return TokenizedText(tuple(words(text)))
-
-
-def _f1(precision: float, recall: float) -> float:
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
@@ -88,7 +82,7 @@ def rouge_n(hyp: TokenizedText, ref: TokenizedText, n: int) -> float:
     if hyp_total == 0 or ref_total == 0:
         return 0.0
     matched = sum((hyp_counts & ref_counts).values())
-    return _f1(matched / hyp_total, matched / ref_total)
+    return f1_score(matched / hyp_total, matched / ref_total)
 
 
 def _match_masks(b: Sequence[str]) -> Dict[str, int]:
@@ -120,7 +114,7 @@ def rouge_l(hyp: TokenizedText, ref: TokenizedText) -> float:
     if not hyp.tokens or not ref.tokens:
         return 0.0
     lcs = _lcs_length(hyp.tokens, ref.tokens)
-    return _f1(lcs / len(hyp.tokens), lcs / len(ref.tokens))
+    return f1_score(lcs / len(hyp.tokens), lcs / len(ref.tokens))
 
 
 def _earliest_lcs_positions(a: Sequence[str], b: Sequence[str], rows: List[int], offset: int) -> int:
@@ -211,7 +205,7 @@ def rouge_lsum(hyp_lines: Sequence[str], ref_lines: Sequence[str]) -> float:
         return 0.0
     recall = _union_hits(ref_tokens, hyp_tokens) / ref_total
     precision = _union_hits(hyp_tokens, ref_tokens) / hyp_total
-    return _f1(precision, recall)
+    return f1_score(precision, recall)
 
 
 def _sibling_bleu(units: Sequence[Sequence[str]], scored: int) -> List[float]:
@@ -288,7 +282,7 @@ def concept_scores(
     overlap = len(hyp_cuis & ref_cuis)
     recall = overlap / len(ref_cuis) if ref_cuis else 0.0
     precision = overlap / len(hyp_cuis) if hyp_cuis else 0.0
-    return recall, precision, _f1(precision, recall)
+    return recall, precision, f1_score(precision, recall)
 
 
 def evaluate_corpus(
@@ -303,7 +297,7 @@ def evaluate_corpus(
     """
     if not pairs:
         raise ValueError("no dialogue pairs to evaluate")
-    sums = {"r1": 0.0, "r2": 0.0, "rl": 0.0, "rlsum": 0.0, "bleu": 0.0, "cr": 0.0, "cp": 0.0}
+    sums = dict.fromkeys(("r1", "r2", "rl", "rlsum", "bleu", "concept_recall", "concept_precision"), 0.0)
     for hyp, ref in pairs:
         hyp_text = format_transcript(hyp.turns)
         ref_text = format_transcript(ref.turns)
@@ -315,42 +309,28 @@ def evaluate_corpus(
         sums["rlsum"] += rouge_lsum(split_lines(hyp_text), split_lines(ref_text))
         sums["bleu"] += bleu(hyp_tok, [ref_tok])
         recall, precision, _ = concept_scores(hyp_text, ref_text, lexicon, cfg)
-        sums["cr"] += recall
-        sums["cp"] += precision
+        sums["concept_recall"] += recall
+        sums["concept_precision"] += precision
     count = len(pairs)
-    mean_recall = sums["cr"] / count
-    mean_precision = sums["cp"] / count
     return EvalReport(
-        r1=sums["r1"] / count,
-        r2=sums["r2"] / count,
-        rl=sums["rl"] / count,
-        rlsum=sums["rlsum"] / count,
-        bleu=sums["bleu"] / count,
+        **{name: total / count for name, total in sums.items()},
         sbleu=self_bleu([hyp for hyp, _ in pairs]),
-        concept_recall=mean_recall,
-        concept_precision=mean_precision,
-        concept_f1=_f1(mean_precision, mean_recall),
         len=sum(len(hyp.turns) for hyp, _ in pairs) / count,
     )
 
 
-REPORT_COLUMNS = ("R-1", "R-2", "R-L", "R-L-Sum", "C-R", "BLEU", "SBLEU", "Len")
+# (heading, EvalReport field) per column of the table, in order.
+REPORT_COLUMNS = (
+    ("R-1", "r1"), ("R-2", "r2"), ("R-L", "rl"), ("R-L-Sum", "rlsum"),
+    ("C-R", "concept_recall"), ("BLEU", "bleu"), ("SBLEU", "sbleu"), ("Len", "len"),
+)
 
 
 def render_report_table(report: EvalReport) -> str:
     """Aligned single-row text table in the standard column order."""
-    values = (
-        report.r1,
-        report.r2,
-        report.rl,
-        report.rlsum,
-        report.concept_recall,
-        report.bleu,
-        report.sbleu,
-        report.len,
-    )
-    cells = [f"{v:.4f}" for v in values[:-1]] + [f"{values[-1]:.2f}"]
-    widths = [max(len(h), len(c)) for h, c in zip(REPORT_COLUMNS, cells)]
-    header = "  ".join(h.ljust(w) for h, w in zip(REPORT_COLUMNS, widths))
+    headings = [heading for heading, _ in REPORT_COLUMNS]
+    cells = [f"{getattr(report, name):.{2 if name == 'len' else 4}f}" for _, name in REPORT_COLUMNS]
+    widths = [max(len(h), len(c)) for h, c in zip(headings, cells)]
+    header = "  ".join(h.ljust(w) for h, w in zip(headings, widths))
     row = "  ".join(c.ljust(w) for c, w in zip(cells, widths))
     return f"{header}\n{row}"

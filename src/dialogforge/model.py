@@ -53,6 +53,20 @@ def _squash(text: str) -> str:
     return " ".join(text.lower().split())
 
 
+# Word tokens: alphanumeric runs, Unicode-aware, underscore excluded.
+_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+def words(text: str) -> List[str]:
+    """Lowercased word tokens of ``text``."""
+    return _WORD_RE.findall(text.lower())
+
+
+def f1_score(precision: float, recall: float) -> float:
+    """Harmonic mean of ``precision`` and ``recall``; 0 when both are 0."""
+    return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+
 @dataclass(frozen=True)
 class SectionHeader:
     """One of the canonical section headings, or the preamble sentinel."""
@@ -218,15 +232,21 @@ class SemanticGroup(str, Enum):
 
 @dataclass(frozen=True)
 class ConceptEntry:
+    """A lexicon concept. ``key``, its surface's word tokens joined by spaces,
+    names it: "Heart-Failure" and "heart failure" share one. A surface with no
+    word tokens or an empty CUI raises ModelError."""
+
     surface: str
     cui: str
     semantic_group: SemanticGroup = SemanticGroup.OTHER
+    key: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "surface", _squash(self.surface))
         object.__setattr__(self, "semantic_group", SemanticGroup(self.semantic_group))
-        if not self.surface:
-            raise ModelError("concept surface is empty")
+        object.__setattr__(self, "key", " ".join(words(self.surface)))
+        if not self.key:
+            raise ModelError(f"concept surface {self.surface!r} has no word tokens")
         if not self.cui:
             raise ModelError("concept cui is empty")
 
@@ -371,9 +391,8 @@ class EvalReport:
     """Corpus-level metric summary.
 
     All similarity fields are fractions in [0, 1]; ``len`` is the mean
-    utterance count per hypothesis dialogue. ``concept_f1`` is always the
-    harmonic mean of ``concept_precision`` and ``concept_recall`` (0 when
-    either is 0).
+    utterance count per hypothesis dialogue. The report computes ``concept_f1``,
+    the harmonic mean of ``concept_precision`` and ``concept_recall``.
     """
 
     r1: float
@@ -384,23 +403,17 @@ class EvalReport:
     sbleu: float
     concept_recall: float
     concept_precision: float
-    concept_f1: float
+    concept_f1: float = field(init=False)
     len: float
 
     def __post_init__(self):
+        object.__setattr__(self, "concept_f1", f1_score(self.concept_precision, self.concept_recall))
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name != "len" and not 0.0 <= value <= 1.0:
                 raise ModelError(f"{f.name}={value} outside [0, 1]")
         if self.len < 0:
             raise ModelError("len must be non-negative")
-        p, r = self.concept_precision, self.concept_recall
-        expected_f1 = 2 * p * r / (p + r) if p > 0 and r > 0 else 0.0
-        if abs(self.concept_f1 - expected_f1) > 1e-9:
-            raise ModelError(
-                f"concept_f1={self.concept_f1} is not the harmonic mean of "
-                f"precision={p} and recall={r}"
-            )
 
     def as_dict(self) -> Dict[str, float]:
         return asdict(self)

@@ -1,5 +1,7 @@
 import contextlib
 import json
+import os
+import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from dialogforge import cli
 from dialogforge.cli import build_parser, main
 from dialogforge.concepts import extract_concepts, filter_semantic_groups
 from dialogforge.model import STAGE_SLOTS, ClinicalNote
@@ -796,19 +799,54 @@ def test_records_end_only_at_a_newline(tmp_path, capsys, command, separator):
         assert json.loads(out.read_text(encoding="utf-8"))["r1"] == pytest.approx(1.0)
 
 
+# Each command with valid inputs and no --out.
+_WRITERS = {
+    "segment": ["segment", "--input", str(NOTES_PATH)],
+    "extract": ["extract", "--input", str(NOTES_PATH), "--lexicon", str(LEXICON_PATH)],
+    "generate": ["generate", "--mock", "--input", str(NOTES_PATH), "--lexicon", str(LEXICON_PATH)],
+    "evaluate": [
+        "evaluate", "--hyp", str(GOLDEN_DIR / "generate_short.jsonl"),
+        "--ref", str(GOLDEN_DIR / "generate_short.jsonl"), "--lexicon", str(LEXICON_PATH),
+    ],
+}
+
+
 @pytest.mark.parametrize("command", ["segment", "extract", "generate", "evaluate"])
 def test_an_unwritable_out_is_one_error_line(tmp_path, capsys, command):
-    dialogues = GOLDEN_DIR / "generate_short.jsonl"
-    argv = {
-        "segment": ["segment", "--input", str(NOTES_PATH)],
-        "extract": ["extract", "--input", str(NOTES_PATH), "--lexicon", str(LEXICON_PATH)],
-        "generate": ["generate", "--mock", "--input", str(NOTES_PATH), "--lexicon", str(LEXICON_PATH)],
-        "evaluate": ["evaluate", "--hyp", str(dialogues), "--ref", str(dialogues), "--lexicon", str(LEXICON_PATH)],
-    }[command]
     out = tmp_path / "missing" / "out.jsonl"
-    assert main([*argv, "--out", str(out)]) == 1
+    assert main([*_WRITERS[command], "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["segment", "extract", "generate", "evaluate"])
+def test_a_failed_write_is_one_error_line(capsys, command):
+    # /dev/full opens, and every write to it fails with ENOSPC.
+    assert main([*_WRITERS[command], "--out", "/dev/full"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
+
+
+def test_a_closed_stdout_is_one_error_line(tmp_path):
+    # The output outgrows the pipe's buffer, so writes fail once the reader
+    # has gone; the interpreter's flush at exit must not report it again.
+    text = json.loads(NOTES_PATH.read_text(encoding="utf-8").splitlines()[0])["text"]
+    notes = tmp_path / "notes.jsonl"
+    records = (json.dumps({"id": f"a{i}", "text": text}) + "\n" for i in range(2000))
+    notes.write_text("".join(records), encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dialogforge", "segment", "--input", str(notes)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 def test_evaluate_id_mismatch(tmp_path, capsys):

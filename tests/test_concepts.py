@@ -49,6 +49,17 @@ def test_load_malformed_record_reports_line():
     assert excinfo.value.line_no == 1
 
 
+@pytest.mark.parametrize(
+    "record",
+    ["---\tC2\tdisease", "\tC2\tdisease", "angina\t\tdisease"],
+    ids=["punctuation-surface", "empty-surface", "empty-cui"],
+)
+def test_load_entry_without_word_tokens_or_cui_reports_line(record):
+    with pytest.raises(MalformedRecord) as excinfo:
+        _load(f"# comment\naspirin\tC0004057\tdrug\n{record}\n")
+    assert excinfo.value.line_no == 3
+
+
 def test_load_skips_comments_and_blanks():
     lexicon = _load("# comment\n\naspirin\tC0004057\tdrug\n")
     assert len(lexicon) == 1

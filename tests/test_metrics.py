@@ -557,3 +557,12 @@ def _golden_pairs():
 def test_evaluate_corpus_golden_report(lexicon, cfg):
     report = evaluate_corpus(_golden_pairs(), lexicon, cfg)
     assert {k: repr(v) for k, v in dataclasses.asdict(report).items()} == GOLDEN_REPORT
+
+
+def test_render_report_table_golden(lexicon, cfg):
+    # Each cell padded to its heading, two spaces apart; the last heading
+    # keeps its padding.
+    assert render_report_table(evaluate_corpus(_golden_pairs(), lexicon, cfg)) == (
+        "R-1     R-2     R-L     R-L-Sum  C-R     BLEU    SBLEU   Len \n"
+        "0.7513  0.2369  0.3754  0.7289   0.9333  0.0732  0.1391  5.00"
+    )

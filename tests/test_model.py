@@ -88,6 +88,24 @@ def test_concept_entry_normalizes_surface():
         ConceptEntry("x", "", SemanticGroup.DRUG)
 
 
+def test_concept_entry_key_is_its_word_tokens():
+    entry = ConceptEntry("Heart-Failure", "C1")
+    assert entry.key == "heart failure"
+    with pytest.raises(ModelError, match="no word tokens"):
+        ConceptEntry("---", "C1")
+
+
+def test_concept_entry_key_takes_no_part_in_equality_hash_or_repr():
+    entry = ConceptEntry("heart-failure", "C1", SemanticGroup.DISEASE)
+    twin = ConceptEntry("heart-failure", "C1", SemanticGroup.DISEASE)
+    object.__setattr__(twin, "key", "something else")
+    assert entry == twin and hash(entry) == hash(twin)
+    assert repr(entry) == (
+        "ConceptEntry(surface='heart-failure', cui='C1', semantic_group=<SemanticGroup.DISEASE: 'disease'>)"
+    )
+    assert ConceptEntry("heart-failure", "C1") != ConceptEntry("heart failure", "C1")
+
+
 def test_semantic_group_parse_unknown_maps_to_other():
     assert SemanticGroup.parse("Disease") is SemanticGroup.DISEASE
     assert SemanticGroup.parse("finding") is SemanticGroup.OTHER
@@ -205,12 +223,26 @@ def test_utterance_rejects_non_string_text():
 
 
 def test_eval_report_ranges():
-    report = EvalReport(1.0, 0.5, 0.5, 0.5, 0.2, 0.1, 1.0, 1.0, 1.0, 12.5)
+    report = EvalReport(1.0, 0.5, 0.5, 0.5, 0.2, 0.1, 1.0, 1.0, 12.5)
     assert report.as_dict()["r1"] == 1.0
     with pytest.raises(ModelError):
-        EvalReport(1.2, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+        EvalReport(1.2, 0, 0, 0, 0, 0, 0, 0, 0)
     with pytest.raises(ModelError):
-        EvalReport(0, 0, 0, 0, 0, 0, 0, 0, 0, -1)
+        EvalReport(0, 0, 0, 0, 0, 0, 0, 0, -1)
+
+
+@pytest.mark.parametrize(
+    "precision, recall, f1",
+    [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, 1.0, 2 / 3), (0.25, 0.75, 0.375)],
+)
+def test_eval_report_computes_concept_f1(precision, recall, f1):
+    report = EvalReport(0, 0, 0, 0, 0, 0, recall, precision, 3)
+    assert report.concept_f1 == pytest.approx(f1)
+    assert list(report.as_dict()) == [
+        "r1", "r2", "rl", "rlsum", "bleu", "sbleu", "concept_recall", "concept_precision", "concept_f1", "len",
+    ]
+    with pytest.raises(TypeError):
+        EvalReport(0, 0, 0, 0, 0, 0, recall, precision, concept_f1=f1, len=3)
 
 
 # --- transcript codec: line ends ---------------------------------------------

@@ -420,6 +420,36 @@ def test_a_failed_run_frees_its_scheduler_without_a_gc_pass(tmp_path, monkeypatc
         gc.enable()
 
 
+def test_a_failed_note_frees_its_scheduler_without_a_gc_pass(tmp_path, monkeypatch):
+    # A failed chain hands its exception to its note through the lane; that
+    # exception's traceback holds the chain's frames, with the lane and the
+    # scheduler. Once the note has failed and the run has ended, they must go
+    # at once, not wait in a reference cycle for the collector.
+    schedulers = []
+    scheduler_class = cli._Scheduler
+    complete = MockBackend.complete
+
+    def recorded(backend, workers):
+        scheduler = scheduler_class(backend, workers)
+        schedulers.append(weakref.ref(scheduler))
+        return scheduler
+
+    def failing_polish(backend, request):
+        if request.stage == "polish":
+            raise MalformedResponse("no choices in the reply")
+        return complete(backend, request)
+
+    monkeypatch.setattr(cli, "_Scheduler", recorded)
+    monkeypatch.setattr(MockBackend, "complete", failing_polish)
+    gc.disable()
+    try:
+        code, _ = _generate(tmp_path, NOTES_PATH, "--workers", "2")
+        assert code == 1
+        assert schedulers and schedulers[0]() is None
+    finally:
+        gc.enable()
+
+
 # Distinct notes, so that a request's section body or note text names its note.
 POOL = [record["text"] for record in FIXTURE] + [
     "MEDICATIONS:\ntakes aspirin nightly. Also lisinopril.\nPLAN:\nschedule a colonoscopy.\n",
