@@ -270,6 +270,11 @@ def _make_backend(args: argparse.Namespace, cfg: GenerationConfig):
         raise CliError(str(exc)) from exc
 
 
+class _RunStopped(Exception):
+    """A request refused because the run stopped. Its note did not fail, so
+    ``generate`` lets it pass unlogged; nothing reads the note's result."""
+
+
 class _Lane:
     """One admitted note's side of the scheduler: the backend its chains call,
     and the ``map_sections`` that ``run_full_pipeline`` fans chains out by."""
@@ -312,10 +317,11 @@ class _Scheduler:
       fold for one, counts as one, so the fold admits no note.
     - Once the run stops, no request starts and no note is admitted. An
       AuthError stops it, and so does any exception that leaves the ``with``
-      block: a failed write, a full disk or a Ctrl-C. Once a chain fails, the
-      other chains of its note start no request. A non-retryable error stops
-      them before its slot is freed, one that ran out of retries as its chain
-      ends.
+      block: a failed write, a full disk or a Ctrl-C. A note whose request is
+      refused then has not failed, and is not logged as failed. Once a chain
+      fails, the other chains of its note start no request. A non-retryable
+      error stops them before its slot is freed, one that ran out of retries
+      as its chain ends.
 
     With one worker, notes run inline and one at a time, with no scheduling.
     """
@@ -398,7 +404,9 @@ class _Scheduler:
                 self._cond.notify_all()
                 if isinstance(self._stop, AuthError):
                     raise AuthError(str(self._stop))
-                raise BackendError(f"note stopped after an error: {lane.error or self._stop}")
+                if lane.error:
+                    raise BackendError(f"note stopped after an error: {lane.error}")
+                raise _RunStopped(str(self._stop))
             self._in_flight += 1
         try:
             return self._backend.complete(request)

@@ -5,11 +5,18 @@ token windows: at each position it tries the widest window first, accepting a
 window that matches a lexicon entry either exactly (after normalization) or
 by token-set Jaccard similarity at or above the configured threshold. Matched
 spans never overlap; repeated concepts are deduplicated by CUI.
+
+Most windows cannot match, and the scan skips them without a lookup. Let a
+window have ``s`` distinct tokens, ``k`` of them in some entry. An entry of
+``e`` distinct tokens shares ``o <= k`` of them, so its Jaccard similarity
+``o / (s + e - o)`` is at most ``o / s <= k / s``. Float division rounds
+correctly, so it keeps that order: when ``k / s`` is below the threshold, no
+entry reaches it. An exact match has ``k == s`` and is never skipped.
 """
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .model import (
     Checklist,
@@ -46,7 +53,10 @@ class Lexicon:
     failure" are one key; duplicate keys keep the first occurrence.
     Insertion order is the tie-break for approximate matches, whose candidates
     come from an inverted index of token -> entry ids (SimString, Okazaki &
-    Tsujii 2010).
+    Tsujii 2010). ``indexed`` tells a scan which tokens have postings: a
+    window whose share ``k / s`` of distinct tokens with postings is below the
+    threshold bounds every entry's Jaccard similarity below it, so the scan
+    never asks ``match_window`` about it.
     """
 
     def __init__(self, entries: Iterable[ConceptEntry]):
@@ -84,6 +94,11 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def indexed(self, tokens: Iterable[str]) -> List[bool]:
+        """Whether each token has postings, that is, occurs in some entry."""
+        postings = self._postings
+        return [token in postings for token in tokens]
+
     def match_window(self, window: Sequence[str], approx_threshold: float) -> Optional[ConceptEntry]:
         """Entry matched by a token window, exact matches taking precedence
         over Jaccard matches; approximate ties go to insertion order.
@@ -116,20 +131,25 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
     ``other``; duplicate surfaces keep the first record and log a warning. A
     record that cannot form a ``ConceptEntry`` raises MalformedRecord.
     """
-    entries = []
+    return Lexicon(_read_entries(source))
+
+
+def _read_entries(source: Iterable[str]) -> Iterator[ConceptEntry]:
     for line_no, raw in enumerate(source, start=1):
         line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
+        stripped = line.lstrip()
+        if not stripped or stripped[0] == "#":
             continue
         fields = line.split("\t")
         if len(fields) != 3:
             raise MalformedRecord(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-        surface, cui, group = (f.strip() for f in fields)
+        surface, cui, group = fields
+        # ConceptEntry squashes the surface's whitespace; parse strips the group.
         try:
-            entries.append(ConceptEntry(surface, cui, SemanticGroup.parse(group)))
+            entry = ConceptEntry(surface, cui.strip(), SemanticGroup.parse(group))
         except ModelError as exc:
             raise MalformedRecord(line_no, str(exc)) from exc
-    return Lexicon(entries)
+        yield entry
 
 
 @dataclass(frozen=True)
@@ -142,22 +162,40 @@ class ConceptMatch:
 
 
 def scan_matches(text: str, lexicon: Lexicon, approx_threshold: float) -> List[ConceptMatch]:
-    """All greedy longest matches in order, before CUI deduplication."""
+    """All greedy longest matches in order, before CUI deduplication. Only
+    windows the bound of the module docstring keeps reach ``match_window``."""
     if not 0 < approx_threshold <= 1:
         raise ValueError("approx_threshold must be in (0, 1]")
     tokens = words(text)
+    n = len(tokens)
+    # A closing True stops the search for the next token with postings at n.
+    indexed = lexicon.indexed(tokens) + [True]
+    longest = lexicon.max_term_tokens
     matches: List[ConceptMatch] = []
     i = 0
-    while i < len(tokens):
-        hit = None
-        for width in range(min(lexicon.max_term_tokens, len(tokens) - i), 0, -1):
-            entry = lexicon.match_window(tokens[i : i + width], approx_threshold)
+    while i < n:
+        # A window with no token that has postings cannot match, so start no
+        # further back than ``longest - 1`` tokens before the next one.
+        first = indexed.index(True, i)
+        if first == n:
+            break
+        i = max(i, first - longest + 1)
+        ends = []
+        distinct = set()
+        known = 0
+        for end in range(i + 1, min(i + longest, n) + 1):
+            token = tokens[end - 1]
+            if token not in distinct:
+                distinct.add(token)
+                known += indexed[end - 1]
+            if known / len(distinct) >= approx_threshold:
+                ends.append(end)
+        for end in reversed(ends):
+            entry = lexicon.match_window(tokens[i:end], approx_threshold)
             if entry is not None:
-                hit = ConceptMatch(i, i + width, entry)
+                matches.append(ConceptMatch(i, end, entry))
+                i = end
                 break
-        if hit is not None:
-            matches.append(hit)
-            i = hit.end
         else:
             i += 1
     return matches

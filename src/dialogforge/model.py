@@ -224,13 +224,13 @@ class SemanticGroup(str, Enum):
     @classmethod
     def parse(cls, raw: str) -> "SemanticGroup":
         """Map a raw group label to the enum; unknown labels become OTHER."""
-        try:
-            return cls(raw.strip().lower())
-        except ValueError:
-            return cls.OTHER
+        return _GROUP_LABELS.get(raw.strip().lower(), cls.OTHER)
 
 
-@dataclass(frozen=True)
+_GROUP_LABELS = {group.value: group for group in SemanticGroup}
+
+
+@dataclass(frozen=True, slots=True)
 class ConceptEntry:
     """A lexicon concept. ``key``, its surface's word tokens joined by spaces,
     names it: "Heart-Failure" and "heart failure" share one. A surface with no
@@ -242,10 +242,16 @@ class ConceptEntry:
     key: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "surface", _squash(self.surface))
-        object.__setattr__(self, "semantic_group", SemanticGroup(self.semantic_group))
-        object.__setattr__(self, "key", " ".join(words(self.surface)))
-        if not self.key:
+        parts = self.surface.lower().split()
+        surface = " ".join(parts)
+        object.__setattr__(self, "surface", surface)
+        if not isinstance(self.semantic_group, SemanticGroup):
+            object.__setattr__(self, "semantic_group", SemanticGroup(self.semantic_group))
+        # A run of str.isalnum() characters is exactly one _WORD_RE token, so
+        # a surface of such runs is its own key.
+        key = surface if "".join(parts).isalnum() else " ".join(_WORD_RE.findall(surface))
+        object.__setattr__(self, "key", key)
+        if not key:
             raise ModelError(f"concept surface {self.surface!r} has no word tokens")
         if not self.cui:
             raise ModelError("concept cui is empty")

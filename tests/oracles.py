@@ -15,6 +15,9 @@ checks the packing on lines too long for the enumeration above.
 ``oracle_mark_covered`` is the exception: it checks only the order of the
 coverage checks, so it tags text with the production tagger, which the
 concept oracles above verify on their own.
+``reference_load_lexicon`` is the lexicon loader as first written: every
+field stripped, each key cut from the surface by the word regex, and each
+group found by calling the enum and catching ``ValueError``.
 """
 
 import re
@@ -23,10 +26,11 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, exp, log
 
-from dialogforge.model import CANONICAL_HEADERS
+from dialogforge.model import CANONICAL_HEADERS, SemanticGroup
 from dialogforge.segmenter import MAX_HEADER_CHARS
 
 _ASCII_WORD = re.compile(r"[a-z0-9]+")
+_UNICODE_WORD = re.compile(r"[^\W_]+")
 
 # Above this many candidate tuples, fall back from enumeration to the greedy
 # definitional scan for earliest-LCS positions.
@@ -250,6 +254,44 @@ def _window_entry(window, entries, threshold):
         if union and len(window_set & entry_set) / len(union) >= threshold:
             return entry
     return None
+
+
+class ReferenceMalformed(Exception):
+    def __init__(self, line_no, detail):
+        super().__init__(detail)
+        self.line_no = line_no
+
+
+def reference_load_lexicon(lines):
+    """``(rows, duplicates)``: a ``(surface, cui, group, key)`` row per kept
+    record in file order, and the surface of each record dropped as a
+    duplicate key. A bad record raises ReferenceMalformed with its line
+    number and the loader's detail text."""
+    rows, duplicates, keys = [], [], set()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ReferenceMalformed(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+        surface, cui, label = (f.strip() for f in fields)
+        surface = " ".join(surface.lower().split())
+        key = " ".join(_UNICODE_WORD.findall(surface.lower()))
+        if not key:
+            raise ReferenceMalformed(line_no, f"concept surface {surface!r} has no word tokens")
+        if not cui:
+            raise ReferenceMalformed(line_no, "concept cui is empty")
+        try:
+            group = SemanticGroup(label.strip().lower())
+        except ValueError:
+            group = SemanticGroup.OTHER
+        if key in keys:
+            duplicates.append(surface)
+            continue
+        keys.add(key)
+        rows.append((surface, cui, group, key))
+    return rows, duplicates
 
 
 def oracle_concept_matches(text, entries, threshold):

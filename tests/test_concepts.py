@@ -3,7 +3,7 @@ import logging
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dialogforge.concepts import (
@@ -20,7 +20,13 @@ from dialogforge.concepts import (
 from dialogforge.model import Checklist, ConceptEntry, GenerationConfig, SemanticGroup, Speaker, Utterance
 
 from conftest import make_section
-from oracles import _window_entry, oracle_concept_matches, oracle_mark_covered
+from oracles import (
+    ReferenceMalformed,
+    _window_entry,
+    oracle_concept_matches,
+    oracle_mark_covered,
+    reference_load_lexicon,
+)
 
 
 def _load(text):
@@ -254,6 +260,8 @@ _VOCAB = ["a", "b", "c", "d", "ab", "7"]
 _SEPARATORS = [" ", "  ", "-", ", ", "_", "/", ". "]
 
 _tokens = st.sampled_from(_VOCAB + ["B", "Cd"])
+# Scanned text also holds a filler token that no entry has.
+_text_tokens = st.sampled_from(_VOCAB + ["B", "Cd", "x"])
 _window_tokens = st.lists(st.sampled_from(_VOCAB + ["zz"]), max_size=5)
 _thresholds = st.one_of(
     st.sampled_from([0.25, 1 / 3, 0.5, 0.6, 2 / 3, 0.7, 0.75, 1.0]),
@@ -262,8 +270,8 @@ _thresholds = st.one_of(
 
 
 @st.composite
-def _joined(draw, min_size, max_size):
-    parts = draw(st.lists(_tokens, min_size=min_size, max_size=max_size))
+def _joined(draw, min_size, max_size, tokens=_tokens):
+    parts = draw(st.lists(tokens, min_size=min_size, max_size=max_size))
     text = parts[0] if parts else ""
     for part in parts[1:]:
         text += draw(st.sampled_from(_SEPARATORS)) + part
@@ -297,14 +305,31 @@ def test_match_window_agrees_with_linear_scan(entries, window, threshold):
     assert lexicon.match_window(window, threshold) is _window_entry(window, entries, threshold)
 
 
-@given(entries=_entries(), text=_joined(0, 8), threshold=_thresholds)
+@given(entries=_entries(), text=_joined(0, 8, _text_tokens), threshold=_thresholds)
 @example(entries=[_entry("a b")], text="", threshold=0.7)
 @example(entries=[_entry("a a b"), _entry("b-a", "C2")], text="c a b a a b", threshold=0.6)
 @example(entries=[_entry("c b a"), _entry("a-b-c", "C2")], text="A. B, c", threshold=1.0)
+# "x" has no postings, but counted once, not three times: the window
+# "a x x x" holds two distinct tokens and matches "a" at 1/2.
+@example(entries=[_entry("a"), _entry("p q r s", "C2")], text="a x x x", threshold=0.5)
 def test_scan_matches_agrees_with_oracle(entries, text, threshold):
     lexicon = Lexicon(entries)
     got = [(m.start, m.end, m.entry) for m in scan_matches(text, lexicon, threshold)]
     assert got == oracle_concept_matches(text, entries, threshold)
+
+
+# The bound of scan_matches: a window whose distinct tokens have postings in a
+# share k / s below the threshold matches no entry. Each example checks every
+# window that the bound rejects among the slices of the drawn tokens.
+@given(entries=_entries(), tokens=_window_tokens, threshold=_thresholds)
+@example(entries=[_entry("a"), _entry("a b", "C2")], tokens=["a", "zz", "zz"], threshold=0.6)
+def test_a_window_the_bound_rejects_matches_nothing(entries, tokens, threshold):
+    lexicon = Lexicon(entries)
+    slices = [tokens[i:j] for i in range(len(tokens)) for j in range(i + 1, len(tokens) + 1)]
+    rejected = [w for w in slices if sum(lexicon.indexed(set(w))) / len(set(w)) < threshold]
+    assume(rejected)
+    for window in rejected:
+        assert lexicon.match_window(window, threshold) is None
 
 
 def _flagged_checklist(entries, flags):
@@ -345,3 +370,72 @@ def test_mark_covered_agrees_with_always_tagging_oracle(lexicon_entries, extra, 
     flips = mark_covered(got, utterances, lexicon, cfg)
     assert flips == oracle_mark_covered(expected, utterances, lexicon, cfg)
     assert got.covered == expected.covered
+
+
+# The loader against the reference loader of tests/oracles.py, over files
+# that mix records with comments, blank lines, malformed lines, duplicates,
+# unknown and mixed-case groups, punctuation-only surfaces and CRLF endings.
+_SURFACES = ["aspirin", "  ASPIRIN ", "Heart-Failure", "heart failure", "heart \x0b failure", "a_b", "İ", "x²", "e\u0301"]
+_BAD_SURFACES = ["---", "", "  ", "_"]
+_CUIS = ["C1", " C2 ", "C3"]
+_BAD_CUIS = ["", "  "]
+_GROUPS = ["disease", " DRUG ", "Procedure", "device", "other", "vertebrate", "", "DiSeAsE "]
+_OTHER_LINES = ["# comment", "  # indented\tcomment", "", "   ", "\t", "\t\t", "one\tfield", "a\tb\tc\td"]
+
+
+@st.composite
+def _mostly(draw, good, bad):
+    """A value of ``good`` nine times in ten, else one of ``bad``."""
+    return draw(st.sampled_from(good if draw(st.integers(0, 9)) else bad))
+
+
+@st.composite
+def _lexicon_lines(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 4)):
+            line = "\t".join([
+                draw(_mostly(_SURFACES, _BAD_SURFACES)),
+                draw(_mostly(_CUIS, _BAD_CUIS)),
+                draw(st.sampled_from(_GROUPS)),
+            ])
+        else:
+            line = draw(st.sampled_from(_OTHER_LINES))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return lines
+
+
+def _load_outcome(lines):
+    """``(rows, warnings)`` of a load, a row ``(surface, cui, repr(group),
+    key)`` per entry, or ``(line number, message)`` of its MalformedRecord."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("dialogforge.concepts")
+    logger.addHandler(handler)
+    try:
+        lexicon = load_lexicon(lines)
+    except MalformedRecord as exc:
+        return exc.line_no, str(exc)
+    finally:
+        logger.removeHandler(handler)
+    rows = [(e.surface, e.cui, repr(e.semantic_group), e.key) for e in lexicon.entries]
+    return rows, [r.getMessage() for r in records]
+
+
+@given(lines=_lexicon_lines())
+@example(lines=["# c\n", "Heart-Failure\tC1\t DISEASE\r\n", "heart failure\tC2\tdrug\n", "x\tC3\tfish"])
+@example(lines=["\n", "aspirin\tC1\tdrug\r\n", "---\tC2\tdisease\n"])
+@example(lines=["aspirin\t \tdrug\n"])
+@example(lines=["  # x\n", "a\tb\n"])
+def test_load_lexicon_agrees_with_reference_loader(lines):
+    try:
+        rows, duplicates = reference_load_lexicon(lines)
+    except ReferenceMalformed as exc:
+        expected = exc.line_no, f"malformed lexicon record at line {exc.line_no}: {exc}"
+    else:
+        rows = [(surface, cui, repr(group), key) for surface, cui, group, key in rows]
+        expected = rows, [f"duplicate lexicon surface {surface!r} ignored" for surface in duplicates]
+    assert _load_outcome(lines) == expected

@@ -24,7 +24,9 @@ from dialogforge.model import (
     Utterance,
     format_transcript,
     last_turn_text,
+    _squash,
     parse_transcript,
+    words,
 )
 from dialogforge.orchestrator import render_prompt
 
@@ -93,6 +95,29 @@ def test_concept_entry_key_is_its_word_tokens():
     assert entry.key == "heart failure"
     with pytest.raises(ModelError, match="no word tokens"):
         ConceptEntry("---", "C1")
+
+
+# The key is the word regex's tokens of the squashed surface; a surface of
+# str.isalnum() runs skips the regex, which these examples probe.
+@given(surface=st.text())
+@example(surface="_")
+@example(surface="a_b  C")
+@example(surface="İstanbul")
+@example(surface="x² ³")
+@example(surface="cafe\u0301 au lait")
+def test_concept_entry_key_is_the_word_tokens_of_its_squashed_surface(surface):
+    key = " ".join(words(_squash(surface)))
+    if not key:
+        with pytest.raises(ModelError, match="no word tokens"):
+            ConceptEntry(surface, "C1")
+        return
+    entry = ConceptEntry(surface, "C1")
+    assert (entry.surface, entry.key) == (_squash(surface), key)
+
+
+def test_concept_entry_group_from_a_label():
+    assert ConceptEntry("aspirin", "C1", "drug").semantic_group is SemanticGroup.DRUG
+    assert ConceptEntry("aspirin", "C1", SemanticGroup.DRUG).semantic_group is SemanticGroup.DRUG
 
 
 def test_concept_entry_key_takes_no_part_in_equality_hash_or_repr():

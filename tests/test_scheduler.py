@@ -3,6 +3,7 @@ requests in flight, the earliest note first, and a failure kept to its note."""
 
 import gc
 import hashlib
+import io
 import json
 import random
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from dialogforge import cli
 from dialogforge.backend import AuthError, BackendError, MalformedResponse, MockBackend, RateLimited
-from dialogforge.model import ClinicalNote
+from dialogforge.model import Checklist, ClinicalNote, Dialogue, Speaker, Utterance
 from dialogforge.segmenter import segment_note
 
 from conftest import DATA_DIR, LEXICON_PATH, NOTES_PATH
@@ -448,6 +449,44 @@ def test_a_failed_note_frees_its_scheduler_without_a_gc_pass(tmp_path, monkeypat
         assert schedulers and schedulers[0]() is None
     finally:
         gc.enable()
+
+
+def test_a_note_refused_after_the_run_stops_is_not_logged_as_failed(tmp_path, monkeypatch, capsys, caplog):
+    # Note b's first two chains hold both slots and its third waits at the
+    # gate when note a's record fails to write. The run stops and the gate
+    # refuses b's request; b did not fail, so only the write error shows.
+    schedulers = []
+    scheduler_class = cli._Scheduler
+
+    def recorded(backend, workers):
+        schedulers.append(scheduler_class(backend, workers))
+        return schedulers[-1]
+
+    def held_complete(backend, request):
+        _until(lambda: schedulers[0]._stop is not None)
+        return "Doctor: Hello."
+
+    def pipeline(note, lexicon, backend, cfg, templates, map_sections):
+        if note.id == "a":
+            turns = (Utterance(Speaker.DOCTOR, "Any cough?"), Utterance(Speaker.PATIENT, "No."))
+            return Dialogue(note.id, turns, {"checklist": Checklist([])})
+        return map_sections(backend.complete, ["first", "second", "third"])
+
+    class BrokenStdout(io.StringIO):
+        def write(self, text):
+            _until(lambda: len(schedulers[0]._waiting) == 1 and schedulers[0]._in_flight == 2)
+            raise BrokenPipeError(32, "Broken pipe")
+
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text("".join(json.dumps({"id": i, "text": "cough"}) + "\n" for i in "ab"), encoding="utf-8")
+    monkeypatch.setattr(cli, "_Scheduler", recorded)
+    monkeypatch.setattr(cli, "run_full_pipeline", pipeline)
+    monkeypatch.setattr(MockBackend, "complete", held_complete)
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    argv = ["generate", "--mock", "--workers", "2", "--input", str(notes), "--lexicon", str(LEXICON_PATH)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+    assert [r.getMessage() for r in caplog.records if "failed" in r.getMessage()] == []
 
 
 # Distinct notes, so that a request's section body or note text names its note.
