@@ -164,9 +164,13 @@ class ConceptMatch:
 def scan_matches(text: str, lexicon: Lexicon, approx_threshold: float) -> List[ConceptMatch]:
     """All greedy longest matches in order, before CUI deduplication. Only
     windows the bound of the module docstring keeps reach ``match_window``."""
+    return _scan_tokens(words(text), lexicon, approx_threshold)
+
+
+def _scan_tokens(tokens: Sequence[str], lexicon: Lexicon, approx_threshold: float) -> List[ConceptMatch]:
+    """``scan_matches`` over the word tokens of a text."""
     if not 0 < approx_threshold <= 1:
         raise ValueError("approx_threshold must be in (0, 1]")
-    tokens = words(text)
     n = len(tokens)
     # A closing True stops the search for the next token with postings at n.
     indexed = lexicon.indexed(tokens) + [True]
@@ -203,9 +207,14 @@ def scan_matches(text: str, lexicon: Lexicon, approx_threshold: float) -> List[C
 
 def extract_concepts(text: str, lexicon: Lexicon, approx_threshold: float) -> List[ConceptEntry]:
     """Concepts in first-occurrence order, one per CUI."""
+    return concepts_of_tokens(words(text), lexicon, approx_threshold)
+
+
+def concepts_of_tokens(tokens: Sequence[str], lexicon: Lexicon, approx_threshold: float) -> List[ConceptEntry]:
+    """``extract_concepts`` over the word tokens of a text."""
     seen = set()
     out = []
-    for match in scan_matches(text, lexicon, approx_threshold):
+    for match in _scan_tokens(tokens, lexicon, approx_threshold):
         if match.entry.cui not in seen:
             seen.add(match.entry.cui)
             out.append(match.entry)
@@ -243,8 +252,8 @@ def mark_covered(
     """
     if not new_utterances:
         return 0
-    blob = "\n".join(u.text for u in new_utterances)
-    padded = f" {' '.join(words(blob))} "
+    tokens = words("\n".join(u.text for u in new_utterances))
+    padded = f" {' '.join(tokens)} "
     unsaid = []
     flips = 0
     for index, (entry, done) in enumerate(zip(checklist.entries, checklist.covered)):
@@ -256,7 +265,7 @@ def mark_covered(
         else:
             unsaid.append(index)
     if unsaid:
-        mentioned_cuis = {c.cui for c in extract_concepts(blob, lexicon, cfg.concept_threshold)}
+        mentioned_cuis = {c.cui for c in concepts_of_tokens(tokens, lexicon, cfg.concept_threshold)}
         for index in unsaid:
             if checklist.entries[index].cui in mentioned_cuis:
                 checklist.mark(index)

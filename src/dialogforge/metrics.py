@@ -39,20 +39,32 @@ leaves the fewest to walk; the union of hits does not depend on the order.
 The cost is one kernel run over wide ints per target line, not one per line
 pair, plus the walks that can still add a hit.
 
-Self-BLEU counts each utterance's n-grams once. Per n-gram, the largest count,
-its owner and the second-largest count give the best count among any
-utterance's siblings in O(1): O(n-grams) per dialogue, not O(T^2) Counter
-builds, and the clipped counts stay integers, so the scores are unchanged.
+``evaluate_corpus`` tokenizes each transcript line once and derives the rest.
+No word token spans a line end, and a line end stops the context of a case
+mapping (a final sigma), so a transcript's tokens are its lines' tokens
+joined, and a turn's are its rendered line's less the speaker tag that opens
+it. Each text's n-grams of each order 1..``MAX_N`` are counted once, one
+order at a time, and the clipped count per order, ``min(hyp, ref)`` summed
+over n-grams, serves ROUGE-1, ROUGE-2 and BLEU; ``bleu`` clips each n-gram at
+its largest count in any one reference (Papineni et al., ACL 2002). Only
+Self-BLEU, which scores every utterance against all its siblings, goes
+through ``_sibling_bleu``: per n-gram, the largest count, its owner and the
+second-largest count give the best count among any utterance's siblings in
+O(1), so a dialogue costs O(n-grams), not O(T^2) Counter builds. Clipped
+counts are integers, so none of this changes a score.
 """
 
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 from math import exp, log
+from operator import or_
 from typing import Dict, List, Sequence, Tuple
 
-from .concepts import Lexicon, reportable_concepts
-from .model import Dialogue, EvalReport, GenerationConfig, f1_score, format_transcript, split_lines, words
+from .concepts import Lexicon, concepts_of_tokens, filter_semantic_groups
+from .model import Dialogue, EvalReport, GenerationConfig, Utterance, f1_score, format_transcript, split_lines, words
 
 MAX_N = 4  # highest n-gram order of BLEU and Self-BLEU
 
@@ -68,21 +80,37 @@ def tokenize(text: str) -> TokenizedText:
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """Count of each n-gram of ``tokens``, as a tuple of ``n`` tokens."""
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _clipped(a: Counter, b: Counter) -> int:
+    """Matched n-grams: the sum over n-grams of the smaller count."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = b.get
+    matched = 0
+    for gram, x in a.items():
+        y = get(gram)
+        if y:
+            matched += x if x < y else y
+    return matched
+
+
+def _rouge_n_score(matched: int, hyp_grams: int, ref_grams: int) -> float:
+    """F1 of ``matched`` n-grams out of each side's count; 0 when either side
+    has none (a count under 1 is a text shorter than the order)."""
+    if hyp_grams < 1 or ref_grams < 1:
+        return 0.0
+    return f1_score(matched / hyp_grams, matched / ref_grams)
 
 
 def rouge_n(hyp: TokenizedText, ref: TokenizedText, n: int) -> float:
     """Clipped n-gram overlap F1; 0 when either side has no n-grams."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    hyp_counts = _ngram_counts(hyp.tokens, n)
-    ref_counts = _ngram_counts(ref.tokens, n)
-    hyp_total = sum(hyp_counts.values())
-    ref_total = sum(ref_counts.values())
-    if hyp_total == 0 or ref_total == 0:
-        return 0.0
-    matched = sum((hyp_counts & ref_counts).values())
-    return f1_score(matched / hyp_total, matched / ref_total)
+    matched = _clipped(_ngram_counts(hyp.tokens, n), _ngram_counts(ref.tokens, n))
+    return _rouge_n_score(matched, len(hyp.tokens) - n + 1, len(ref.tokens) - n + 1)
 
 
 def _match_masks(b: Sequence[str]) -> Dict[str, int]:
@@ -197,8 +225,11 @@ def _union_hits(target_lines: List[Tuple[str, ...]], other_lines: List[Tuple[str
 
 def rouge_lsum(hyp_lines: Sequence[str], ref_lines: Sequence[str]) -> float:
     """Line-union LCS F1 over one-utterance-per-line renderings."""
-    hyp_tokens = [tokenize(line).tokens for line in hyp_lines]
-    ref_tokens = [tokenize(line).tokens for line in ref_lines]
+    return _lsum_score([tokenize(line).tokens for line in hyp_lines], [tokenize(line).tokens for line in ref_lines])
+
+
+def _lsum_score(hyp_tokens: List[Tuple[str, ...]], ref_tokens: List[Tuple[str, ...]]) -> float:
+    """``rouge_lsum`` from the tokens of each line."""
     hyp_total = sum(len(t) for t in hyp_tokens)
     ref_total = sum(len(t) for t in ref_tokens)
     if hyp_total == 0 or ref_total == 0:
@@ -208,10 +239,23 @@ def rouge_lsum(hyp_lines: Sequence[str], ref_lines: Sequence[str]) -> float:
     return f1_score(precision, recall)
 
 
-def _sibling_bleu(units: Sequence[Sequence[str]], scored: int) -> List[float]:
-    """Smoothed BLEU of each of the first ``scored`` units with all the other
-    units as its references, from one n-gram count per unit and order."""
-    hits = [[0] * MAX_N for _ in range(scored)]
+def _bleu_score(matched: Sequence[int], h: int, r: int) -> float:
+    """Smoothed BLEU of an ``h``-token hypothesis that has ``matched[n - 1]``
+    clipped n-grams of order n, against a closest reference length ``r``."""
+    if h == 0:
+        return 0.0
+    log_sum = 0.0
+    for n, hits in enumerate(matched, start=1):
+        total = max(h - n + 1, 1)
+        log_sum += log(hits / total if hits else 1.0 / (2 * total))
+    score = exp(log_sum / MAX_N)
+    return score * exp(1.0 - r / h) if h < r else score
+
+
+def _sibling_bleu(units: Sequence[Sequence[str]]) -> List[float]:
+    """Smoothed BLEU of each unit with all the other units as its
+    references, from one n-gram count per unit and order."""
+    hits = [[0] * MAX_N for _ in units]
     for n in range(1, MAX_N + 1):
         counts = [_ngram_counts(unit, n) for unit in units]
         top: Dict[Tuple[str, ...], Tuple[int, int, int]] = {}  # (largest, its unit, second)
@@ -219,27 +263,19 @@ def _sibling_bleu(units: Sequence[Sequence[str]], scored: int) -> List[float]:
             for gram, count in unit_counts.items():
                 first, owner, second = top.get(gram, (0, -1, 0))
                 top[gram] = (count, t, first) if count > first else (first, owner, max(second, count))
-        for t in range(scored):
-            for gram, count in counts[t].items():
+        for t, unit_counts in enumerate(counts):
+            for gram, count in unit_counts.items():
                 first, owner, second = top[gram]
                 hits[t][n - 1] += min(count, second if owner == t else first)
     lengths = sorted(len(unit) for unit in units)
     scores = []
     for unit, unit_hits in zip(units, hits):
         h = len(unit)
-        if h == 0:
-            scores.append(0.0)
-            continue
-        log_sum = 0.0
-        for n, matched in enumerate(unit_hits, start=1):
-            total = max(h - n + 1, 1)
-            log_sum += log(matched / total if matched else 1.0 / (2 * total))
-        score = exp(log_sum / MAX_N)
         # closest other length, ties to the shorter; lengths[k] is the unit's own
         k = bisect_left(lengths, h)
         neighbours = lengths[max(k - 1, 0) : k] + lengths[k + 1 : k + 2]
         r = min((abs(other - h), other) for other in neighbours)[1]
-        scores.append(score * exp(1.0 - r / h) if h < r else score)
+        scores.append(_bleu_score(unit_hits, h, r))
     return scores
 
 
@@ -247,7 +283,14 @@ def bleu(hyp: TokenizedText, refs: Sequence[TokenizedText]) -> float:
     """Smoothed corpus-style BLEU of one hypothesis against references."""
     if not refs:
         raise ValueError("refs must be non-empty")
-    return _sibling_bleu([hyp.tokens, *(ref.tokens for ref in refs)], 1)[0]
+    # the clip of an n-gram is its largest count in any one reference
+    matched = [
+        _clipped(_ngram_counts(hyp.tokens, n), reduce(or_, (_ngram_counts(ref.tokens, n) for ref in refs)))
+        for n in range(1, MAX_N + 1)
+    ]
+    h = len(hyp.tokens)
+    r = min((abs(len(ref.tokens) - h), len(ref.tokens)) for ref in refs)[1]
+    return _bleu_score(matched, h, r)
 
 
 def self_bleu(corpus: Sequence[Dialogue]) -> float:
@@ -258,14 +301,18 @@ def self_bleu(corpus: Sequence[Dialogue]) -> float:
     """
     if not corpus:
         raise ValueError("no dialogues to score")
+    return _mean_self_bleu(corpus, [[tokenize(turn.text).tokens for turn in d.turns] for d in corpus])
+
+
+def _mean_self_bleu(corpus: Sequence[Dialogue], units: Sequence[Sequence[Tuple[str, ...]]]) -> float:
+    """``self_bleu`` of ``corpus`` from the tokens of each dialogue's turns."""
     dialogue_means = []
-    for dialogue in corpus:
-        if len(dialogue.turns) < 2:
+    for dialogue, turn_units in zip(corpus, units):
+        if len(turn_units) < 2:
             raise ValueError(
-                f"dialogue {dialogue.note_id!r} has {len(dialogue.turns)} utterance(s); need >= 2"
+                f"dialogue {dialogue.note_id!r} has {len(turn_units)} utterance(s); need >= 2"
             )
-        units = [tokenize(turn.text).tokens for turn in dialogue.turns]
-        scores = _sibling_bleu(units, len(units))
+        scores = _sibling_bleu(turn_units)
         dialogue_means.append(sum(scores) / len(scores))
     return sum(dialogue_means) / len(dialogue_means)
 
@@ -277,8 +324,19 @@ def concept_scores(
     cfg: GenerationConfig,
 ) -> Tuple[float, float, float]:
     """(recall, precision, f1) of filtered CUI overlap between two texts."""
-    hyp_cuis = {c.cui for c in reportable_concepts(hyp_text, lexicon, cfg)}
-    ref_cuis = {c.cui for c in reportable_concepts(ref_text, lexicon, cfg)}
+    return _concept_overlap(words(hyp_text), words(ref_text), lexicon, cfg)
+
+
+def _concept_overlap(
+    hyp_tokens: Sequence[str],
+    ref_tokens: Sequence[str],
+    lexicon: Lexicon,
+    cfg: GenerationConfig,
+) -> Tuple[float, float, float]:
+    """``concept_scores`` from the word tokens of each text."""
+    threshold = cfg.concept_threshold
+    hyp_cuis = {c.cui for c in filter_semantic_groups(concepts_of_tokens(hyp_tokens, lexicon, threshold))}
+    ref_cuis = {c.cui for c in filter_semantic_groups(concepts_of_tokens(ref_tokens, lexicon, threshold))}
     overlap = len(hyp_cuis & ref_cuis)
     recall = overlap / len(ref_cuis) if ref_cuis else 0.0
     precision = overlap / len(hyp_cuis) if hyp_cuis else 0.0
@@ -298,25 +356,39 @@ def evaluate_corpus(
     if not pairs:
         raise ValueError("no dialogue pairs to evaluate")
     sums = dict.fromkeys(("r1", "r2", "rl", "rlsum", "bleu", "concept_recall", "concept_precision"), 0.0)
+    hyp_units = []
     for hyp, ref in pairs:
-        hyp_text = format_transcript(hyp.turns)
-        ref_text = format_transcript(ref.turns)
-        hyp_tok = tokenize(hyp_text)
-        ref_tok = tokenize(ref_text)
-        sums["r1"] += rouge_n(hyp_tok, ref_tok, 1)
-        sums["r2"] += rouge_n(hyp_tok, ref_tok, 2)
-        sums["rl"] += rouge_l(hyp_tok, ref_tok)
-        sums["rlsum"] += rouge_lsum(split_lines(hyp_text), split_lines(ref_text))
-        sums["bleu"] += bleu(hyp_tok, [ref_tok])
-        recall, precision, _ = concept_scores(hyp_text, ref_text, lexicon, cfg)
+        hyp_by_turn = _turn_lines(hyp.turns)
+        hyp_lines = [line for turn in hyp_by_turn for line in turn]
+        ref_lines = [line for turn in _turn_lines(ref.turns) for line in turn]
+        # the speaker tag opens each turn
+        hyp_units.append([tuple(chain.from_iterable(turn))[1:] for turn in hyp_by_turn])
+        hyp_tokens = tuple(chain.from_iterable(hyp_lines))
+        ref_tokens = tuple(chain.from_iterable(ref_lines))
+        h, r = len(hyp_tokens), len(ref_tokens)
+        matched = [_clipped(_ngram_counts(hyp_tokens, n), _ngram_counts(ref_tokens, n)) for n in range(1, MAX_N + 1)]
+        sums["r1"] += _rouge_n_score(matched[0], h, r)
+        sums["r2"] += _rouge_n_score(matched[1], h - 1, r - 1)
+        sums["rl"] += rouge_l(TokenizedText(hyp_tokens), TokenizedText(ref_tokens))
+        sums["rlsum"] += _lsum_score(hyp_lines, ref_lines)
+        sums["bleu"] += _bleu_score(matched, h, r)
+        recall, precision, _ = _concept_overlap(hyp_tokens, ref_tokens, lexicon, cfg)
         sums["concept_recall"] += recall
         sums["concept_precision"] += precision
     count = len(pairs)
     return EvalReport(
         **{name: total / count for name, total in sums.items()},
-        sbleu=self_bleu([hyp for hyp, _ in pairs]),
+        sbleu=_mean_self_bleu([hyp for hyp, _ in pairs], hyp_units),
         len=sum(len(hyp.turns) for hyp, _ in pairs) / count,
     )
+
+
+def _turn_lines(turns: Sequence[Utterance]) -> List[List[Tuple[str, ...]]]:
+    r"""The tokens of each line of each turn's rendering by
+    ``format_transcript``. A turn whose text ends in ``\r`` gets an empty line
+    that the transcript lacks, where that ``\r`` and the next ``\n`` end one
+    line; an empty line adds nothing to any score."""
+    return [[tokenize(line).tokens for line in split_lines(format_transcript([turn]))] for turn in turns]
 
 
 # (heading, EvalReport field) per column of the table, in order.

@@ -124,7 +124,8 @@ class Utterance:
     text: str
 
     def __post_init__(self):
-        object.__setattr__(self, "speaker", Speaker(self.speaker))
+        if not isinstance(self.speaker, Speaker):
+            object.__setattr__(self, "speaker", Speaker(self.speaker))
         if not isinstance(self.text, str) or not self.text:
             raise ModelError(f"utterance text must be a non-empty string, got {self.text!r}")
 

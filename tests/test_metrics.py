@@ -1,15 +1,21 @@
 import dataclasses
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dialogforge.metrics import (
+    MAX_N,
+    TokenizedText,
     _earliest_lcs_positions,
     _lcs_length,
     _lcs_rows,
     _match_masks,
+    _ngram_counts,
+    _turn_lines,
     _union_hits,
     bleu,
     concept_scores,
@@ -21,10 +27,11 @@ from dialogforge.metrics import (
     self_bleu,
     tokenize,
 )
-from dialogforge.model import format_transcript
+from dialogforge.model import Dialogue, EvalReport, GenerationConfig, Speaker, Utterance, format_transcript, split_lines
 
 from conftest import make_dialogue
 from oracles import (
+    ongrams,
     oracle_bleu,
     oracle_concept_scores,
     oracle_earliest_positions,
@@ -63,6 +70,37 @@ def test_tokenize_empty():
 
 def test_tokenize_splits_underscores_and_unicode():
     assert tokenize("x_y naïve").tokens == ("x", "y", "naïve")
+
+
+# Pieces of turn text where a line's tokens could differ from the
+# transcript's: each line end, a separator that ends no line, ``_``, digits,
+# letters outside ASCII, letters whose lower case depends on their neighbours
+# (final sigma, a dotted capital I that lowers to two characters), leading
+# punctuation and text that looks like a speaker tag.
+TURN_PIECES = ["\n", "\r\n", "\r", "\u2028", "_", "a_b", "42", "x2", "é", "ß", "ΑΣ", "Σ", "σΣa",
+               "İ", "İx", ".", "'", "...", ": ", "Doctor: x", "patient:", " ", "a", "b"]
+turn_texts = st.lists(st.sampled_from(TURN_PIECES), min_size=1, max_size=8).map("".join) | st.text(min_size=1)
+
+
+def turn_lists(min_size=1, texts=turn_texts):
+    turn = st.builds(Utterance, st.sampled_from(list(Speaker)), texts)
+    return st.lists(turn, min_size=min_size, max_size=5)
+
+
+@given(turn_lists())
+@example([Utterance(Speaker.DOCTOR, "a\r"), Utterance(Speaker.PATIENT, "b")])  # "\r" + "\n" end one line
+@example([Utterance(Speaker.PATIENT, "ΑΣ\rΣ"), Utterance(Speaker.DOCTOR, "'Σ\nDoctor: İ")])
+def test_turn_lines_derive_the_transcript_and_turn_tokens(turns):
+    turn_lines = _turn_lines(turns)
+    lines = [line for turn in turn_lines for line in turn]
+    transcript = format_transcript(turns)
+    assert tuple(chain.from_iterable(lines)) == tokenize(transcript).tokens
+    # the lines are the transcript's, but for lines that hold no token
+    assert [line for line in lines if line] == [
+        tokenize(line).tokens for line in split_lines(transcript) if tokenize(line).tokens
+    ]
+    for turn, its_lines in zip(turns, turn_lines):
+        assert tuple(chain.from_iterable(its_lines)) == (turn.speaker.value, *tokenize(turn.text).tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +360,25 @@ def dialogue_texts(draw):
     return draw(st.lists(st.lists(turn, min_size=2, max_size=6), min_size=1, max_size=3))
 
 
+@given(st.lists(st.sampled_from(LETTERS), max_size=6), st.integers(1, MAX_N))
+@example([], 1)
+@example(["a", "b"], MAX_N)  # more than the tokens
+def test_ngram_counts_equal_slice_built_counts(tokens, n):
+    assert _ngram_counts(tokens, n) == Counter(ongrams(tokens, n))
+    assert _ngram_counts(tuple(tokens), n) == Counter(ongrams(tokens, n))
+
+
+@given(token_pair(), st.lists(st.lists(st.sampled_from(LETTERS), max_size=12), max_size=2))
+@example(((), ("a",)), [])
+@example((("a", "b", "a", "b"), ("a", "b")), [["b", "a", "b", "a", "b"], ["a", "b", "a"]])  # clip differs by reference
+@example((LONG_A, LONG_B), [list(LONG_A[:40]), []])
+def test_bleu_matches_oracle_with_one_to_three_references(pair, more_refs):
+    hyp, ref = pair
+    refs = [list(ref), *more_refs]
+    got = bleu(TokenizedText(hyp), [TokenizedText(tuple(r)) for r in refs])
+    assert abs(got - oracle_bleu(list(hyp), refs)) < 1e-6
+
+
 @given(token_pair())
 @example((LONG_A, LONG_B))
 @example((LONG_A, ()))
@@ -510,6 +567,44 @@ def test_evaluate_corpus_rouge_lsum_lines_end_only_at_newlines(lexicon, cfg):
     expected = oracle_rouge_lsum(hyp_text.split("\n"), ref_text.split("\n"))
     assert expected != oracle_rouge_lsum(hyp_text.splitlines(), ref_text.splitlines())
     assert abs(evaluate_corpus([(hyp, ref)], lexicon, cfg).rlsum - expected) < 1e-6
+
+
+def reference_evaluate_corpus(pairs, lexicon, cfg):
+    """``evaluate_corpus`` from the public per-metric functions, each on its
+    own tokenization of the rendered transcripts."""
+    sums = dict.fromkeys(("r1", "r2", "rl", "rlsum", "bleu", "concept_recall", "concept_precision"), 0.0)
+    for hyp, ref in pairs:
+        hyp_text = format_transcript(hyp.turns)
+        ref_text = format_transcript(ref.turns)
+        hyp_tok = tokenize(hyp_text)
+        ref_tok = tokenize(ref_text)
+        sums["r1"] += rouge_n(hyp_tok, ref_tok, 1)
+        sums["r2"] += rouge_n(hyp_tok, ref_tok, 2)
+        sums["rl"] += rouge_l(hyp_tok, ref_tok)
+        sums["rlsum"] += rouge_lsum(split_lines(hyp_text), split_lines(ref_text))
+        sums["bleu"] += bleu(hyp_tok, [ref_tok])
+        recall, precision, _ = concept_scores(hyp_text, ref_text, lexicon, cfg)
+        sums["concept_recall"] += recall
+        sums["concept_precision"] += precision
+    count = len(pairs)
+    return EvalReport(
+        **{name: total / count for name, total in sums.items()},
+        sbleu=self_bleu([hyp for hyp, _ in pairs]),
+        len=sum(len(hyp.turns) for hyp, _ in pairs) / count,
+    )
+
+
+# Lexicon surfaces among the pieces, so the concept scores are not all 0.
+EVAL_PIECES = TURN_PIECES + ["aspirin", "diabetes", "heart failure", "failure heart", "asthma", "mri scan"]
+eval_texts = st.lists(st.sampled_from(EVAL_PIECES), min_size=1, max_size=10).map(" ".join)
+
+
+@given(st.lists(st.tuples(turn_lists(2, eval_texts), turn_lists(0, eval_texts)), min_size=1, max_size=3))
+@example([([Utterance(Speaker.DOCTOR, "aspirin\r"), Utterance(Speaker.PATIENT, "Doctor: diabetes")], [])])
+def test_evaluate_corpus_equals_the_public_metric_functions(lexicon, turn_pairs):
+    pairs = [(Dialogue(f"h{i}", hyp), Dialogue(f"r{i}", ref)) for i, (hyp, ref) in enumerate(turn_pairs)]
+    cfg = GenerationConfig()
+    assert evaluate_corpus(pairs, lexicon, cfg) == reference_evaluate_corpus(pairs, lexicon, cfg)
 
 
 def test_render_report_table_column_order(lexicon, cfg):

@@ -72,6 +72,13 @@ def test_utterance_validation():
         Utterance(Speaker.DOCTOR, "")
 
 
+def test_utterance_speaker_from_its_value():
+    assert Utterance("patient", "hi").speaker is Speaker.PATIENT
+    with pytest.raises(ValueError) as raised:
+        Utterance("nurse", "hi")
+    assert str(raised.value) == "'nurse' is not a valid Speaker"
+
+
 def test_combined_dialogue_relaxes_alternation():
     turns = (Utterance(Speaker.PATIENT, "hi"), Utterance(Speaker.PATIENT, "again"))
     d = Dialogue("d", turns)
