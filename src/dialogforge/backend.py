@@ -192,10 +192,8 @@ class HttpBackend:
                 headers=headers,
                 timeout=REQUEST_TIMEOUT_S,
             )
-        except requests.exceptions.Timeout as exc:
-            raise Timeout(str(exc)) from exc
-        except requests.exceptions.ConnectionError as exc:
-            # Transient transport failure; treated like a timeout so it retries.
+        except requests.exceptions.RequestException as exc:
+            # Any transport failure, a body cut off mid-stream too, retries like a timeout.
             raise Timeout(str(exc)) from exc
 
         if response.status_code in (401, 403):

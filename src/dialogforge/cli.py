@@ -24,7 +24,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .backend import AuthError, BackendError, ENDPOINT_ENV, HttpBackend, MockBackend
 from .concepts import LexiconError, load_lexicon, reportable_concepts
@@ -63,14 +63,19 @@ def _coerce(name: str, raw: str):
     return raw
 
 
+def _read(path: str, what: str = "") -> str:
+    """The text of the UTF-8 input file ``path``, or the error ``cannot read
+    <what><path>``; ``what`` names the kind of file (``"lexicon "``, say)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {what}{path}: {exc}") from exc
+
+
 def load_config_file(path: str) -> Dict[str, object]:
     """``key=value`` lines; blank lines and ``#`` comments ignored."""
     values: Dict[str, object] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_read(path, "config file ").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -108,13 +113,9 @@ def _read_records(path: str, field: str, kind: type, shape: str) -> Iterator[Tup
     """(``<path> line <n>``, id, record) per JSONL record: an object with an ``id``
     and a ``field`` of type ``kind``, else the error ``shape``. An id is a non-blank
     string or an integer (read with ``str``) that no other record of the file has."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
     id_lines: Dict[str, int] = {}
     # Not splitlines(): ensure_ascii=False leaves U+2028, U+2029 and U+0085 raw in strings.
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    for line_no, line in enumerate(_read(path).split("\n"), start=1):
         if not line.strip():
             continue
         where = f"{path} line {line_no}"
@@ -168,10 +169,8 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
         with _writing(sys.stdout):
             sys.stdout.flush()
         return
-    try:
+    with _writing(path):
         out = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
     try:
         yield out
         with _writing(out):
@@ -182,22 +181,23 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
 
 
 @contextlib.contextmanager
-def _writing(out: TextIO) -> Iterator[None]:
-    """Turns an OSError from writing ``out`` into one ``error:`` line. A failed
-    stdout is pointed at the null device, so that the interpreter's flush at
-    exit reports nothing more."""
+def _writing(out: Union[TextIO, str]) -> Iterator[None]:
+    """The ``cannot write`` error of ``out`` (a stream, or the path it is opened
+    from): a failed open, write, flush or close, or text the stream cannot
+    encode. A stdout that failed with an OSError is pointed at the null device,
+    so that the interpreter's flush at exit reports nothing more."""
     try:
         yield
-    except OSError as exc:
-        if out is not sys.stdout:
-            raise CliError(f"cannot write {out.name}: {exc}") from exc
-        # Skipped for a stream without a descriptor, as under redirect_stdout.
-        with contextlib.suppress(OSError):
-            fd = out.fileno()
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
-        raise CliError(f"cannot write stdout: {exc}") from exc
+    except (OSError, UnicodeEncodeError) as exc:
+        if out is sys.stdout and isinstance(exc, OSError):
+            # Skipped for a stream without a descriptor, as under redirect_stdout.
+            with contextlib.suppress(OSError):
+                fd = out.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        name = "stdout" if out is sys.stdout else out if isinstance(out, str) else out.name
+        raise CliError(f"cannot write {name}: {exc}") from exc
 
 
 def _write_record(out: TextIO, record: Dict) -> None:
@@ -207,10 +207,7 @@ def _write_record(out: TextIO, record: Dict) -> None:
 
 def _load_lexicon_file(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return load_lexicon(handle)
-    except OSError as exc:
-        raise CliError(f"cannot read lexicon {path}: {exc}") from exc
+        return load_lexicon(_read(path, "lexicon ").split("\n"))
     except LexiconError as exc:
         raise CliError(f"lexicon {path}: {exc}") from exc
 
@@ -247,8 +244,8 @@ def cmd_extract(args: argparse.Namespace, cfg: GenerationConfig) -> int:
 def _make_backend(args: argparse.Namespace, cfg: GenerationConfig):
     if args.mock_script:
         try:
-            script = json.loads(Path(args.mock_script).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            script = json.loads(_read(args.mock_script, "mock script "))
+        except json.JSONDecodeError as exc:
             raise CliError(f"cannot read mock script {args.mock_script}: {exc}") from exc
         if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
             raise CliError(f"mock script {args.mock_script} must be a JSON list of strings")

@@ -317,6 +317,7 @@ class PromptTemplate:
 
     name: str
     body: str
+    _slots: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.name not in STAGE_SLOTS:
@@ -331,9 +332,10 @@ class PromptTemplate:
         unbound = ", ".join(f"{{{{{slot}}}}}" for slot in sorted(slots - STAGE_SLOTS[self.name]))
         if unbound:
             raise ModelError(f"the {self.name} stage does not bind {unbound}")
+        object.__setattr__(self, "_slots", frozenset(slots))
 
     def referenced_slots(self) -> frozenset:
-        return frozenset(match.group(1) for match in TEMPLATE_SLOT_RE.finditer(self.body))
+        return self._slots
 
 
 MODES: Tuple[str, ...] = ("short", "long")

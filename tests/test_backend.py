@@ -231,6 +231,10 @@ def test_retry_backoff_delays_are_bounded():
 # ---------------------------------------------------------------------------
 
 
+# A reply whose chunked body announces 64 bytes, sends 14 and closes the connection.
+CUT_OFF = (200, None)
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
@@ -244,6 +248,12 @@ class _StubHandler(BaseHTTPRequestHandler):
             if self.server.replies
             else (200, json.dumps({"choices": [{"message": {"content": "stub reply"}}]}))
         )
+        if payload is None:
+            self.send_response(status)
+            self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()
+            self.wfile.write(b'40\r\n{"choices": [{')
+            return
         body = payload.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -339,6 +349,23 @@ def test_http_retry_integration(stub_server):
     reply = complete_with_retry(backend, user_request("hi"), max_retries=3, base_delay=0.0)
     assert reply == "finally"
     assert len(stub_server.seen) == 3
+
+
+def test_http_cut_off_body_is_retryable(stub_server):
+    stub_server.replies.append(CUT_OFF)
+    backend = HttpBackend(_endpoint(stub_server), "m", api_key="k")
+    with pytest.raises(Timeout) as raised:
+        backend.complete(user_request("hi"))
+    assert raised.value.retryable
+
+
+def test_http_retries_a_cut_off_body(stub_server):
+    body = json.dumps({"choices": [{"message": {"content": "whole"}}]})
+    stub_server.replies.extend([CUT_OFF, CUT_OFF, (200, body)])
+    backend = HttpBackend(_endpoint(stub_server), "m", api_key="k")
+    sleeps = []
+    reply = complete_with_retry(backend, user_request("hi"), max_retries=3, base_delay=0.0, sleep=sleeps.append)
+    assert reply == "whole" and len(sleeps) == 2 and len(stub_server.seen) == 3
 
 
 def _retry_after_run(server, value, max_retries=3):

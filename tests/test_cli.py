@@ -362,6 +362,43 @@ def test_generate_keeps_records_finished_before_an_auth_failure(tmp_path, capsys
         assert [json.loads(line)["id"] for line in kept] == finished
 
 
+class _CutsOffMetformin(BaseHTTPRequestHandler):
+    """Cuts off the chunked reply to every request that names metformin, which
+    only note n2 does; answers any other with one fixed reply."""
+
+    def do_POST(self):
+        cut = b"Metformin" in self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        self.send_response(200)
+        if cut:
+            self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()
+            self.wfile.write(b'40\r\n{"choices": [{')  # 14 of the 64 bytes it announces
+            return
+        body = b'{"choices": [{"message": {"content": "I see."}}]}'
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_note_whose_replies_are_cut_off_fails_alone(tmp_path, capsys, caplog, workers):
+    config = tmp_path / "fast.cfg"
+    config.write_text("retry_base_delay=0.0\n", encoding="utf-8")
+    with _serving(_CutsOffMetformin) as endpoint:
+        code, out = _generate(
+            tmp_path, "--endpoint", endpoint, "--config", str(config), "--max-rounds", "1",
+            "--workers", str(workers),
+        )
+    assert code == 1
+    assert [record["id"] for record in _read_jsonl(out)] == ["n1", "n3"]
+    failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+    assert len(failed) == 1 and failed[0].startswith("note n2 failed: ")
+    assert capsys.readouterr().err == ""
+
+
 def test_generate_writes_no_record_for_a_dialogue_under_two_turns(tmp_path, caplog):
     # The first note has no reportable concept, so its dialogue has no turns.
     src = tmp_path / "notes.jsonl"
@@ -847,6 +884,76 @@ def test_a_closed_stdout_is_one_error_line(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+# Each input of each command, as (argv with "BAD" in its place, what the error calls it).
+_GOLDEN_SHORT = str(GOLDEN_DIR / "generate_short.jsonl")
+_INPUTS = {
+    "segment-notes": (["segment", "--input", "BAD"], ""),
+    "extract-notes": (["extract", "--input", "BAD", "--lexicon", str(LEXICON_PATH)], ""),
+    "generate-notes": (["generate", "--mock", "--input", "BAD", "--lexicon", str(LEXICON_PATH)], ""),
+    "hyp": (["evaluate", "--hyp", "BAD", "--ref", _GOLDEN_SHORT, "--lexicon", str(LEXICON_PATH)], ""),
+    "ref": (["evaluate", "--hyp", _GOLDEN_SHORT, "--ref", "BAD", "--lexicon", str(LEXICON_PATH)], ""),
+    "lexicon": (["extract", "--input", str(NOTES_PATH), "--lexicon", "BAD"], "lexicon "),
+    "config": (["segment", "--input", str(NOTES_PATH), "--config", "BAD"], "config file "),
+    "mock-script": (
+        ["generate", "--mock-script", "BAD", "--input", str(NOTES_PATH), "--lexicon", str(LEXICON_PATH)],
+        "mock script ",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_INPUTS))
+def test_an_input_that_is_not_utf8_is_one_error_line(tmp_path, capsys, name):
+    argv, what = _INPUTS[name]
+    bad = tmp_path / "latin1.txt"
+    # Read as a whole before it is parsed, so one byte that is not UTF-8 fails any input.
+    bad.write_bytes("# caf\u00e9\n".encode("latin-1"))
+    out = tmp_path / "out.jsonl"
+    assert main([str(bad) if arg == "BAD" else arg for arg in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {what}{bad}: 'utf-8' codec can't decode byte 0xe9 ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+def test_a_record_the_output_cannot_encode_is_one_error_line(tmp_path, capsys, to_stdout):
+    # "\ud800" is valid JSON, but UTF-8 has no encoding for a lone surrogate.
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text(
+        '{"id": "a", "text": "CHIEF COMPLAINT:\\nCough."}\n{"id": "b", "text": "Cough \\ud800."}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.jsonl"
+    argv = ["segment", "--input", str(notes)] + ([] if to_stdout else ["--out", str(out)])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    name = "stdout" if to_stdout else out
+    assert captured.err.startswith(f"error: cannot write {name}: 'utf-8' codec can't encode character '\\ud800'")
+    assert captured.err.count("\n") == 1
+    # The records before it are kept.
+    written = captured.out if to_stdout else out.read_text(encoding="utf-8")
+    assert [json.loads(line)["note_id"] for line in written.splitlines()] == ["a"]
+
+
+def test_a_stdout_that_cannot_encode_a_record_keeps_the_records_before_it(tmp_path):
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text('{"id": "a", "text": "Cough."}\n{"id": "b", "text": "Caf\\u00e9."}\n', encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {
+        **os.environ, "PYTHONIOENCODING": "ascii",
+        "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "dialogforge", "segment", "--input", str(notes)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    err = proc.stderr.decode()
+    assert err.startswith("error: cannot write stdout: 'ascii' codec can't encode character '\\xe9'")
+    assert err.count("\n") == 1
+    assert [json.loads(line)["note_id"] for line in proc.stdout.decode().splitlines()] == ["a"]
 
 
 def test_evaluate_id_mismatch(tmp_path, capsys):
