@@ -65,9 +65,10 @@ def _coerce(name: str, raw: str):
 
 def _read(path: str, what: str = "") -> str:
     """The text of the UTF-8 input file ``path``, or the error ``cannot read
-    <what><path>``; ``what`` names the kind of file (``"lexicon "``, say)."""
+    <what><path>``; ``what`` names the kind of file (``"lexicon "``, say).
+    A leading byte-order mark is dropped, so a file reads as it would without one."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {what}{path}: {exc}") from exc
 

@@ -26,6 +26,7 @@ from .model import (
     NoteSection,
     SemanticGroup,
     Utterance,
+    concept_fields,
     words,
 )
 
@@ -57,42 +58,76 @@ class Lexicon:
     window whose share ``k / s`` of distinct tokens with postings is below the
     threshold bounds every entry's Jaccard similarity below it, so the scan
     never asks ``match_window`` about it.
+
+    The index is columns of strings and ids, as in QuickUMLS (Soldaini &
+    Goharian 2016): an entry id's surface, CUI, group and key, a key -> id
+    map, token -> id postings and each key's token set size. ``load_lexicon``
+    fills them from the file without building a ``ConceptEntry``; an id's
+    entry is built the first time a match returns it, then kept.
+    ``Lexicon(entries)`` runs the same index loop and keeps the entries given.
     """
 
     def __init__(self, entries: Iterable[ConceptEntry]):
+        self._index((e.surface, e.cui, e.semantic_group, e.key, e) for e in entries)
+
+    def _index(self, rows: Iterable[Tuple[str, str, SemanticGroup, str, Optional[ConceptEntry]]]) -> None:
+        """Index ``(surface, cui, group, key, entry or None)`` rows in order."""
         # The loop works on locals, not attributes: every command builds the
         # index at start-up.
-        kept: List[ConceptEntry] = []
-        exact: Dict[str, ConceptEntry] = {}
+        surfaces: List[str] = []
+        cuis: List[str] = []
+        groups: List[SemanticGroup] = []
+        keys: List[str] = []
+        built: List[Optional[ConceptEntry]] = []
+        exact: Dict[str, int] = {}
         postings: Dict[str, List[int]] = {}
         sizes: List[int] = []
         longest = 1
-        for entry in entries:
-            if entry.key in exact:
-                logger.warning("duplicate lexicon surface %r ignored", entry.surface)
+        for surface, cui, group, key, entry in rows:
+            if key in exact:
+                logger.warning("duplicate lexicon surface %r ignored", surface)
                 continue
-            exact[entry.key] = entry
-            entry_id = len(kept)
-            kept.append(entry)
-            tokens = entry.key.split(" ")
+            entry_id = exact[key] = len(keys)
+            surfaces.append(surface)
+            cuis.append(cui)
+            groups.append(group)
+            keys.append(key)
+            built.append(entry)
+            tokens = key.split(" ")
             token_set = set(tokens)
             sizes.append(len(token_set))
             for token in token_set:
                 postings.setdefault(token, []).append(entry_id)
             if len(tokens) > longest:
                 longest = len(tokens)
-        self._entries = kept
+        self._surfaces = surfaces
+        self._cuis = cuis
+        self._groups = groups
+        self._keys = keys
+        self._built = built
         self._exact = exact
         self._postings = postings
         self._set_sizes = sizes
         self.max_term_tokens = longest
 
+    def _entry(self, entry_id: int) -> ConceptEntry:
+        """The entry of ``entry_id``, built from its columns on first use."""
+        entry = self._built[entry_id]
+        if entry is None:
+            # Two threads may both find the slot empty and each build the
+            # entry. The two are equal and checklists merge by CUI, so it does
+            # not matter which one the slot keeps.
+            entry = self._built[entry_id] = ConceptEntry._from_checked(
+                self._surfaces[entry_id], self._cuis[entry_id], self._groups[entry_id], self._keys[entry_id]
+            )
+        return entry
+
     @property
     def entries(self) -> Tuple[ConceptEntry, ...]:
-        return tuple(self._entries)
+        return tuple(self._entry(entry_id) for entry_id in range(len(self._keys)))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._keys)
 
     def indexed(self, tokens: Iterable[str]) -> List[bool]:
         """Whether each token has postings, that is, occurs in some entry."""
@@ -106,9 +141,9 @@ class Lexicon:
         ``approx_threshold`` must be in (0, 1]: then every qualifying entry
         shares a token with the window, so the window's postings hold them all.
         """
-        exact = self._exact.get(" ".join(window))
-        if exact is not None:
-            return exact
+        entry_id = self._exact.get(" ".join(window))
+        if entry_id is not None:
+            return self._entry(entry_id)
         window_set = set(window)
         overlaps: Dict[int, int] = {}
         for token in window_set:
@@ -121,7 +156,7 @@ class Lexicon:
             for entry_id, overlap in overlaps.items()
             if overlap / (window_size + sizes[entry_id] - overlap) >= approx_threshold
         ]
-        return self._entries[min(qualifying)] if qualifying else None
+        return self._entry(min(qualifying)) if qualifying else None
 
 
 def load_lexicon(source: Iterable[str]) -> Lexicon:
@@ -129,12 +164,17 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
 
     Blank lines and ``#`` comments are skipped. Unknown groups map to
     ``other``; duplicate surfaces keep the first record and log a warning. A
-    record that cannot form a ``ConceptEntry`` raises MalformedRecord.
+    record that cannot form a ``ConceptEntry`` raises MalformedRecord. Each
+    line is checked and indexed as it is read; no entry is built.
     """
-    return Lexicon(_read_entries(source))
+    lexicon = Lexicon.__new__(Lexicon)
+    lexicon._index(_read_rows(source))
+    return lexicon
 
 
-def _read_entries(source: Iterable[str]) -> Iterator[ConceptEntry]:
+def _read_rows(source: Iterable[str]) -> Iterator[Tuple[str, str, SemanticGroup, str, None]]:
+    # A file holds few distinct group labels, so each is parsed once.
+    groups: Dict[str, SemanticGroup] = {}
     for line_no, raw in enumerate(source, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         stripped = line.lstrip()
@@ -144,12 +184,15 @@ def _read_entries(source: Iterable[str]) -> Iterator[ConceptEntry]:
         if len(fields) != 3:
             raise MalformedRecord(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
         surface, cui, group = fields
-        # ConceptEntry squashes the surface's whitespace; parse strips the group.
+        cui = cui.strip()
         try:
-            entry = ConceptEntry(surface, cui.strip(), SemanticGroup.parse(group))
+            surface, key = concept_fields(surface, cui)
         except ModelError as exc:
             raise MalformedRecord(line_no, str(exc)) from exc
-        yield entry
+        parsed = groups.get(group)
+        if parsed is None:
+            parsed = groups[group] = SemanticGroup.parse(group)
+        yield surface, cui, parsed, key, None
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,22 @@ class SemanticGroup(str, Enum):
 _GROUP_LABELS = {group.value: group for group in SemanticGroup}
 
 
+def concept_fields(surface: str, cui: str) -> Tuple[str, str]:
+    """``(surface, key)`` of a concept: the surface lowercased with its
+    whitespace squashed, and its word tokens joined by spaces. A surface with
+    no word tokens or an empty CUI raises ModelError."""
+    parts = surface.lower().split()
+    surface = " ".join(parts)
+    # A run of str.isalnum() characters is exactly one _WORD_RE token, so a
+    # surface of such runs is its own key, and shares the surface's string.
+    key = surface if "".join(parts).isalnum() else " ".join(_WORD_RE.findall(surface))
+    if not key:
+        raise ModelError(f"concept surface {surface!r} has no word tokens")
+    if not cui:
+        raise ModelError("concept cui is empty")
+    return surface, key
+
+
 @dataclass(frozen=True, slots=True)
 class ConceptEntry:
     """A lexicon concept. ``key``, its surface's word tokens joined by spaces,
@@ -243,19 +259,22 @@ class ConceptEntry:
     key: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        parts = self.surface.lower().split()
-        surface = " ".join(parts)
-        object.__setattr__(self, "surface", surface)
         if not isinstance(self.semantic_group, SemanticGroup):
             object.__setattr__(self, "semantic_group", SemanticGroup(self.semantic_group))
-        # A run of str.isalnum() characters is exactly one _WORD_RE token, so
-        # a surface of such runs is its own key.
-        key = surface if "".join(parts).isalnum() else " ".join(_WORD_RE.findall(surface))
+        surface, key = concept_fields(self.surface, self.cui)
+        object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "key", key)
-        if not key:
-            raise ModelError(f"concept surface {self.surface!r} has no word tokens")
-        if not self.cui:
-            raise ModelError("concept cui is empty")
+
+    @classmethod
+    def _from_checked(cls, surface: str, cui: str, group: SemanticGroup, key: str) -> "ConceptEntry":
+        """The entry of fields that ``concept_fields`` has already returned
+        and checked, built without running ``__post_init__`` again."""
+        entry = object.__new__(cls)
+        object.__setattr__(entry, "surface", surface)
+        object.__setattr__(entry, "cui", cui)
+        object.__setattr__(entry, "semantic_group", group)
+        object.__setattr__(entry, "key", key)
+        return entry
 
 
 class Checklist:

@@ -917,6 +917,24 @@ def test_an_input_that_is_not_utf8_is_one_error_line(tmp_path, capsys, name):
     assert not out.exists()
 
 
+# A byte-order mark that an editor writes at the start of a file is not text:
+# the fixture lexicon opens with a "#" comment, and a notes file with a "{".
+@pytest.mark.parametrize("marked", ["lexicon", "notes"])
+@pytest.mark.parametrize("command", ["extract", "generate"])
+def test_an_input_that_starts_with_a_byte_order_mark_reads_as_without_one(tmp_path, marked, command):
+    plain = {"lexicon": LEXICON_PATH, "notes": NOTES_PATH}
+    copy = tmp_path / plain[marked].name
+    copy.write_bytes(b"\xef\xbb\xbf" + plain[marked].read_bytes())
+    outputs = []
+    for paths in (plain, {**plain, marked: copy}):
+        out = tmp_path / f"out{len(outputs)}.jsonl"
+        argv = [command, "--input", str(paths["notes"]), "--lexicon", str(paths["lexicon"]), "--out", str(out)]
+        assert main(argv + (["--mock"] if command == "generate" else [])) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0]
+    assert outputs[1] == outputs[0]
+
+
 @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
 def test_a_record_the_output_cannot_encode_is_one_error_line(tmp_path, capsys, to_stdout):
     # "\ud800" is valid JSON, but UTF-8 has no encoding for a lone surrogate.

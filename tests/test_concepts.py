@@ -1,6 +1,8 @@
 import io
 import logging
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import assume, example, given
@@ -19,7 +21,7 @@ from dialogforge.concepts import (
 )
 from dialogforge.model import Checklist, ConceptEntry, GenerationConfig, SemanticGroup, Speaker, Utterance
 
-from conftest import make_section
+from conftest import LEXICON_PATH, make_section
 from oracles import (
     ReferenceMalformed,
     _window_entry,
@@ -439,3 +441,125 @@ def test_load_lexicon_agrees_with_reference_loader(lines):
         rows = [(surface, cui, repr(group), key) for surface, cui, group, key in rows]
         expected = rows, [f"duplicate lexicon surface {surface!r} ignored" for surface in duplicates]
     assert _load_outcome(lines) == expected
+
+
+def _row(entry):
+    """Every field of an entry, ``key`` too, or None."""
+    return entry and (entry.surface, entry.cui, entry.semantic_group, entry.key)
+
+
+def _well_formed(lines):
+    """``lines`` less each record the reference loader rejects, and its rows."""
+    while True:
+        try:
+            return lines, reference_load_lexicon(lines)[0]
+        except ReferenceMalformed as exc:
+            lines = lines[: exc.line_no - 1] + lines[exc.line_no :]
+
+
+# Windows and texts of the words the drawn lexicon lines hold, plus one that
+# no entry has.
+_LINE_WORDS = sorted(set(words(" ".join(_SURFACES)))) + ["zz"]
+
+
+# The two constructors: load_lexicon indexes the lines it parses, and
+# Lexicon indexes entries built from the reference loader's rows of them.
+@given(
+    lines=_lexicon_lines(),
+    window=st.lists(st.sampled_from(_LINE_WORDS), max_size=4),
+    text=st.lists(st.sampled_from(_LINE_WORDS + _SURFACES), max_size=6).map(" ".join),
+    threshold=_thresholds,
+)
+@example(
+    lines=["Heart-Failure\tC1\tdisease\n", "heart failure\tC2\tdrug\n", "failure\tC3\tother\n"],
+    window=["heart", "failure"], text="Heart failure, failure", threshold=0.5,
+)
+def test_loaded_and_constructed_lexicons_agree(lines, window, text, threshold):
+    lines, rows = _well_formed(lines)
+    loaded = load_lexicon(lines)
+    built = Lexicon(ConceptEntry(surface, cui, group) for surface, cui, group, _ in rows)
+    assert (len(loaded), loaded.max_term_tokens) == (len(built), built.max_term_tokens)
+    assert _row(loaded.match_window(window, threshold)) == _row(built.match_window(window, threshold))
+    assert [(m.start, m.end, _row(m.entry)) for m in scan_matches(text, loaded, threshold)] == [
+        (m.start, m.end, _row(m.entry)) for m in scan_matches(text, built, threshold)
+    ]
+
+
+def _count_builds(monkeypatch):
+    """Live counts of the entries built through ``__post_init__`` and built
+    from a lexicon's columns."""
+    counts = {"checked": 0, "columns": 0}
+    post_init = ConceptEntry.__post_init__
+    from_checked = ConceptEntry._from_checked.__func__
+
+    def counting_post_init(self):
+        counts["checked"] += 1
+        post_init(self)
+
+    def counting_from_checked(cls, *fields):
+        counts["columns"] += 1
+        return from_checked(cls, *fields)
+
+    monkeypatch.setattr(ConceptEntry, "__post_init__", counting_post_init)
+    monkeypatch.setattr(ConceptEntry, "_from_checked", classmethod(counting_from_checked))
+    return counts
+
+
+def test_an_entry_is_built_when_a_match_first_returns_it(monkeypatch):
+    counts = _count_builds(monkeypatch)
+    lexicon = _load(
+        "asthma\tC1\tdisease\nHeart-Failure\tC2\tdisease\naspirin\tC3\tdrug\nheart attack\tC4\tdisease\n"
+    )
+    assert counts == {"checked": 0, "columns": 0}
+    matches = scan_matches("Asthma, aspirin, more asthma; heart failure.", lexicon, 0.7)
+    assert [_row(m.entry) for m in matches] == [
+        ("asthma", "C1", SemanticGroup.DISEASE, "asthma"),
+        ("aspirin", "C3", SemanticGroup.DRUG, "aspirin"),
+        ("asthma", "C1", SemanticGroup.DISEASE, "asthma"),
+        ("heart-failure", "C2", SemanticGroup.DISEASE, "heart failure"),
+    ]
+    # One entry per distinct matched id; a later match returns the same one.
+    assert counts == {"checked": 0, "columns": 3}
+    assert matches[2].entry is matches[0].entry
+    assert lexicon.match_window(["asthma"], 1.0) is matches[0].entry
+    assert counts == {"checked": 0, "columns": 3}
+
+
+def test_a_key_equal_to_its_surface_is_the_same_string():
+    lexicon = _load("Asthma\tC1\tdisease\nheart  attack\tC2\tdisease\nHeart-Failure\tC3\tdisease\n")
+    same = [entry.key is entry.surface for entry in lexicon.entries]
+    assert same == [True, True, False]
+
+
+def test_threads_that_first_match_the_same_windows_get_equal_entries():
+    def fresh():
+        with open(LEXICON_PATH, encoding="utf-8") as handle:
+            return load_lexicon(handle)
+
+    expected = fresh().entries
+    windows = [entry.key.split(" ") for entry in expected]
+    lexicon = fresh()
+    workers = 8
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+
+    def run(index):
+        barrier.wait(timeout=10)
+        results[index] = [lexicon.match_window(window, 0.7) for window in windows]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got in results:
+        assert [_row(entry) for entry in got] == [_row(entry) for entry in expected]
+    # Whichever build a race kept, every later match returns that one.
+    for window in windows:
+        assert lexicon.match_window(window, 0.7) is lexicon.match_window(window, 0.7)
