@@ -15,8 +15,8 @@ slot text, never from the prompt wording: doctor requests get a single
 question embedding every requested keyword verbatim, patient requests echo
 the note sentences that mention the keywords of the last doctor question
 (read with ``last_turn_text``), and the refinement stages echo the turns of
-their conversation slots, read and written with the pipeline's own
-``parse_transcript``/``format_transcript``.
+their conversation slots through the pipeline's own transcript codec (in
+short style, text that is already ``is_canonical`` as it is).
 That makes a full pipeline run deterministic and keyword-coverage-complete by
 construction, whatever the templates say.
 """
@@ -34,7 +34,9 @@ from urllib.parse import urlparse
 
 import requests
 
-from .model import MODES, Speaker, Unparseable, Utterance, format_transcript, last_turn_text, parse_transcript
+from .model import (
+    MODES, Speaker, Unparseable, Utterance, format_transcript, is_canonical, last_turn_text, parse_transcript
+)
 
 logger = logging.getLogger(__name__)
 
@@ -333,8 +335,13 @@ class MockBackend:
         return " ".join(echoed)
 
     def _echo_dialogue(self, *transcripts: str) -> str:
+        """``format_transcript(parse_transcript(text))`` of the non-empty slots
+        joined by lines, or "Okay."; short style returns a canonical text as is."""
+        text = "\n".join(filter(None, transcripts))
+        if self._style == "short" and is_canonical(text):
+            return text
         try:
-            turns = parse_transcript("\n".join(transcripts))
+            turns = parse_transcript(text)
         except Unparseable:
             return "Okay."
         if self._style == "long":

@@ -6,6 +6,10 @@ immutable except :class:`Checklist`, whose covered flags only flip to True.
 ``Patient:`` transcript: prompt slots, model replies and the mock's echoes.
 ``last_turn_text`` reads one speaker's last turn as ``parse_transcript``
 would. A transcript line ends only at ``\n``, ``\r\n`` or ``\r``.
+``is_canonical`` accepts only text that both write and read unchanged:
+``Doctor: ``/``Patient: `` lines joined by ``\n``, whose texts start with no
+whitespace, ``*`` or ``_`` and end with no whitespace. ``echoes`` also asks for
+one line per turn, so a turn holding a line break cannot pass for two.
 """
 
 import math
@@ -197,6 +201,20 @@ def parse_transcript(text: str) -> List[Utterance]:
         body = "\n".join(lines).strip()
         out.append(Utterance(speaker, body or "..."))
     return out
+
+
+_CANONICAL_LINE = r"(?:Doctor|Patient): [^\s*_](?:[^\r\n]*\S)?"
+_CANONICAL_RE = re.compile(rf"{_CANONICAL_LINE}(?:\n{_CANONICAL_LINE})*")
+
+
+def is_canonical(text: str) -> bool:
+    """True only where ``format_transcript(parse_transcript(text)) == text``."""
+    return _CANONICAL_RE.fullmatch(text) is not None
+
+
+def echoes(text: str, turns: Sequence[Utterance]) -> bool:
+    """True only where ``text`` is ``format_transcript(turns)`` and parses back as ``turns``."""
+    return text.count("\n") == len(turns) - 1 and text == format_transcript(turns) and is_canonical(text)
 
 
 def last_turn_text(text: str, speaker: Speaker) -> Optional[str]:

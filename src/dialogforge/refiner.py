@@ -5,8 +5,9 @@ note for fabricated content. That chain reads only its own section, so a
 caller's ``map_sections`` may run a note's section chains concurrently. The
 section dialogues are then folded left to right into one conversation by a
 merge pass, on the calling thread. All three passes go through one
-guarded rewrite, which reads the reply with ``model.parse_transcript``: if it
-cannot be parsed back into turns, changes who speaks first, or loses any
+guarded rewrite. A reply that ``model.echoes`` the turns sent is its input,
+taken with no parse or guard; any other is read with ``parse_transcript``: if
+it cannot be parsed back into turns, changes who speaks first, or loses any
 previously covered keyword, the pass keeps its input with a warning. For the
 merge the input is the concatenation of the two dialogues, so refinement can
 never lose coverage. The reported coverage is counted once, on the final turns,
@@ -26,6 +27,7 @@ from .model import (
     PromptTemplate,
     Unparseable,
     Utterance,
+    echoes,
     parse_transcript,
 )
 from .orchestrator import _call, _request, run_section_loop
@@ -61,15 +63,18 @@ def _rewrite_pass(
     head: Tuple[Utterance, ...] = (),
 ) -> Dialogue:
     """The one body of polish, hallucination_check and postedit_combine:
-    ``head`` plus the parsed reply to the ``stage`` template bound to the
-    conversations, note body and checklist, or ``dialogue`` itself when the
-    reply does not parse, changes who speaks first or drops a keyword covered
-    in ``checklist``."""
+    ``head`` plus the reply to the ``stage`` template bound to the
+    conversations, note body and checklist: the bound turns if it echoes them,
+    else its parse, or ``dialogue`` itself when the reply does not parse,
+    changes who speaks first or drops a keyword covered in ``checklist``."""
     template = (templates or DEFAULT_TEMPLATES)[stage]
     bindings = {"conversation": conversation, "conversation2": conversation2, "note": note_body}
     bindings["keywords"] = list(checklist.entries)
     keep = "concatenating turns" if stage == "postediting" else "keeping input"
     reply = _call(backend, _request(template, bindings, cfg), cfg)
+    bound = (*conversation, *conversation2)
+    if echoes(reply, bound):
+        return Dialogue(dialogue.note_id, head + bound)
     try:
         turns = head + tuple(parse_transcript(reply))
     except Unparseable:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from dialogforge.backend import ChatMessage, ChatRequest
 from dialogforge.concepts import load_lexicon
@@ -18,6 +19,7 @@ from dialogforge.model import (
     SectionHeader,
     Speaker,
     Utterance,
+    format_transcript,
 )
 
 # Property tests draw the same examples on every run and keep no example
@@ -90,6 +92,39 @@ def make_dialogue(*texts, note_id="d"):
         speaker = Speaker.DOCTOR if i % 2 == 0 else Speaker.PATIENT
         turns.append(Utterance(speaker, text))
     return Dialogue(note_id, tuple(turns))
+
+
+# Pieces of turn texts: whitespace (U+2028, ``\x1c`` and U+0085 too), ``*``
+# and ``_``, which a canonical text may not start or end with; line ends; and a
+# speaker tag inside a text.
+_TURN_PIECES = ["a", "b", "?", " ", "\t", "*", "_", ":", "\u2028", "\x1c", "\x85", "\n", "\r", "Patient: "]
+
+
+def turn_texts():
+    """Non-empty turn texts, with line ends and tagged lines inside."""
+    return st.lists(st.sampled_from(_TURN_PIECES), min_size=1, max_size=6).map("".join)
+
+
+def turn_lists():
+    """Non-empty lists of utterances of either speaker, texts from ``turn_texts``."""
+    turn = st.builds(Utterance, st.sampled_from(list(Speaker)), turn_texts())
+    return st.lists(turn, min_size=1, max_size=5)
+
+
+# Speaker tags in any case and markdown-wrapped, with and without the space
+# after the colon, and lines with no tag.
+_TAGS = ["Doctor: ", "Patient: ", "doctor: ", "PATIENT: ", "**Doctor:** ", "**Patient**: ", "_Doctor_: ",
+         "> Doctor: ", "Doctor:", "Patient :  ", "Doctor said ", ""]
+# Line ends, with none (two lines run together) and two (a blank line).
+_LINE_ENDS = ["\n", "\n", "\r\n", "\r", "", "\n\n"]
+
+
+def transcript_texts():
+    """Reply-like texts: tagged and untagged lines of ``turn_texts``, ended by
+    any line end, or a transcript as ``format_transcript`` writes it."""
+    line = st.tuples(st.sampled_from(_TAGS), turn_texts(), st.sampled_from(_LINE_ENDS))
+    raw = st.lists(line, max_size=5).map(lambda lines: "".join(tag + text + end for tag, text, end in lines))
+    return st.one_of(raw, turn_lists().map(format_transcript))
 
 
 def coverage(dialogue):

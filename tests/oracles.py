@@ -15,6 +15,8 @@ checks the packing on lines too long for the enumeration above.
 ``oracle_mark_covered`` is the exception: it checks only the order of the
 coverage checks, so it tags text with the production tagger, which the
 concept oracles above verify on their own.
+``reference_rewrite_pass`` is ``refiner._rewrite_pass`` with no echo
+shortcut: every reply is parsed and guarded.
 ``reference_load_lexicon`` is the lexicon loader as first written: every
 field stripped, each key cut from the surface by the word regex, and each
 group found by calling the enum and catching ``ValueError``.
@@ -396,6 +398,30 @@ def oracle_mark_covered(checklist, new_utterances, lexicon, cfg):
             checklist.mark(index)
             flips += 1
     return flips
+
+
+def reference_rewrite_pass(
+    stage, dialogue, note_body, checklist, lexicon, backend, cfg, templates, conversation, conversation2=(), head=()
+):
+    """``head`` plus the parsed reply to the ``stage`` template, or
+    ``dialogue`` itself when the reply does not parse, changes who speaks
+    first or drops a keyword covered in ``checklist``."""
+    from dialogforge.model import Dialogue, Unparseable, parse_transcript
+    from dialogforge.orchestrator import _call, _request
+    from dialogforge.prompts import DEFAULT_TEMPLATES
+    from dialogforge.refiner import _keyword_regression
+
+    template = (templates or DEFAULT_TEMPLATES)[stage]
+    bindings = {"conversation": conversation, "conversation2": conversation2, "note": note_body}
+    bindings["keywords"] = list(checklist.entries)
+    reply = _call(backend, _request(template, bindings, cfg), cfg)
+    try:
+        turns = head + tuple(parse_transcript(reply))
+    except Unparseable:
+        return dialogue
+    if turns[0].speaker is not dialogue.turns[0].speaker or _keyword_regression(checklist, turns, lexicon, cfg):
+        return dialogue
+    return Dialogue(dialogue.note_id, turns)
 
 
 def oracle_levenshtein(a, b):

@@ -25,12 +25,14 @@ from dialogforge.model import (
     format_transcript,
     last_turn_text,
     _squash,
+    echoes,
+    is_canonical,
     parse_transcript,
     words,
 )
 from dialogforge.orchestrator import render_prompt
 
-from conftest import make_dialogue
+from conftest import make_dialogue, transcript_texts, turn_lists
 from oracles import oracle_render, oracle_template_slots
 
 
@@ -332,3 +334,53 @@ def test_last_turn_text_equals_the_parsed_last_turn(lines):
         except Unparseable:
             texts = []
         assert last_turn_text(history, speaker) == (texts[-1] if texts else None)
+
+
+# --- transcript codec: the canonical form ------------------------------------
+
+
+def _plain(text):
+    """A turn text that ``format_transcript`` writes on one line, which reads
+    back unchanged: no line end, no whitespace, ``*`` or ``_`` at its start
+    and no whitespace at its end."""
+    return not ("\n" in text or "\r" in text or text[0].isspace() or text[0] in "*_" or text[-1].isspace())
+
+
+@given(text=transcript_texts())
+@example(text="Doctor: hi\nPatient: there")
+@example(text="Doctor: a\u2028b\nPatient: *yes*")
+@example(text="Doctor: a \nPatient: b")
+@example(text="**Doctor:** a\nPatient: b")
+@example(text="Doctor: a\r\nPatient: b")
+@example(text="Doctor: a\n\nPatient: b")
+@example(text="doctor: a")
+def test_a_canonical_text_reads_back_as_itself(text):
+    if is_canonical(text):
+        assert format_transcript(parse_transcript(text)) == text
+
+
+@given(turns=turn_lists(), other=transcript_texts(), rendered=st.booleans())
+@example(turns=[Utterance(Speaker.DOCTOR, "hi\nPatient: there")], other="", rendered=True)
+@example(turns=[Utterance(Speaker.DOCTOR, "hi"), Utterance(Speaker.PATIENT, "there")], other="", rendered=True)
+@example(turns=[Utterance(Speaker.DOCTOR, "hi ")], other="Doctor: hi", rendered=False)
+def test_echoes_accepts_only_a_reply_that_reads_back_as_its_turns(turns, other, rendered):
+    reply = format_transcript(turns) if rendered else other
+    if echoes(reply, turns):
+        assert parse_transcript(reply) == turns
+    if rendered:
+        # Not too strict either: every rendering of one-line plain texts passes.
+        assert echoes(reply, turns) == all(_plain(t.text) for t in turns)
+
+
+def test_a_turn_holding_a_tagged_line_is_canonical_but_no_echo():
+    turns = [Utterance(Speaker.DOCTOR, "hi\nPatient: there")]
+    reply = format_transcript(turns)
+    assert is_canonical(reply)
+    assert len(parse_transcript(reply)) == 2
+    assert not echoes(reply, turns)
+
+
+@pytest.mark.parametrize("text", ["", "Doctor:", "Doctor: ", "Doctor:  a", "Doctor: _a", "Doctor: a\t",
+                                  "Doctor: a\u2028", "Doctor: a\n", "Doctor: a\rPatient: b", "Nurse: a"])
+def test_is_canonical_refuses_what_format_transcript_does_not_write_back(text):
+    assert not is_canonical(text)

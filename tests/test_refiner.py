@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dialogforge.backend import ChatMessage, ChatRequest, MockBackend
-from dialogforge.concepts import build_checklist
+from dialogforge.concepts import build_checklist, load_lexicon, mark_covered
 from dialogforge.model import (
     Checklist,
     ClinicalNote,
@@ -23,6 +23,7 @@ from dialogforge.orchestrator import run_section_loop
 from dialogforge.segmenter import segment_note
 from dialogforge.refiner import (
     Unparseable,
+    _keyword_regression,
     hallucination_check,
     parse_transcript,
     polish,
@@ -30,8 +31,8 @@ from dialogforge.refiner import (
     run_full_pipeline,
 )
 
-from conftest import coverage, make_dialogue, make_section, uncovered
-from oracles import oracle_mark_covered
+from conftest import coverage, make_dialogue, make_section, transcript_texts, uncovered
+from oracles import oracle_mark_covered, reference_rewrite_pass
 
 
 class Recorder:
@@ -616,3 +617,138 @@ def test_pipeline_coverage_recounts_emitted_turns_under_distorted_rewrites(lexic
     assert not recount.uncovered()
     assert dialogue.turns[0].speaker is Speaker.DOCTOR
     assert all(turn.text.strip() for turn in dialogue.turns)
+
+
+# ---------------------------------------------------------------------------
+# A reply that echoes its input
+# ---------------------------------------------------------------------------
+
+
+@given(
+    stage=st.sampled_from(["polish", "hallucination", "postediting"]),
+    conversation=transcript_texts(),
+    conversation2=transcript_texts(),
+)
+@example(stage="polish", conversation="Doctor: hi\nPatient: there", conversation2="")
+@example(stage="postediting", conversation="Doctor: a", conversation2="Patient: b")
+@example(stage="postediting", conversation="", conversation2="Patient: b")
+def test_short_mock_echo_equals_parse_then_format(stage, conversation, conversation2):
+    slots = {"conversation": conversation}
+    if stage == "postediting":
+        slots["conversation2"] = conversation2
+    request = ChatRequest((ChatMessage("user", "-"),), stage=stage, slots=slots)
+    try:
+        expected = format_transcript(parse_transcript(conversation + "\n" + slots.get("conversation2", "")))
+    except Unparseable:
+        expected = "Okay."
+    assert MockBackend().complete(request) == expected
+
+
+# Turn texts that name fixture keywords, and texts the codec changes or splits.
+_ECHO_TEXTS = [
+    "Do you take aspirin?",
+    "Yes, aspirin daily.",
+    "Any asthma?",
+    "My asthma is mild.",
+    "ok",
+    "it hurts\nat night",
+    "hi\nPatient: asthma",
+    "*asthma* today",
+    "aspirin  ",
+    "a\u2028b",
+]
+
+
+def _wrap_one_tag(turns, pick):
+    reply = format_transcript(turns)
+    tags = list(_TAG_LINE.finditer(reply))
+    match = tags[pick % len(tags)]
+    return reply[: match.start()] + f"**{match.group(1)}:** " + reply[match.end() :]
+
+
+# Replies to a rewrite pass, made from the turns it bound.
+ECHO_REPLIES = {
+    "exact_echo": lambda turns, pick: format_transcript(turns),
+    "wrapped_tag": _wrap_one_tag,
+    "dropped_turn": lambda turns, pick: format_transcript(turns[: pick % len(turns)] + turns[pick % len(turns) + 1 :]),
+    "trailing_spaces": lambda turns, pick: "\n".join(line + "  " for line in format_transcript(turns).split("\n")),
+    "multi_line_turns": lambda turns, pick: format_transcript(
+        [Utterance(t.speaker, f"{t.text}\n(nods)") for t in turns]
+    ),
+}
+
+
+@given(
+    stage=st.sampled_from(["polish", "hallucination", "postediting"]),
+    texts=st.lists(st.sampled_from(_ECHO_TEXTS), min_size=3, max_size=6),
+    kind=st.sampled_from(sorted(ECHO_REPLIES)),
+    pick=st.integers(0, 20),
+)
+@example(stage="polish", texts=["Any asthma?", "hi\nPatient: asthma", "ok"], kind="exact_echo", pick=0)
+@example(stage="postediting", texts=["Do you take aspirin?", "Yes.", "Any asthma?", "ok"], kind="exact_echo", pick=1)
+def test_a_rewrite_gives_the_turns_of_the_parse_and_guard_path(lexicon, stage, texts, kind, pick):
+    cfg = GenerationConfig()
+    dialogue = make_dialogue(*texts, note_id="n")
+    # Credited round by round, as the loop credits them.
+    checklist = build_checklist(make_section("aspirin and asthma"), lexicon, cfg)
+    for start in range(0, len(dialogue.turns), 2):
+        mark_covered(checklist, dialogue.turns[start : start + 2], lexicon, cfg)
+    if stage == "postediting":
+        split = 2 + pick % (len(texts) - 2)
+        head = 1 + pick % (split - 1)
+        left, right = Dialogue("n", dialogue.turns[:split]), Dialogue("n", dialogue.turns[split:])
+        bound = dialogue.turns[head:]
+        reply = ECHO_REPLIES[kind](bound, pick)
+        result = postedit_combine(left, right, "body", checklist, lexicon, MockBackend(script=[reply]), cfg, head=head)
+        reference = reference_rewrite_pass(
+            stage, dialogue, "body", checklist, lexicon, MockBackend(script=[reply]), cfg, None,
+            left.turns[head:], right.turns, left.turns[:head],
+        )
+    else:
+        reply = ECHO_REPLIES[kind](dialogue.turns, pick)
+        rewrite = polish if stage == "polish" else hallucination_check
+        result = rewrite(dialogue, "body", checklist, lexicon, MockBackend(script=[reply]), cfg)
+        reference = reference_rewrite_pass(
+            stage, dialogue, "body", checklist, lexicon, MockBackend(script=[reply]), cfg, None, dialogue.turns
+        )
+    assert result.turns == reference.turns
+
+
+def test_polish_takes_an_unchanged_echo_without_a_false_warning(cfg, caplog):
+    # Round by round, "Dal cor" says "cor dal" (C2). Re-scanned as one text,
+    # "bex" and "dal" across the round boundary match "bex dal" (C1) first,
+    # which takes "dal", so a re-scan of the whole echo would call C2 lost.
+    lexicon = load_lexicon(["bex dal\tC1\tdisease\n", "cor dal\tC2\tdisease\n"])
+    dialogue = make_dialogue("Any rash?", "Some bex", "Dal cor, then?", "Yes.", note_id="n")
+    checklist = Checklist(e for e in lexicon.entries if e.cui == "C2")
+    mark_covered(checklist, dialogue.turns[:2], lexicon, cfg)
+    assert checklist.covered == (False,)
+    mark_covered(checklist, dialogue.turns[2:], lexicon, cfg)
+    assert checklist.covered == (True,)
+    assert _keyword_regression(checklist, dialogue.turns, lexicon, cfg) == ["cor dal"]
+    with caplog.at_level(logging.WARNING):
+        polished = polish(dialogue, "body", checklist, lexicon, MockBackend(), cfg)
+    assert polished.turns == dialogue.turns
+    assert polished is not dialogue
+    assert not caplog.records
+
+
+def test_an_echo_of_the_rule_mock_is_neither_parsed_nor_rescanned(lexicon, cfg, monkeypatch):
+    import dialogforge.backend
+    import dialogforge.refiner
+
+    def refuse(*args):
+        raise AssertionError("an exact echo was parsed or re-scanned")
+
+    section, checklist, dialogue = loop_dialogue(lexicon, cfg, "aspirin and asthma daily")
+    for module, name in [
+        (dialogforge.backend, "parse_transcript"),
+        (dialogforge.refiner, "parse_transcript"),
+        (dialogforge.refiner, "_keyword_regression"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    polished = polish(dialogue, section.body, checklist, lexicon, MockBackend(), cfg)
+    checked = hallucination_check(polished, section.body, checklist, lexicon, MockBackend(), cfg)
+    merged = postedit_combine(checked, dialogue, "body", checklist, lexicon, MockBackend(), cfg, head=1)
+    assert checked.turns == dialogue.turns
+    assert merged.turns == dialogue.turns + dialogue.turns
