@@ -16,18 +16,21 @@ the calling thread.
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import itertools
 import json
 import logging
 import os
+import stat
 import sys
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .backend import AuthError, BackendError, ENDPOINT_ENV, HttpBackend, MockBackend
-from .concepts import LexiconError, load_lexicon, reportable_concepts
+from .concepts import INDEX_FORMAT, Lexicon, LexiconError, load_lexicon, reportable_concepts
 from .metrics import evaluate_corpus, render_report_table
 from .model import MODES, ClinicalNote, Dialogue, GenerationConfig, ModelError, Utterance
 from .prompts import load_templates
@@ -206,11 +209,63 @@ def _write_record(out: TextIO, record: Dict) -> None:
         out.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def _load_lexicon_file(path: str):
+INDEX_SUFFIX = ".dialogforge-index"
+_INDEX_MAGIC = b"dialogforge-index "
+
+
+def _load_lexicon_file(path: str) -> Lexicon:
+    """The lexicon at ``path``, read from its index ``<path>.dialogforge-index``
+    when the index's header matches: the index format, the interpreter's
+    ``cache_tag`` (marshal data may change between versions) and the SHA-256
+    of the lexicon text. Otherwise the text is parsed, and the index written
+    for the next command, unless the index path holds a file this program
+    did not write."""
+    text = _read(path, "lexicon ")
+    index_path = path + INDEX_SUFFIX
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    header = _INDEX_MAGIC + f"{INDEX_FORMAT} {sys.implementation.cache_tag} {digest}\n".encode("ascii")
     try:
-        return load_lexicon(_read(path, "lexicon ").split("\n"))
+        with open(index_path, "rb") as index:
+            found = index.read()
+    except FileNotFoundError:
+        found = b""
+    except OSError:
+        found = None  # something is there that cannot be read: keep it
+    if found and found.startswith(header):
+        # A damaged index is parsed over, like a stale one.
+        with contextlib.suppress(EOFError, ValueError, TypeError, KeyError):
+            return Lexicon.from_index(found[len(header):])
+    try:
+        lexicon = load_lexicon(text.split("\n"))
     except LexiconError as exc:
         raise CliError(f"lexicon {path}: {exc}") from exc
+    # A file there that does not start as an index does is not ours to replace.
+    if found is not None and _INDEX_MAGIC.startswith(found[: len(_INDEX_MAGIC)]):
+        _write_index(path, index_path, header + lexicon.to_index())
+    return lexicon
+
+
+def _write_index(path: str, index_path: str, data: bytes) -> None:
+    """Write ``data`` to ``index_path`` through a temporary file in its
+    directory and ``os.replace``, so that no reader sees a torn index; give it
+    the mode of the lexicon file ``path``. Only a regular lexicon file gets an
+    index: not ``/dev/stdin`` or a FIFO. A write that fails (a read-only
+    directory, say) is logged at DEBUG and costs the next command a parse."""
+    temp = None
+    try:
+        mode = os.stat(path).st_mode
+        if not stat.S_ISREG(mode):
+            return
+        fd, temp = tempfile.mkstemp(prefix=os.path.basename(index_path) + ".", dir=os.path.dirname(index_path))
+        with os.fdopen(fd, "wb") as out:
+            os.fchmod(out.fileno(), stat.S_IMODE(mode) & 0o666)
+            out.write(data)
+        os.replace(temp, index_path)
+    except OSError as exc:
+        logger.debug("lexicon index %s not written: %s", index_path, exc)
+        if temp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
 
 
 def cmd_segment(args: argparse.Namespace, cfg: GenerationConfig) -> int:
@@ -506,7 +561,11 @@ def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument("--" + name.replace("_", "-"), type=_CONFIG_FIELDS[name], choices=choices)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` given, one with only
+    that command's arguments added: each ``add_argument`` builds a help
+    formatter, which reads the terminal size. Every command is registered
+    either way, so the top-level help and an unknown command's error are the same."""
     parser = argparse.ArgumentParser(
         prog="dialogforge",
         description="Synthesize doctor-patient dialogues from clinical notes and evaluate them.",
@@ -514,52 +573,60 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_segment = sub.add_parser("segment", help="split notes into header-labeled sections")
-    p_segment.add_argument("--input", required=True, help="notes JSONL file")
-    p_segment.add_argument("--out", help="sections JSONL file (default stdout)")
-    _add_config_flags(p_segment, "similarity_threshold")
-    p_segment.set_defaults(func=cmd_segment)
+    if command in (None, "segment"):
+        p_segment.add_argument("--input", required=True, help="notes JSONL file")
+        p_segment.add_argument("--out", help="sections JSONL file (default stdout)")
+        _add_config_flags(p_segment, "similarity_threshold")
+        p_segment.set_defaults(func=cmd_segment)
 
     p_extract = sub.add_parser("extract", help="extract filtered concepts per note")
-    p_extract.add_argument("--input", required=True, help="notes JSONL file")
-    p_extract.add_argument("--lexicon", required=True, help="tab-separated lexicon file")
-    p_extract.add_argument("--out", help="concepts JSONL file (default stdout)")
-    _add_config_flags(p_extract, "concept_threshold")
-    p_extract.set_defaults(func=cmd_extract)
+    if command in (None, "extract"):
+        p_extract.add_argument("--input", required=True, help="notes JSONL file")
+        p_extract.add_argument("--lexicon", required=True, help="tab-separated lexicon file")
+        p_extract.add_argument("--out", help="concepts JSONL file (default stdout)")
+        _add_config_flags(p_extract, "concept_threshold")
+        p_extract.set_defaults(func=cmd_extract)
 
     p_generate = sub.add_parser("generate", help="run the full note-to-dialogue pipeline")
-    p_generate.add_argument("--input", required=True, help="notes JSONL file")
-    p_generate.add_argument("--lexicon", required=True, help="tab-separated lexicon file")
-    p_generate.add_argument("--out", help="dialogues JSONL file (default stdout)")
-    p_generate.add_argument("--mock", action="store_true", help="use the rule-generated mock backend")
-    p_generate.add_argument("--mock-script", help="JSON list of scripted mock replies")
-    p_generate.add_argument("--endpoint", help=f"chat-completions endpoint (or ${ENDPOINT_ENV})")
-    p_generate.add_argument("--model", default="gpt-3.5-turbo", help="model name sent to the endpoint")
-    p_generate.add_argument(
-        "--requests-per-minute", dest="requests_per_minute", type=float, default=None
-    )
-    p_generate.add_argument("--workers", type=int, default=1, help="backend requests in flight")
-    p_generate.add_argument("--prompts", help="directory of <name>.txt prompt template overrides")
-    _add_config_flags(
-        p_generate, "mode", "max_rounds", "keywords_per_turn",
-        "similarity_threshold", "concept_threshold", "max_context_tokens",
-    )
-    p_generate.set_defaults(func=cmd_generate)
+    if command in (None, "generate"):
+        p_generate.add_argument("--input", required=True, help="notes JSONL file")
+        p_generate.add_argument("--lexicon", required=True, help="tab-separated lexicon file")
+        p_generate.add_argument("--out", help="dialogues JSONL file (default stdout)")
+        p_generate.add_argument("--mock", action="store_true", help="use the rule-generated mock backend")
+        p_generate.add_argument("--mock-script", help="JSON list of scripted mock replies")
+        p_generate.add_argument("--endpoint", help=f"chat-completions endpoint (or ${ENDPOINT_ENV})")
+        p_generate.add_argument("--model", default="gpt-3.5-turbo", help="model name sent to the endpoint")
+        p_generate.add_argument(
+            "--requests-per-minute", dest="requests_per_minute", type=float, default=None
+        )
+        p_generate.add_argument("--workers", type=int, default=1, help="backend requests in flight")
+        p_generate.add_argument("--prompts", help="directory of <name>.txt prompt template overrides")
+        _add_config_flags(
+            p_generate, "mode", "max_rounds", "keywords_per_turn",
+            "similarity_threshold", "concept_threshold", "max_context_tokens",
+        )
+        p_generate.set_defaults(func=cmd_generate)
 
     p_evaluate = sub.add_parser("evaluate", help="score hypothesis dialogues against references")
-    p_evaluate.add_argument("--hyp", required=True, help="hypothesis dialogues JSONL file")
-    p_evaluate.add_argument("--ref", required=True, help="reference dialogues JSONL file")
-    p_evaluate.add_argument("--lexicon", required=True, help="tab-separated lexicon file")
-    p_evaluate.add_argument("--out", help="report JSON file (default stdout)")
-    _add_config_flags(p_evaluate, "concept_threshold")
-    p_evaluate.set_defaults(func=cmd_evaluate)
+    if command in (None, "evaluate"):
+        p_evaluate.add_argument("--hyp", required=True, help="hypothesis dialogues JSONL file")
+        p_evaluate.add_argument("--ref", required=True, help="reference dialogues JSONL file")
+        p_evaluate.add_argument("--lexicon", required=True, help="tab-separated lexicon file")
+        p_evaluate.add_argument("--out", help="report JSON file (default stdout)")
+        _add_config_flags(p_evaluate, "concept_threshold")
+        p_evaluate.set_defaults(func=cmd_evaluate)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser takes no option with a value, so its first
+    # non-option argument names the command.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         cfg = build_config(args)
         if args.print_config:

@@ -15,6 +15,7 @@ entry reaches it. An exact match has ``k == s`` and is never skipped.
 """
 
 import logging
+import marshal
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -47,6 +48,11 @@ class MalformedRecord(LexiconError):
         super().__init__(f"malformed lexicon record at line {line_no}: {detail}")
 
 
+# The version of ``Lexicon.to_index``'s format. Bump it when ``_index`` gains,
+# loses or changes a column, so that no older index is read.
+INDEX_FORMAT = 1
+
+
 class Lexicon:
     """Immutable surface-term dictionary mapping to CUIs and semantic groups.
 
@@ -65,6 +71,8 @@ class Lexicon:
     fills them from the file without building a ``ConceptEntry``; an id's
     entry is built the first time a match returns it, then kept.
     ``Lexicon(entries)`` runs the same index loop and keeps the entries given.
+    ``to_index`` writes the columns with ``marshal``, and ``from_index`` reads
+    them back with no parse.
     """
 
     def __init__(self, entries: Iterable[ConceptEntry]):
@@ -82,10 +90,12 @@ class Lexicon:
         exact: Dict[str, int] = {}
         postings: Dict[str, List[int]] = {}
         sizes: List[int] = []
+        duplicates: List[str] = []
         longest = 1
         for surface, cui, group, key, entry in rows:
             if key in exact:
-                logger.warning("duplicate lexicon surface %r ignored", surface)
+                _warn_duplicate(surface)
+                duplicates.append(surface)
                 continue
             entry_id = exact[key] = len(keys)
             surfaces.append(surface)
@@ -109,6 +119,33 @@ class Lexicon:
         self._postings = postings
         self._set_sizes = sizes
         self.max_term_tokens = longest
+        self._duplicates = duplicates
+
+    def to_index(self) -> bytes:
+        """The columns of the index as ``marshal`` data, for ``from_index``.
+        Groups are written as their labels: marshal cannot write an enum."""
+        return marshal.dumps((
+            self._surfaces, self._cuis, [group.value for group in self._groups], self._keys,
+            self._exact, self._postings, self._set_sizes, self.max_term_tokens, self._duplicates,
+        ))
+
+    @classmethod
+    def from_index(cls, data: bytes) -> "Lexicon":
+        """The lexicon whose ``to_index`` wrote ``data``. It logs the duplicate
+        surface warnings of the parse that built the index, in order. Data
+        that ``to_index`` did not write raises EOFError, ValueError, TypeError
+        or KeyError, and logs nothing."""
+        lexicon = cls.__new__(cls)
+        (
+            lexicon._surfaces, lexicon._cuis, labels, lexicon._keys, lexicon._exact,
+            lexicon._postings, lexicon._set_sizes, lexicon.max_term_tokens, lexicon._duplicates,
+        ) = marshal.loads(data)
+        by_label = {group.value: group for group in SemanticGroup}
+        lexicon._groups = [by_label[label] for label in labels]
+        lexicon._built = [None] * len(lexicon._keys)
+        for surface in lexicon._duplicates:
+            _warn_duplicate(surface)
+        return lexicon
 
     def _entry(self, entry_id: int) -> ConceptEntry:
         """The entry of ``entry_id``, built from its columns on first use."""
@@ -157,6 +194,10 @@ class Lexicon:
             if overlap / (window_size + sizes[entry_id] - overlap) >= approx_threshold
         ]
         return self._entry(min(qualifying)) if qualifying else None
+
+
+def _warn_duplicate(surface: str) -> None:
+    logger.warning("duplicate lexicon surface %r ignored", surface)
 
 
 def load_lexicon(source: Iterable[str]) -> Lexicon:

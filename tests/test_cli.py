@@ -1061,13 +1061,41 @@ COMMAND_OPTIONS = {
 }
 
 
-def test_each_command_takes_flags_only_for_the_settings_it_reads():
-    (commands,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
-    options = {
+def _options(parser):
+    """Each command's options but ``-h``, in the order they were added."""
+    (commands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    return {
         name: [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
         for name, sub in commands.choices.items()
     }
-    assert options == COMMAND_OPTIONS
+
+
+def test_each_command_takes_flags_only_for_the_settings_it_reads():
+    assert _options(build_parser()) == COMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_a_parser_built_for_one_command_adds_only_its_arguments(command):
+    assert _options(build_parser(command)) == {
+        name: options if name == command else [] for name, options in COMMAND_OPTIONS.items()
+    }
+
+
+# main builds only the named command's arguments; help and usage errors read
+# as from the parser of every command.
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["-h"], ["bogus"], ["bogus", "--input", "x"]]
+    + [[command, *tail] for command in COMMAND_OPTIONS for tail in (["-h"], [], ["--input"])],
+)
+def test_main_parses_as_the_parser_of_every_command(capsys, argv):
+    outcomes = []
+    for parse in (build_parser().parse_args, main):
+        with pytest.raises(SystemExit) as excinfo:
+            parse(argv)
+        outcomes.append((excinfo.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] or outcomes[0][2]
 
 
 @pytest.mark.parametrize(
