@@ -492,6 +492,10 @@ def cmd_generate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     def generate(note: ClinicalNote, backend=backend, map_sections=map) -> Optional[Dialogue]:
         """The note's dialogue, or None when it failed."""
         try:
+            # A lone surrogate has no UTF-8 encoding, so its record could not
+            # be written: fail the note before it costs a backend call.
+            note.id.encode("utf-8")
+            note.text.encode("utf-8")
             return run_full_pipeline(note, lexicon, backend, cfg, templates, map_sections)
         except AuthError:
             raise

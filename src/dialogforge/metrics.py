@@ -20,8 +20,9 @@ Every LCS comes from one bit-parallel kernel (Allison & Dix 1986; Hyyrö
 2004) in O(n * m / w) word operations: with ``b``'s token position masks, row
 ``k`` is an int updated by ``u = v & mask; v = ((v + u) | (v - u)) & full``,
 and its zero bits below bit ``l`` count LCS(a[:k], b[:l]). ``rouge_lsum``
-runs it on both lines reversed, so LCS(a[i:], b[j:]) = (m - j) -
-popcount(rows[n - i] & (2**(m - j) - 1)) and each walk step reads one bit.
+runs it on both lines reversed, so bit ``m - 1 - j`` of ``rows[n - i]`` is set
+exactly when LCS(a[i:], b[j + 1:]) == LCS(a[i:], b[j:]): when the earliest
+walk, at target position ``i``, may pass ``b[j]`` without shortening the LCS.
 
 ``rouge_lsum`` runs the kernel once per target line against all opposing
 lines at once (multiple-pattern packing; Hyyrö, Fredriksson & Navarro, ACM
@@ -31,27 +32,39 @@ masks at each field's offset, and ``full`` ORs the fields without their guard
 bits. The step is unchanged and each field equals its own single-line run:
 ``u ⊆ v`` inside every field, so ``v - u`` never borrows across a field, and a
 carry out of ``v + u`` stops in the zero guard bit, which ``& full`` clears.
-Each walk reads its bit at its field's offset. A walk can hit only target
-positions whose token occurs in its line, so a line is skipped once all of
-those are hit; that also stops a target line whose reachable positions are
-all hit. Lines are walked longest LCS first (read off the last row), which
-leaves the fewest to walk; the union of hits does not depend on the order.
-The cost is one kernel run over wide ints per target line, not one per line
-pair, plus the walks that can still add a hit.
 
-``evaluate_corpus`` tokenizes each transcript line once and derives the rest.
-No word token spans a line end, and a line end stops the context of a case
-mapping (a final sigma), so a transcript's tokens are its lines' tokens
-joined, and a turn's are its rendered line's less the speaker tag that opens
-it. Each text's n-grams of each order 1..``MAX_N`` are counted once, one
-order at a time, and the clipped count per order, ``min(hyp, ref)`` summed
-over n-grams, serves ROUGE-1, ROUGE-2 and BLEU; ``bleu`` clips each n-gram at
-its largest count in any one reference (Papineni et al., ACL 2002). Only
-Self-BLEU, which scores every utterance against all its siblings, goes
-through ``_sibling_bleu``: per n-gram, the largest count, its owner and the
-second-largest count give the best count among any utterance's siblings in
-O(1), so a dialogue costs O(n-grams), not O(T^2) Counter builds. Clipped
-counts are integers, so none of this changes a score.
+Then every line's walk advances at once, one packed step a target token.
+Each row is flipped, bit-reversed over whole bytes through a 256-entry byte
+table, which puts each line forward, first token lowest, with a zero bit just
+above its last token (the guard bit of the line packed after it). At position
+``i`` a walk stops at its first position at or after its ``j`` that holds
+``a[i]`` or that it may not pass; it hits ``i`` when that stop holds ``a[i]``
+and then moves past it, and else stays there. One step does that in every
+field: ``run`` sets the positions already passed and those the walk may pass
+that do not hold ``a[i]``, and adding each field's lowest bit carries up
+through that run to its first zero, the stop, which the sum sets while it
+clears the run. The zero bit above each field is a sentinel: a run ends at it
+at the latest, so the carry never leaves its field, and a walk that reaches
+its line's end stops on it for good. The sum meets ``a[i]``'s flipped mask exactly
+at the stops that hold ``a[i]``. A target line costs one kernel run and one
+packed step a token, with no walk per line pair.
+
+``evaluate_corpus`` tokenizes each turn's text once: its speaker tag, then
+the words of each of its lines. No word token spans a line end, and a line end
+stops the context of a case mapping (a final sigma), so these are the lines of
+the rendered transcript, and a turn's tokens are its lines' less the tag. The
+hypothesis's n-grams of each order 1..``MAX_N`` are listed once, in text
+order. ROUGE-1, ROUGE-2 and BLEU count that list against the reference's
+counts: the clipped count per order is ``min(hyp, ref)`` summed over n-grams;
+``bleu`` clips each n-gram at its largest count in any one reference
+(Papineni et al., ACL 2002). Self-BLEU (Zhu et al., SIGIR 2018) scores each
+turn against all its siblings, and takes a turn's n-grams as a slice of the
+same list: its token span less the tag, so no n-gram across turns counts. An
+n-gram a turn holds once is clipped to 1 exactly when another turn holds it,
+so a turn's hits are the size of its n-gram set intersected with the n-grams
+of two or more turns. Only an n-gram repeated inside a turn needs the largest
+count among the other turns, read off the largest count, its turn and the
+second largest. Clipped counts are integers, so none of this changes a score.
 """
 
 from bisect import bisect_left
@@ -61,10 +74,10 @@ from functools import reduce
 from itertools import chain
 from math import exp, log
 from operator import or_
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .concepts import Lexicon, concepts_of_tokens, filter_semantic_groups
-from .model import Dialogue, EvalReport, GenerationConfig, Utterance, f1_score, format_transcript, split_lines, words
+from .model import Dialogue, EvalReport, GenerationConfig, Utterance, f1_score, split_lines, words
 
 MAX_N = 4  # highest n-gram order of BLEU and Self-BLEU
 
@@ -79,9 +92,14 @@ def tokenize(text: str) -> TokenizedText:
     return TokenizedText(tuple(words(text)))
 
 
+def _ngrams(tokens: Sequence[str], n: int) -> List[Tuple[str, ...]]:
+    """The n-grams of ``tokens`` in order, each a tuple of ``n`` tokens."""
+    return list(zip(*(tokens[i:] for i in range(n))))
+
+
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    """Count of each n-gram of ``tokens``, as a tuple of ``n`` tokens."""
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+    """Count of each n-gram of ``tokens``."""
+    return Counter(_ngrams(tokens, n))
 
 
 def _clipped(a: Counter, b: Counter) -> int:
@@ -145,82 +163,50 @@ def rouge_l(hyp: TokenizedText, ref: TokenizedText) -> float:
     return f1_score(lcs / len(hyp.tokens), lcs / len(ref.tokens))
 
 
-def _earliest_lcs_positions(a: Sequence[str], b: Sequence[str], rows: List[int], offset: int) -> int:
-    """Bitmask of the positions in ``a`` of the greedy earliest maximum-length
-    alignment, given the rows of ``a[::-1]`` against ``b[::-1]``, whose field
-    starts at bit ``offset``. Takes a match whenever the tokens agree (a match
-    always starts a maximal alignment); else advances in ``b`` unless that
-    shortens the alignment, keeping the earliest ``a`` positions free."""
-    n, m = len(a), len(b)
-    top = offset + m - 1
-    positions = 0
-    i = j = 0
-    while i < n and j < m:
-        if a[i] == b[j]:
-            positions |= 1 << i
-            i += 1
-            j += 1
-        # LCS(a[i:], b[j + 1:]) == LCS(a[i:], b[j:]) exactly when this bit is set
-        elif rows[n - i] >> (top - j) & 1:
-            j += 1
-        else:
-            i += 1
-    return positions
+# Bit k of _FLIPPED[b] is bit 7 - k of the byte b.
+_FLIPPED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _union_hits(target_lines: List[Tuple[str, ...]], other_lines: List[Tuple[str, ...]]) -> int:
-    """Sum over ``target_lines`` of the positions hit by the earliest LCS
-    against any of ``other_lines``, from one packed kernel run a target line."""
-    fields: List[Tuple[Tuple[str, ...], int, int]] = []  # (line, offset, field mask)
-    masks: Dict[str, int] = {}
-    lines_with: Dict[str, int] = {}  # token -> bitmask of the fields holding it
-    full = offset = 0
+def _union_hits(target_lines: List[Tuple[str, ...]], other_lines: List[Tuple[str, ...]]) -> List[int]:
+    """Per line of ``target_lines``, the bitmask of its positions hit by the
+    earliest LCS against any of ``other_lines``: one packed kernel run a target
+    line, then every line's walk at once, one packed step a target token."""
+    packed: List[Optional[str]] = []  # the token at each bit; None at a guard bit
     for other in other_lines:
-        if not other:
-            continue
-        line_bit = 1 << len(fields)
-        for token, mask in _match_masks(other[::-1]).items():
-            masks[token] = masks.get(token, 0) | mask << offset
-            lines_with[token] = lines_with.get(token, 0) | line_bit
-        field = (1 << len(other)) - 1
-        fields.append((other, offset, field))
-        full |= field << offset
-        offset += len(other) + 1  # the guard bit stays zero
-    total = 0
+        if other:
+            packed += other[::-1]
+            packed.append(None)
+    size = (len(packed) + 7) // 8  # whole bytes, so that rows flip byte by byte
+    masks = _match_masks(packed)
+    full = (1 << len(packed)) - 1 ^ masks.pop(None, 0)
+    # The same bits flipped over ``size`` bytes: each line forward, with the
+    # guard bit of the line after it just above its last token.
+    forward = _match_masks([None] * (8 * size - len(packed)) + packed[::-1])
+    fields = (1 << 8 * size) - 1 ^ forward.pop(None, 0)
+    firsts = fields & ~(fields << 1)  # each line's first token
+    # token -> (its flipped mask, the other positions of every line)
+    at = {token: (same, fields ^ same) for token, same in forward.items()}
+    absent = (0, fields)
+    hits_per_line = []
     for target in target_lines:
-        at: Dict[str, int] = {}  # token -> bitmask of its target positions
-        for i, token in enumerate(target):
-            if token in lines_with:
-                at[token] = at.get(token, 0) | 1 << i
-        # (its positions, the fields holding it) per token with a position not yet hit
-        open_tokens = [(positions, lines_with[token]) for token, positions in at.items()]
-        pending = 0
-        for _, lines in open_tokens:
-            pending |= lines
-        if not pending:
-            continue
-        rows = _lcs_rows(target[::-1], masks, full)
-        last = rows[-1]
-        # longest LCS first: a field's LCS is its line's length less the set
-        # bits of its last row
-        negated_lcs = [(last >> offset & field).bit_count() - len(other) for other, offset, field in fields]
-        order = sorted(range(len(fields)), key=negated_lcs.__getitem__)
         hits = 0
-        for k in order:
-            if not pending >> k & 1:
-                continue
-            other, offset, _ = fields[k]
-            new = _earliest_lcs_positions(target, other, rows, offset) & ~hits
-            if new:
-                hits |= new
-                open_tokens = [(positions, lines) for positions, lines in open_tokens if positions & ~hits]
-                pending = 0
-                for _, lines in open_tokens:
-                    pending |= lines
-                if not pending:
-                    break
-        total += hits.bit_count()
-    return total
+        if not masks.keys().isdisjoint(target):
+            # Every row flipped by one translate; reversing the bytes puts the
+            # rows in target order, so rows[i] is row n - i: bit j of a line
+            # is set when the walk may pass b[j] at target position i.
+            flipped = b"".join([row.to_bytes(size, "little") for row in _lcs_rows(target[::-1], masks, full)])
+            flipped = flipped.translate(_FLIPPED)[::-1]
+            rows = [int.from_bytes(flipped[k : k + size], "little") for k in range(0, len(target) * size, size)]
+            passed = 0  # each line's positions its walk has gone past
+            for i, token in enumerate(target):
+                same, other = at.get(token, absent)
+                run = rows[i] & other | passed  # passed, or passable without a match
+                stop = run + firsts  # sets each line's stop, clears the run below it
+                if stop & same:  # a stop holds a[i]
+                    hits |= 1 << i
+                passed = (run ^ stop) & (run | same)  # the run, and each stop that holds a[i]
+        hits_per_line.append(hits)
+    return hits_per_line
 
 
 def rouge_lsum(hyp_lines: Sequence[str], ref_lines: Sequence[str]) -> float:
@@ -234,8 +220,8 @@ def _lsum_score(hyp_tokens: List[Tuple[str, ...]], ref_tokens: List[Tuple[str, .
     ref_total = sum(len(t) for t in ref_tokens)
     if hyp_total == 0 or ref_total == 0:
         return 0.0
-    recall = _union_hits(ref_tokens, hyp_tokens) / ref_total
-    precision = _union_hits(hyp_tokens, ref_tokens) / hyp_total
+    recall = sum(h.bit_count() for h in _union_hits(ref_tokens, hyp_tokens)) / ref_total
+    precision = sum(h.bit_count() for h in _union_hits(hyp_tokens, ref_tokens)) / hyp_total
     return f1_score(precision, recall)
 
 
@@ -252,31 +238,49 @@ def _bleu_score(matched: Sequence[int], h: int, r: int) -> float:
     return score * exp(1.0 - r / h) if h < r else score
 
 
-def _sibling_bleu(units: Sequence[Sequence[str]]) -> List[float]:
-    """Smoothed BLEU of each unit with all the other units as its
-    references, from one n-gram count per unit and order."""
-    hits = [[0] * MAX_N for _ in units]
-    for n in range(1, MAX_N + 1):
-        counts = [_ngram_counts(unit, n) for unit in units]
-        top: Dict[Tuple[str, ...], Tuple[int, int, int]] = {}  # (largest, its unit, second)
-        for t, unit_counts in enumerate(counts):
-            for gram, count in unit_counts.items():
-                first, owner, second = top.get(gram, (0, -1, 0))
-                top[gram] = (count, t, first) if count > first else (first, owner, max(second, count))
-        for t, unit_counts in enumerate(counts):
-            for gram, count in unit_counts.items():
+def _sibling_bleu(dialogue: Dialogue, grams: Sequence[Sequence], spans: Sequence[Tuple[int, int]]) -> float:
+    """Mean smoothed BLEU of each turn of ``dialogue`` with all the other turns
+    as its references. Turn ``t`` holds the tokens ``spans[t]`` of a text
+    whose n-grams of order n, in order, are ``grams[n - 1]``."""
+    if len(spans) < 2:
+        raise ValueError(f"dialogue {dialogue.note_id!r} has {len(spans)} utterance(s); need >= 2")
+    hits = [[0] * MAX_N for _ in spans]
+    for n, text_grams in enumerate(grams, start=1):
+        # a turn shorter than n has no n-gram, so its slice stays empty
+        units = [text_grams[start : max(start, end - n + 1)] for start, end in spans]
+        sets = [set(unit) for unit in units]
+        seen: set = set()
+        shared: set = set()  # the n-grams of two or more turns
+        for unit_set in sets:
+            shared |= unit_set & seen
+            seen |= unit_set
+        # A turn's n-gram of count 1 is clipped to 1 exactly when another turn
+        # holds it. One of count c > 1 is clipped to the largest count among
+        # the other turns, read off the largest, its turn and the second.
+        repeats = []
+        top: Dict[Tuple[str, ...], Tuple[int, int, int]] = {}  # (largest, its turn, second)
+        for t, (unit, unit_set) in enumerate(zip(units, sets)):
+            hits[t][n - 1] = len(unit_set & shared)
+            if len(unit_set) < len(unit):
+                counts = [(gram, count) for gram, count in Counter(unit).items() if count > 1 and gram in shared]
+                repeats.append((t, counts))
+                for gram, count in counts:
+                    first, owner, second = top.get(gram, (0, -1, 0))
+                    top[gram] = (count, t, first) if count > first else (first, owner, max(second, count))
+        for t, counts in repeats:
+            for gram, count in counts:
                 first, owner, second = top[gram]
-                hits[t][n - 1] += min(count, second if owner == t else first)
-    lengths = sorted(len(unit) for unit in units)
+                hits[t][n - 1] += min(count, max(second if owner == t else first, 1)) - 1
+    lengths = sorted(end - start for start, end in spans)
     scores = []
-    for unit, unit_hits in zip(units, hits):
-        h = len(unit)
+    for (start, end), unit_hits in zip(spans, hits):
+        h = end - start
         # closest other length, ties to the shorter; lengths[k] is the unit's own
         k = bisect_left(lengths, h)
         neighbours = lengths[max(k - 1, 0) : k] + lengths[k + 1 : k + 2]
         r = min((abs(other - h), other) for other in neighbours)[1]
         scores.append(_bleu_score(unit_hits, h, r))
-    return scores
+    return sum(scores) / len(scores)
 
 
 def bleu(hyp: TokenizedText, refs: Sequence[TokenizedText]) -> float:
@@ -301,20 +305,11 @@ def self_bleu(corpus: Sequence[Dialogue]) -> float:
     """
     if not corpus:
         raise ValueError("no dialogues to score")
-    return _mean_self_bleu(corpus, [[tokenize(turn.text).tokens for turn in d.turns] for d in corpus])
-
-
-def _mean_self_bleu(corpus: Sequence[Dialogue], units: Sequence[Sequence[Tuple[str, ...]]]) -> float:
-    """``self_bleu`` of ``corpus`` from the tokens of each dialogue's turns."""
-    dialogue_means = []
-    for dialogue, turn_units in zip(corpus, units):
-        if len(turn_units) < 2:
-            raise ValueError(
-                f"dialogue {dialogue.note_id!r} has {len(turn_units)} utterance(s); need >= 2"
-            )
-        scores = _sibling_bleu(turn_units)
-        dialogue_means.append(sum(scores) / len(scores))
-    return sum(dialogue_means) / len(dialogue_means)
+    means = []
+    for dialogue in corpus:
+        _, tokens, spans = _transcript(dialogue.turns)
+        means.append(_sibling_bleu(dialogue, [_ngrams(tokens, n) for n in range(1, MAX_N + 1)], spans))
+    return sum(means) / len(means)
 
 
 def concept_scores(
@@ -356,17 +351,15 @@ def evaluate_corpus(
     if not pairs:
         raise ValueError("no dialogue pairs to evaluate")
     sums = dict.fromkeys(("r1", "r2", "rl", "rlsum", "bleu", "concept_recall", "concept_precision"), 0.0)
-    hyp_units = []
+    sbleu = []
     for hyp, ref in pairs:
-        hyp_by_turn = _turn_lines(hyp.turns)
-        hyp_lines = [line for turn in hyp_by_turn for line in turn]
-        ref_lines = [line for turn in _turn_lines(ref.turns) for line in turn]
-        # the speaker tag opens each turn
-        hyp_units.append([tuple(chain.from_iterable(turn))[1:] for turn in hyp_by_turn])
-        hyp_tokens = tuple(chain.from_iterable(hyp_lines))
-        ref_tokens = tuple(chain.from_iterable(ref_lines))
+        hyp_lines, hyp_tokens, spans = _transcript(hyp.turns)
+        ref_lines, ref_tokens, _ = _transcript(ref.turns)
         h, r = len(hyp_tokens), len(ref_tokens)
-        matched = [_clipped(_ngram_counts(hyp_tokens, n), _ngram_counts(ref_tokens, n)) for n in range(1, MAX_N + 1)]
+        hyp_grams = [_ngrams(hyp_tokens, n) for n in range(1, MAX_N + 1)]
+        matched = [
+            _clipped(Counter(grams), _ngram_counts(ref_tokens, n)) for n, grams in enumerate(hyp_grams, start=1)
+        ]
         sums["r1"] += _rouge_n_score(matched[0], h, r)
         sums["r2"] += _rouge_n_score(matched[1], h - 1, r - 1)
         sums["rl"] += rouge_l(TokenizedText(hyp_tokens), TokenizedText(ref_tokens))
@@ -375,20 +368,41 @@ def evaluate_corpus(
         recall, precision, _ = _concept_overlap(hyp_tokens, ref_tokens, lexicon, cfg)
         sums["concept_recall"] += recall
         sums["concept_precision"] += precision
+        sbleu.append(_sibling_bleu(hyp, hyp_grams, spans))
     count = len(pairs)
     return EvalReport(
         **{name: total / count for name, total in sums.items()},
-        sbleu=_mean_self_bleu([hyp for hyp, _ in pairs], hyp_units),
+        sbleu=sum(sbleu) / len(sbleu),
         len=sum(len(hyp.turns) for hyp, _ in pairs) / count,
     )
 
 
 def _turn_lines(turns: Sequence[Utterance]) -> List[List[Tuple[str, ...]]]:
     r"""The tokens of each line of each turn's rendering by
-    ``format_transcript``. A turn whose text ends in ``\r`` gets an empty line
-    that the transcript lacks, where that ``\r`` and the next ``\n`` end one
-    line; an empty line adds nothing to any score."""
-    return [[tokenize(line).tokens for line in split_lines(format_transcript([turn]))] for turn in turns]
+    ``format_transcript``: the speaker tag, then the words of each line of the
+    text. A turn whose text ends in ``\r`` gets an empty line that the
+    transcript lacks, where that ``\r`` and the next ``\n`` end one line; an
+    empty line adds nothing to any score."""
+    by_turn = []
+    for turn in turns:
+        lines = [tuple(words(line)) for line in split_lines(turn.text)]
+        lines[0] = (turn.speaker.value, *lines[0])
+        by_turn.append(lines)
+    return by_turn
+
+
+def _transcript(turns: Sequence[Utterance]) -> Tuple[List[Tuple[str, ...]], Tuple[str, ...], List[Tuple[int, int]]]:
+    """The token lines of the transcript of ``turns``, its tokens, and each
+    turn's span of those tokens less the speaker tag that opens it."""
+    by_turn = _turn_lines(turns)
+    spans = []
+    end = 0
+    for lines in by_turn:
+        start = end + 1
+        end += sum(map(len, lines))
+        spans.append((start, end))
+    lines = [line for turn in by_turn for line in turn]
+    return lines, tuple(chain.from_iterable(lines)), spans
 
 
 # (heading, EvalReport field) per column of the table, in order.

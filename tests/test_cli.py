@@ -955,6 +955,45 @@ def test_a_record_the_output_cannot_encode_is_one_error_line(tmp_path, capsys, t
     assert [json.loads(line)["note_id"] for line in written.splitlines()] == ["a"]
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("field", ["text", "id"])
+def test_generate_fails_a_note_the_output_cannot_encode_before_its_first_request(
+    tmp_path, monkeypatch, caplog, workers, field
+):
+    from dialogforge.backend import MockBackend
+
+    fixture = [json.loads(line) for line in NOTES_PATH.read_text(encoding="utf-8").splitlines() if line]
+    bad = dict(fixture[1])
+    bad[field] = bad[field].replace(".", ". \ud800", 1) if field == "text" else bad["id"] + "\ud800"
+    requests = []
+    complete = MockBackend.complete
+
+    def recording_complete(self, request):
+        requests.append(request)
+        return complete(self, request)
+
+    monkeypatch.setattr(MockBackend, "complete", recording_complete)
+    runs = []
+    for name, records in (("bad", [fixture[0], bad, fixture[2]]), ("without", [fixture[0], fixture[2]])):
+        notes = tmp_path / f"{name}.jsonl"
+        # json.dumps writes the surrogate as the escape "\ud800", which is valid JSON
+        notes.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        requests.clear()
+        caplog.clear()
+        out = tmp_path / f"{name}.out.jsonl"
+        code = main(["generate", "--mock", "--workers", str(workers), "--input", str(notes),
+                     "--lexicon", str(LEXICON_PATH), "--out", str(out)])
+        failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        runs.append((code, out.read_bytes(), len(requests), failed))
+    (code, written, sent, failed), (code_without, written_without, sent_without, _) = runs
+    assert (code, code_without) == (1, 0)
+    assert len(failed) == 1 and failed[0].startswith(f"note {bad['id']} failed: 'utf-8' codec can't encode")
+    # n2 got no request, and the records of n1 and n3 are those of a run without it
+    assert sent == sent_without
+    assert written == written_without
+    assert [json.loads(line)["id"] for line in written.decode("utf-8").splitlines()] == ["n1", "n3"]
+
+
 def test_a_stdout_that_cannot_encode_a_record_keeps_the_records_before_it(tmp_path):
     notes = tmp_path / "notes.jsonl"
     notes.write_text('{"id": "a", "text": "Cough."}\n{"id": "b", "text": "Caf\\u00e9."}\n', encoding="utf-8")

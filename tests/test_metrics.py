@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from collections import Counter
 from itertools import chain
 
@@ -10,10 +11,7 @@ from hypothesis import strategies as st
 from dialogforge.metrics import (
     MAX_N,
     TokenizedText,
-    _earliest_lcs_positions,
     _lcs_length,
-    _lcs_rows,
-    _match_masks,
     _ngram_counts,
     _turn_lines,
     _union_hits,
@@ -392,9 +390,10 @@ def test_lcs_length_matches_oracle(pair):
 @example((LONG_A, LONG_B))
 @example((LONG_B[:20], LONG_A))
 def test_earliest_lcs_positions_match_oracle(pair):
+    # one target line against one line: the packed walk's hits are that
+    # pair's earliest alignment
     a, b = pair
-    rows = _lcs_rows(a[::-1], _match_masks(b[::-1]), (1 << len(b)) - 1)
-    positions = _earliest_lcs_positions(a, b, rows, 0)
+    [positions] = _union_hits([a], [b])
     assert {i for i in range(len(a)) if positions >> i & 1} == oracle_earliest_positions(a, b)
 
 
@@ -414,19 +413,31 @@ def packed_line_sets(draw):
 
 # Fields of 63, 64 and 65 tokens put a guard bit on, and a field across, a
 # 64-bit word boundary; fifteen 70-token lines pack into over 1,024 bits.
+# A 7-token line and its guard bit fill one byte exactly; lines of 8 and 9
+# tokens cross into a byte that the flipped rows pad.
 WORD_EDGE = [LONG_A[:63], LONG_B[:64], LONG_A[:65]]
 WIDE = [LONG_A[k:] + LONG_A[:k] for k in range(15)]
+BYTE_EDGE = [LONG_A[:7], LONG_B[:8], LONG_A[5:14]]
+
+
+def _hit_count(targets, others):
+    return sum(hits.bit_count() for hits in _union_hits(targets, others))
 
 
 @given(packed_line_sets())
-@example(([("a", "b"), ("b",)], [(), ()]))
+@example(([("a", "b"), ("b",)], [(), ()]))  # an opposing side of empty lines only
 @example(([("a",), ("b",), ()], [("a",), ("a",), ("b",)]))
 @example((WORD_EDGE, WORD_EDGE[::-1] + [LONG_B[:40]]))
 @example((WIDE[:3] + [LONG_B], WIDE))
+@example((BYTE_EDGE, BYTE_EDGE[::-1]))
+@example(([LONG_A[:7]], [LONG_B[:8]]))
+@example(([LONG_B[:9], LONG_A[:8]], [LONG_A[:7]]))
+@example(([("c", "d", "c"), ("a", "b")], [("a", "b", "a"), ("b",)]))  # a target with no token in any line
 def test_packed_union_hits_match_reference(lines):
     targets, others = lines
-    assert _union_hits(targets, others) == reference_union_hits(targets, others)
-    assert _union_hits(others, targets) == reference_union_hits(others, targets)
+    assert len(_union_hits(targets, others)) == len(targets)
+    assert _hit_count(targets, others) == reference_union_hits(targets, others)
+    assert _hit_count(others, targets) == reference_union_hits(others, targets)
 
 
 @given(dialogue_texts())
@@ -605,6 +616,66 @@ def test_evaluate_corpus_equals_the_public_metric_functions(lexicon, turn_pairs)
     pairs = [(Dialogue(f"h{i}", hyp), Dialogue(f"r{i}", ref)) for i, (hyp, ref) in enumerate(turn_pairs)]
     cfg = GenerationConfig()
     assert evaluate_corpus(pairs, lexicon, cfg) == reference_evaluate_corpus(pairs, lexicon, cfg)
+
+
+def oracle_evaluate_corpus(pairs, lexicon, cfg):
+    """``evaluate_corpus``'s report fields from the brute-force oracles alone,
+    with the transcript's lines cut at ``\\n``, ``\\r\\n`` and ``\\r``."""
+    sums = dict.fromkeys(("r1", "r2", "rl", "rlsum", "bleu", "concept_recall", "concept_precision"), 0.0)
+    for hyp, ref in pairs:
+        hyp_text = format_transcript(hyp.turns)
+        ref_text = format_transcript(ref.turns)
+        h, r = otokenize(hyp_text), otokenize(ref_text)
+        sums["r1"] += oracle_rouge_n(h, r, 1)
+        sums["r2"] += oracle_rouge_n(h, r, 2)
+        sums["rl"] += oracle_rouge_l(h, r)
+        sums["rlsum"] += oracle_rouge_lsum(re.split(r"\r\n|\r|\n", hyp_text), re.split(r"\r\n|\r|\n", ref_text))
+        sums["bleu"] += oracle_bleu(h, [r])
+        recall, precision, _ = oracle_concept_scores(hyp_text, ref_text, lexicon.entries, cfg.concept_threshold)
+        sums["concept_recall"] += recall
+        sums["concept_precision"] += precision
+    report = {name: total / len(pairs) for name, total in sums.items()}
+    mean_cr, mean_cp = report["concept_recall"], report["concept_precision"]
+    report["concept_f1"] = 2 * mean_cp * mean_cr / (mean_cp + mean_cr) if mean_cp + mean_cr else 0.0
+    report["sbleu"] = oracle_self_bleu([[t.text for t in hyp.turns] for hyp, _ in pairs])
+    report["len"] = sum(len(hyp.turns) for hyp, _ in pairs) / len(pairs)
+    return report
+
+
+# ASCII words, which the oracles' tokenizer reads as the program does, and
+# lexicon surfaces, so that concept scores are not all 0. A turn joins one to
+# three words (or none: "...") with spaces and line ends; with three letters
+# n-grams repeat inside a turn and across turns.
+ORACLE_WORDS = ("a", "b", "c", "aspirin", "diabetes", "heart failure")
+ORACLE_JOINS = (" ", " ", ", ", "\n", "\r\n", "\r")
+
+
+@st.composite
+def oracle_turn_texts(draw):
+    words = draw(st.lists(st.sampled_from(ORACLE_WORDS), max_size=3))
+    if not words:
+        return draw(st.sampled_from(("...", "?", "- -")))
+    joins = draw(st.lists(st.sampled_from(ORACLE_JOINS), min_size=len(words) - 1, max_size=len(words) - 1))
+    text = words[0] + "".join(join + word for join, word in zip(joins, words[1:]))
+    return text + draw(st.sampled_from(("", ".", "\r")))
+
+
+def oracle_dialogues(min_size):
+    return st.lists(oracle_turn_texts(), min_size=min_size, max_size=4).map(lambda texts: make_dialogue(*texts))
+
+
+@given(st.lists(st.tuples(oracle_dialogues(2), oracle_dialogues(1)), min_size=1, max_size=3))
+@example([(make_dialogue("a b\r\nc", "b\ra b a"), make_dialogue("a\rb", "c"))])  # lines joined by \r\n and \r
+@example([(make_dialogue("...", "a b a b", "a b"), make_dialogue("b a b a"))])  # no tokens; repeats in and across turns
+@example([(make_dialogue("a", "b", "a b"), make_dialogue("b", "a c"))])  # turns of one and two tokens
+@example([(make_dialogue("aspirin diabetes", "c c c\r"), make_dialogue("diabetes. aspirin", "c c"))])
+def test_evaluate_corpus_matches_the_oracles(lexicon, pairs):
+    cfg = GenerationConfig()
+    report = dataclasses.asdict(evaluate_corpus(pairs, lexicon, cfg))
+    expected = oracle_evaluate_corpus(pairs, lexicon, cfg)
+    assert report["sbleu"] == expected["sbleu"]
+    assert report.keys() == expected.keys()
+    assert all(abs(report[name] - value) < 1e-6 for name, value in expected.items()), (report, expected)
 
 
 def test_render_report_table_column_order(lexicon, cfg):
