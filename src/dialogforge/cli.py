@@ -204,9 +204,13 @@ def _writing(out: Union[TextIO, str]) -> Iterator[None]:
         raise CliError(f"cannot write {name}: {exc}") from exc
 
 
-def _write_record(out: TextIO, record: Dict) -> None:
+def _record_line(record: Dict) -> str:
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+def _write_record(out: TextIO, line: str) -> None:
     with _writing(out):
-        out.write(json.dumps(record, ensure_ascii=False) + "\n")
+        out.write(line)
 
 
 INDEX_SUFFIX = ".dialogforge-index"
@@ -273,12 +277,12 @@ def cmd_segment(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     with _output(args.out) as out:
         for note in notes:
             for section in segment_note(note, cfg.similarity_threshold):
-                _write_record(out, {
+                _write_record(out, _record_line({
                     "note_id": note.id,
                     "header": section.header.canonical_name,
                     "body": section.body,
                     "span": [section.start, section.end],
-                })
+                }))
     return 0
 
 
@@ -287,13 +291,13 @@ def cmd_extract(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     notes = _read_notes(args.input)
     with _output(args.out) as out:
         for note in notes:
-            _write_record(out, {
+            _write_record(out, _record_line({
                 "id": note.id,
                 "concepts": [
                     {"surface": c.surface, "cui": c.cui, "semantic_group": c.semantic_group.value}
                     for c in reportable_concepts(note.text, lexicon, cfg)
                 ],
-            })
+            }))
     return 0
 
 
@@ -409,12 +413,12 @@ class _Scheduler:
         # without this, that cycle keeps the run's inputs alive until a GC pass.
         self._stop = None
 
-    def map(self, generate: Callable, notes: List[ClinicalNote]) -> Iterator[Optional[Dialogue]]:
+    def map(self, generate: Callable, notes: List[ClinicalNote]) -> Iterator[Optional[str]]:
         if self._workers == 1:
             return map(generate, notes)
         return self._notes.map(self._run_note, itertools.repeat(generate), range(len(notes)), notes)
 
-    def _run_note(self, generate: Callable, index: int, note: ClinicalNote) -> Optional[Dialogue]:
+    def _run_note(self, generate: Callable, index: int, note: ClinicalNote) -> Optional[str]:
         lane = _Lane(self, index)
         with self._cond:
             self._cond.wait_for(lambda: self._stop or (
@@ -489,14 +493,27 @@ def cmd_generate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     except (OSError, ModelError) as exc:
         raise CliError(f"cannot load prompt templates: {exc}") from exc
 
-    def generate(note: ClinicalNote, backend=backend, map_sections=map) -> Optional[Dialogue]:
-        """The note's dialogue, or None when it failed."""
+    def generate(note: ClinicalNote, backend=backend, map_sections=map) -> Optional[str]:
+        """The note's record line, or None when it has none."""
         try:
             # A lone surrogate has no UTF-8 encoding, so its record could not
             # be written: fail the note before it costs a backend call.
             note.id.encode("utf-8")
             note.text.encode("utf-8")
-            return run_full_pipeline(note, lexicon, backend, cfg, templates, map_sections)
+            dialogue = run_full_pipeline(note, lexicon, backend, cfg, templates, map_sections)
+            if len(dialogue.turns) < 2:
+                # evaluate refuses a dialogue with fewer than two turns
+                logger.warning("note %s: %d turn(s); no record written", note.id, len(dialogue.turns))
+                return None
+            checklist = dialogue.meta["checklist"]
+            line = _record_line({
+                "id": note.id,
+                "mode": cfg.mode,
+                "turns": [{"speaker": t.speaker.value, "text": t.text} for t in dialogue.turns],
+                "coverage": {"covered": checklist.covered_count(), "total": len(checklist)},
+            })
+            line.encode("utf-8")  # a reply may hold a lone surrogate too
+            return line
         except AuthError:
             raise
         except (BackendError, ValueError) as exc:
@@ -509,21 +526,11 @@ def cmd_generate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     with _output(args.out) as out, _Scheduler(backend, args.workers) as scheduler:
         try:
             # Write each record as it arrives, in input order, so a failed run keeps it.
-            for note, dialogue in zip(notes, scheduler.map(generate, notes)):
-                if dialogue is not None and len(dialogue.turns) < 2:
-                    # evaluate refuses a dialogue with fewer than two turns
-                    logger.warning("note %s: %d turn(s); no record written", note.id, len(dialogue.turns))
-                    dialogue = None
-                if dialogue is None:
+            for line in scheduler.map(generate, notes):
+                if line is None:
                     missing += 1
                     continue
-                checklist = dialogue.meta["checklist"]
-                _write_record(out, {
-                    "id": note.id,
-                    "mode": cfg.mode,
-                    "turns": [{"speaker": t.speaker.value, "text": t.text} for t in dialogue.turns],
-                    "coverage": {"covered": checklist.covered_count(), "total": len(checklist)},
-                })
+                _write_record(out, line)
                 with _writing(out):
                     out.flush()
         except AuthError as exc:

@@ -5,6 +5,11 @@ uncovered keywords, and the running history, then renders the patient prompt
 with the updated history. New utterances are checked off against the
 checklist, and the loop stops when the checklist empties, the round cap is
 reached, or the estimated context size exceeds its budget.
+
+Every prompt slot is text from where it is bound: keywords are their surfaces
+joined by commas, and a conversation is its ``format_transcript``. The loop
+writes each history turn's transcript line once, when the turn is made, and a
+prompt binds those lines joined, less any rounds its budget drops.
 """
 
 import logging
@@ -43,26 +48,15 @@ class UnboundSlot(KeyError):
         super().__init__(f"no binding for template slot {slot!r}")
 
 
-def _render_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (list, tuple)):
-        if value and isinstance(value[0], Utterance):
-            return format_transcript(value)
-        parts = [v.surface if isinstance(v, ConceptEntry) else str(v) for v in value]
-        return ",".join(parts)
-    return str(value)
-
-
-def render_prompt(template: PromptTemplate, bindings: Dict) -> str:
-    """Substitute every referenced slot; keyword lists become comma-separated
-    text, utterance lists become Doctor:/Patient: transcript lines."""
+def render_prompt(template: PromptTemplate, slots: Dict[str, str]) -> str:
+    """The template body with every referenced slot replaced by its text in
+    ``slots``; UnboundSlot names the first slot without one."""
 
     def substitute(match):
         slot = match.group(1)
-        if slot not in bindings:
+        if slot not in slots:
             raise UnboundSlot(slot)
-        return _render_value(bindings[slot])
+        return slots[slot]
 
     return TEMPLATE_SLOT_RE.sub(substitute, template.body)
 
@@ -73,9 +67,16 @@ class LoopState:
 
     checklist: Checklist
     history: List[Utterance] = field(default_factory=list)
+    lines: List[str] = field(default_factory=list)  # each history turn's transcript line
     round: int = 0
     token_spend: int = 0
     round_keywords: List[List[str]] = field(default_factory=list)
+
+    def add(self, turn: Utterance) -> str:
+        """Append ``turn`` to the history, and return its transcript line."""
+        self.history.append(turn)
+        self.lines.append(format_transcript((turn,)))
+        return self.lines[-1]
 
 
 def select_keywords(state: LoopState, cfg: GenerationConfig) -> List[ConceptEntry]:
@@ -93,12 +94,11 @@ def should_terminate(state: LoopState, cfg: GenerationConfig) -> Tuple[bool, Opt
     return False, None
 
 
-def _request(template: PromptTemplate, bindings: Dict, cfg: GenerationConfig) -> ChatRequest:
-    """The user request for ``template``: each referenced slot is rendered
-    once, the prompt is substituted from those strings (raising UnboundSlot
-    for a slot without a binding), and the request carries them as
-    ``slots`` with the template name as ``stage``."""
-    slots = {s: _render_value(bindings[s]) for s in template.referenced_slots() if s in bindings}
+def _request(template: PromptTemplate, bindings: Dict[str, str], cfg: GenerationConfig) -> ChatRequest:
+    """The user request for ``template`` rendered from the text of
+    ``bindings`` (raising UnboundSlot for a slot without one). It carries the
+    template name as ``stage`` and the referenced slots' text as ``slots``."""
+    slots = {s: bindings[s] for s in template.referenced_slots() if s in bindings}
     message = ChatMessage("user", render_prompt(template, slots))
     return ChatRequest((message,), cfg.max_reply_tokens, cfg.temperature, template.name, slots)
 
@@ -109,16 +109,17 @@ def _call(backend, request: ChatRequest, cfg: GenerationConfig) -> str:
 
 def _render_with_budget(
     template: PromptTemplate,
-    bindings: Dict,
-    history: List[Utterance],
+    bindings: Dict[str, str],
+    lines: List[str],
     cfg: GenerationConfig,
-) -> Tuple[ChatRequest, List[Utterance]]:
-    """Request with the full history, dropping the oldest complete rounds
-    after round 0 while the estimate is over budget. Round 0 and a trailing
-    doctor question still awaiting its answer are never dropped."""
-    view = list(history)
+) -> Tuple[ChatRequest, List[str]]:
+    """Request with the history ``lines`` bound, dropping the oldest complete
+    rounds after round 0 while the estimate is over budget, and the lines it
+    bound. Round 0 and a trailing doctor question still awaiting its answer
+    are never dropped."""
+    view = list(lines)
     while True:
-        request = _request(template, {**bindings, "history": view}, cfg)
+        request = _request(template, {**bindings, "history": "\n".join(view)}, cfg)
         if estimate_tokens(request.messages[-1].content) <= cfg.context_budget or len(view) < 4:
             return request, view
         del view[2:4]
@@ -134,24 +135,18 @@ def run_round(
 ) -> LoopState:
     """One doctor question plus one patient answer, with coverage update."""
     templates = templates or DEFAULT_TEMPLATES
-    keywords = select_keywords(state, cfg)
-    state.round_keywords.append([k.surface for k in keywords])
+    keywords = [k.surface for k in select_keywords(state, cfg)]
+    state.round_keywords.append(keywords)
 
     doctor_request, view = _render_with_budget(
-        templates["doctor"],
-        {"note": section.body, "keywords": keywords},
-        state.history,
-        cfg,
+        templates["doctor"], {"note": section.body, "keywords": ",".join(keywords)}, state.lines, cfg
     )
     doctor_turn = Utterance(Speaker.DOCTOR, _call(backend, doctor_request, cfg))
-    state.history.append(doctor_turn)
-    view.append(doctor_turn)
+    view.append(state.add(doctor_turn))
 
-    patient_request, view = _render_with_budget(
-        templates["patient"], {"note": section.body}, view, cfg
-    )
+    patient_request, view = _render_with_budget(templates["patient"], {"note": section.body}, view, cfg)
     patient_turn = Utterance(Speaker.PATIENT, _call(backend, patient_request, cfg))
-    state.history.append(patient_turn)
+    state.add(patient_turn)
 
     mark_covered(state.checklist, [doctor_turn, patient_turn], lexicon, cfg)
     state.round += 1
@@ -180,9 +175,10 @@ def factuality_check(
     if not cfg.enable_factuality:
         return []
     templates = templates or DEFAULT_TEMPLATES
+    keywords = ",".join(e.surface for e in checklist.entries)
     request = _request(
         templates["factuality"],
-        {"note": section.body, "conversation": dialogue.turns, "keywords": list(checklist.entries)},
+        {"note": section.body, "conversation": format_transcript(dialogue.turns), "keywords": keywords},
         cfg,
     )
     reply = _call(backend, request, cfg)

@@ -28,6 +28,7 @@ from .model import (
     Unparseable,
     Utterance,
     echoes,
+    format_transcript,
     parse_transcript,
 )
 from .orchestrator import _call, _request, run_section_loop
@@ -68,8 +69,8 @@ def _rewrite_pass(
     else its parse, or ``dialogue`` itself when the reply does not parse,
     changes who speaks first or drops a keyword covered in ``checklist``."""
     template = (templates or DEFAULT_TEMPLATES)[stage]
-    bindings = {"conversation": conversation, "conversation2": conversation2, "note": note_body}
-    bindings["keywords"] = list(checklist.entries)
+    bindings = {"conversation": format_transcript(conversation), "conversation2": format_transcript(conversation2)}
+    bindings.update(note=note_body, keywords=",".join(e.surface for e in checklist.entries))
     keep = "concatenating turns" if stage == "postediting" else "keeping input"
     reply = _call(backend, _request(template, bindings, cfg), cfg)
     bound = (*conversation, *conversation2)

@@ -400,20 +400,37 @@ def oracle_mark_covered(checklist, new_utterances, lexicon, cfg):
     return flips
 
 
+def reference_history_view(template, bindings, history, cfg):
+    """The history turns a loop request binds: ``history``, less its oldest
+    complete rounds after round 0 while the rendered prompt is over the
+    budget. Round 0 and a trailing doctor question are never dropped."""
+    from dialogforge.backend import estimate_tokens
+    from dialogforge.model import format_transcript
+    from dialogforge.orchestrator import render_prompt
+
+    view = list(history)
+    while len(view) >= 4:
+        prompt = render_prompt(template, {**bindings, "history": format_transcript(view)})
+        if estimate_tokens(prompt) <= cfg.context_budget:
+            break
+        del view[2:4]
+    return view
+
+
 def reference_rewrite_pass(
     stage, dialogue, note_body, checklist, lexicon, backend, cfg, templates, conversation, conversation2=(), head=()
 ):
     """``head`` plus the parsed reply to the ``stage`` template, or
     ``dialogue`` itself when the reply does not parse, changes who speaks
     first or drops a keyword covered in ``checklist``."""
-    from dialogforge.model import Dialogue, Unparseable, parse_transcript
+    from dialogforge.model import Dialogue, Unparseable, format_transcript, parse_transcript
     from dialogforge.orchestrator import _call, _request
     from dialogforge.prompts import DEFAULT_TEMPLATES
     from dialogforge.refiner import _keyword_regression
 
     template = (templates or DEFAULT_TEMPLATES)[stage]
-    bindings = {"conversation": conversation, "conversation2": conversation2, "note": note_body}
-    bindings["keywords"] = list(checklist.entries)
+    bindings = {"conversation": format_transcript(conversation), "conversation2": format_transcript(conversation2)}
+    bindings.update(note=note_body, keywords=",".join(e.surface for e in checklist.entries))
     reply = _call(backend, _request(template, bindings, cfg), cfg)
     try:
         turns = head + tuple(parse_transcript(reply))

@@ -307,7 +307,7 @@ def test_http_sends_only_wire_fields(stub_server):
 
     request = _request(
         DEFAULT_TEMPLATES["doctor"],
-        {"note": "He takes aspirin.", "keywords": ["aspirin"], "history": []},
+        {"note": "He takes aspirin.", "keywords": "aspirin", "history": ""},
         GenerationConfig(),
     )
     assert request.stage == "doctor" and request.slots

@@ -994,6 +994,35 @@ def test_generate_fails_a_note_the_output_cannot_encode_before_its_first_request
     assert [json.loads(line)["id"] for line in written.decode("utf-8").splitlines()] == ["n1", "n3"]
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_generate_fails_a_note_whose_reply_the_output_cannot_encode(tmp_path, monkeypatch, caplog, workers):
+    from dialogforge.backend import MockBackend
+
+    n2_text = json.loads(NOTES_PATH.read_text(encoding="utf-8").splitlines()[1])["text"]
+    complete = MockBackend.complete
+    runs = []
+    for surrogate in ("", " \ud800"):
+
+        def complete_with(self, request, surrogate=surrogate):
+            reply = complete(self, request)
+            # Only n2's doctor turns get the lone surrogate.
+            return reply + surrogate if request.stage == "doctor" and request.slots["note"] in n2_text else reply
+
+        monkeypatch.setattr(MockBackend, "complete", complete_with)
+        caplog.clear()
+        out = tmp_path / f"out{len(runs)}.jsonl"
+        code = main(["generate", "--mock", "--workers", str(workers), "--input", str(NOTES_PATH),
+                     "--lexicon", str(LEXICON_PATH), "--out", str(out)])
+        failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        runs.append((code, out.read_text(encoding="utf-8").splitlines(keepends=True), failed))
+    (clean_code, clean, clean_failed), (code, written, failed) = runs
+    assert (clean_code, clean_failed, len(clean)) == (0, [], 3)
+    assert code == 1
+    assert len(failed) == 1 and failed[0].startswith("note n2 failed: 'utf-8' codec can't encode character '\\ud800'")
+    # n1 and n3 are written as in the clean run
+    assert written == [clean[0], clean[2]]
+
+
 def test_a_stdout_that_cannot_encode_a_record_keeps_the_records_before_it(tmp_path):
     notes = tmp_path / "notes.jsonl"
     notes.write_text('{"id": "a", "text": "Cough."}\n{"id": "b", "text": "Caf\\u00e9."}\n', encoding="utf-8")

@@ -9,6 +9,7 @@ from dialogforge.model import (
     SemanticGroup,
     Speaker,
     Utterance,
+    format_transcript,
 )
 from dialogforge.orchestrator import (
     LoopState,
@@ -26,6 +27,7 @@ from dialogforge.orchestrator import (
 from dialogforge.prompts import DEFAULT_TEMPLATES
 
 from conftest import ScriptedBackend, coverage, make_section, uncovered
+from oracles import reference_history_view
 
 
 def reportable_surfaces(lexicon, count):
@@ -79,9 +81,7 @@ class NeverHelpful:
 
 
 def test_render_doctor_prompt_binds_note_and_keywords():
-    rendered = render_prompt(
-        DEFAULT_TEMPLATES["doctor"], {"note": "N", "keywords": ["a", "b"], "history": []}
-    )
+    rendered = render_prompt(DEFAULT_TEMPLATES["doctor"], {"note": "N", "keywords": "a,b", "history": ""})
     assert "Clinical Note: N" in rendered
     assert "Key Words: a,b" in rendered
     assert "{{" not in rendered
@@ -89,23 +89,19 @@ def test_render_doctor_prompt_binds_note_and_keywords():
 
 def test_render_missing_binding_raises():
     with pytest.raises(UnboundSlot) as excinfo:
-        render_prompt(DEFAULT_TEMPLATES["doctor"], {"note": "N", "keywords": []})
+        render_prompt(DEFAULT_TEMPLATES["doctor"], {"note": "N", "keywords": ""})
     assert excinfo.value.slot == "history"
 
 
 def test_render_empty_keywords_leaves_no_residue():
-    rendered = render_prompt(
-        DEFAULT_TEMPLATES["doctor"], {"note": "N", "keywords": [], "history": []}
-    )
+    rendered = render_prompt(DEFAULT_TEMPLATES["doctor"], {"note": "N", "keywords": "", "history": ""})
     assert "Key Words: \n" in rendered + "\n"
     assert "{{" not in rendered
 
 
 def test_render_history_as_transcript_lines():
     history = [Utterance(Speaker.DOCTOR, "q"), Utterance(Speaker.PATIENT, "a")]
-    rendered = render_prompt(
-        DEFAULT_TEMPLATES["patient"], {"note": "N", "history": history}
-    )
+    rendered = render_prompt(DEFAULT_TEMPLATES["patient"], {"note": "N", "history": format_transcript(history)})
     assert "Doctor: q\nPatient: a" in rendered
 
 
@@ -327,18 +323,68 @@ def test_history_truncation_keeps_opening_round(lexicon):
     from dialogforge.prompts import DEFAULT_TEMPLATES
 
     cfg = GenerationConfig(max_context_tokens=200)
-    history = []
+    lines = []
     for i in range(4):
-        history.append(Utterance(Speaker.DOCTOR, f"question {i} " + "x" * 60))
-        history.append(Utterance(Speaker.PATIENT, f"answer {i} " + "y" * 60))
-    request, view = _render_with_budget(
-        DEFAULT_TEMPLATES["patient"], {"note": "short note"}, history, cfg
-    )
+        lines.append(f"Doctor: question {i} " + "x" * 60)
+        lines.append(f"Patient: answer {i} " + "y" * 60)
+    request, view = _render_with_budget(DEFAULT_TEMPLATES["patient"], {"note": "short note"}, lines, cfg)
     rendered = request.messages[-1].content
     assert "question 0" in rendered
     assert "question 1" not in rendered
-    assert view[0] is history[0]
-    assert len(view) < len(history)
+    assert view[:2] == lines[:2]
+    assert len(view) < len(lines)
+    assert request.slots["history"] == "\n".join(view)
+
+
+def test_loop_history_binds_the_reference_view_while_trimmed(lexicon, monkeypatch):
+    # Long turns push the loop's prompts over the budget, so each request
+    # binds only the lines the trim leaves. The patient's trim starts from the
+    # doctor's view: from the whole history it would keep more rounds here.
+    from dialogforge import orchestrator
+
+    written = []
+    original = orchestrator.format_transcript
+    monkeypatch.setattr(orchestrator, "format_transcript", lambda turns: written.append(turns) or original(turns))
+    cfg = GenerationConfig(keywords_per_turn=1, max_context_tokens=250, max_rounds=8)
+    section = section_with_keywords(reportable_surfaces(lexicon, 2))
+    script = []
+    for i in range(8):
+        script.append(f"Question {i}: " + "tell me more " * (1 + i % 2))
+        script.append(f"Answer {i}: " + "it hurts a bit " * (4 - 2 * (i % 2)))
+    backend = RecordingMock(script=script)
+    dialogue = run_section_loop(section, lexicon, backend, cfg)
+    assert [r.stage for r in backend.requests] == ["doctor", "patient"] * 8
+    assert len(written) == len(dialogue.turns)  # one transcript line per turn
+    trimmed = 0
+    for k in range(0, len(dialogue.turns), 2):
+        doctor, patient = backend.requests[k : k + 2]
+        bindings = {"note": section.body, "keywords": doctor.slots["keywords"]}
+        view = reference_history_view(DEFAULT_TEMPLATES["doctor"], bindings, dialogue.turns[:k], cfg)
+        assert doctor.slots["history"] == format_transcript(view)
+        trimmed += len(view) < k
+        view = reference_history_view(
+            DEFAULT_TEMPLATES["patient"], {"note": section.body}, view + [dialogue.turns[k]], cfg
+        )
+        assert patient.slots["history"] == format_transcript(view)
+        trimmed += len(view) < k + 1
+    assert trimmed == 10  # of the 16 requests
+
+
+def test_loop_writes_each_turn_once_and_renders_each_request_once(lexicon, cfg, monkeypatch):
+    from dialogforge import orchestrator
+
+    calls = {"format_transcript": 0, "render_prompt": 0}
+    for name in calls:
+
+        def counted(*args, original=getattr(orchestrator, name), name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(orchestrator, name, counted)
+    backend = RecordingMock()
+    dialogue = run_section_loop(section_with_keywords(reportable_surfaces(lexicon, 6)), lexicon, backend, cfg)
+    assert len(dialogue.turns) == len(backend.requests) == 4
+    assert calls == {"format_transcript": 4, "render_prompt": 4}
 
 
 def test_loop_scripted_determinism(lexicon, cfg):
@@ -358,13 +404,9 @@ def test_history_truncation_keeps_unanswered_question():
     from dialogforge.orchestrator import _render_with_budget
 
     cfg = GenerationConfig(max_context_tokens=150)
-    history = [
-        Utterance(Speaker.DOCTOR, "question 0"),
-        Utterance(Speaker.PATIENT, "answer 0"),
-        Utterance(Speaker.DOCTOR, "question 1 " + "x" * 400),
-    ]
-    request, view = _render_with_budget(DEFAULT_TEMPLATES["patient"], {"note": "n"}, history, cfg)
-    assert view == history
+    lines = ["Doctor: question 0", "Patient: answer 0", "Doctor: question 1 " + "x" * 400]
+    request, view = _render_with_budget(DEFAULT_TEMPLATES["patient"], {"note": "n"}, lines, cfg)
+    assert view == lines
     assert request.slots["history"].endswith("Doctor: question 1 " + "x" * 400)
 
 

@@ -59,10 +59,23 @@ def test_tokenize_exposes_tokens():
     assert metrics.tokenize("a b").tokens == ("a", "b")
 
 
-def test_pipeline_request_carries_the_whole_prompt(lexicon, cfg, fixture_notes):
+@pytest.mark.parametrize(
+    "mode,options,trims",
+    [
+        pytest.param("short", {}, 0, id="default"),
+        # the factuality pass, and a budget that trims the loop's history once
+        pytest.param(
+            "long", {"enable_factuality": True, "keywords_per_turn": 1, "max_context_tokens": 200}, 1,
+            id="long-factuality-trimmed",
+        ),
+    ],
+)
+def test_pipeline_request_carries_the_whole_prompt(lexicon, fixture_notes, monkeypatch, mode, options, trims):
     # ``backend.prompt_tokens`` and ``prompt_tokens_per_item`` are counted
     # from ``request.messages``, so the prompt must travel there in full.
+    from dialogforge import orchestrator
     from dialogforge.backend import MockBackend
+    from dialogforge.model import GenerationConfig
     from dialogforge.prompts import DEFAULT_TEMPLATES
     from dialogforge.refiner import run_full_pipeline
     from oracles import oracle_render
@@ -74,10 +87,17 @@ def test_pipeline_request_carries_the_whole_prompt(lexicon, cfg, fixture_notes):
             requests.append(request)
             return super().complete(request)
 
-    run_full_pipeline(fixture_notes[0], lexicon, Recording(), cfg)
-    assert {r.stage for r in requests} == {"doctor", "patient", "polish", "hallucination", "postediting"}
+    renders = []
+    render = orchestrator.render_prompt
+    monkeypatch.setattr(orchestrator, "render_prompt", lambda *args: renders.append(args) or render(*args))
+    cfg = GenerationConfig.for_mode(mode, **options)
+    run_full_pipeline(fixture_notes[0], lexicon, Recording(style=mode), cfg)
+    assert len(renders) == len(requests) + trims
+    stages = {"doctor", "patient", "polish", "hallucination", "postediting"}
+    assert {r.stage for r in requests} == stages | ({"factuality"} if cfg.enable_factuality else set())
     for request in requests:
         assert len(request.messages) == 1
+        assert all(isinstance(text, str) for text in request.slots.values())
         body = DEFAULT_TEMPLATES[request.stage].body
         assert request.messages[-1].content == oracle_render(body, request.slots)
 
