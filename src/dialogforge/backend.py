@@ -21,7 +21,7 @@ That makes a full pipeline run deterministic and keyword-coverage-complete by
 construction, whatever the templates say.
 """
 
-import logging
+import json
 import os
 import random
 import re
@@ -29,16 +29,15 @@ import threading
 import time
 from dataclasses import dataclass, field
 from email.utils import parsedate_to_datetime
+from http.client import HTTPException
 from typing import Dict, List, Optional, Sequence, Tuple
+from urllib.error import HTTPError
 from urllib.parse import urlparse
-
-import requests
+from urllib.request import Request, urlopen
 
 from .model import (
     MODES, Speaker, Unparseable, Utterance, format_transcript, is_canonical, last_turn_text, parse_transcript
 )
-
-logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "DIALOGFORGE_API_KEY"
 ENDPOINT_ENV = "DIALOGFORGE_ENDPOINT"
@@ -166,7 +165,10 @@ class HttpBackend:
         requests_per_minute: Optional[float] = None,
     ):
         parsed = urlparse(endpoint)
-        if parsed.scheme not in ("http", "https") or not parsed.netloc:
+        if parsed.username is not None:  # urllib would take "user:password@host" for the host name
+            raise ValueError(f"endpoint url must not hold credentials; the key comes from ${API_KEY_ENV}")
+        # ``port`` raises ValueError for a port that is no number from 0 to 65535.
+        if parsed.scheme not in ("http", "https") or not parsed.hostname or parsed.port == 0:
             raise ValueError(f"invalid endpoint url: {endpoint!r}")
         self.endpoint = endpoint.rstrip("/")
         self.model = model
@@ -185,30 +187,27 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
+        post = Request(f"{self.endpoint}/chat/completions", json.dumps(body, allow_nan=False).encode(), headers)
         try:
-            # plain requests.post keeps the backend safely shareable across
-            # worker threads (a Session is not guaranteed thread-safe)
-            response = requests.post(
-                f"{self.endpoint}/chat/completions",
-                json=body,
-                headers=headers,
-                timeout=REQUEST_TIMEOUT_S,
-            )
-        except requests.exceptions.RequestException as exc:
+            # One connection a request, through the proxies the environment names.
+            with urlopen(post, timeout=REQUEST_TIMEOUT_S) as response:
+                status, reply_headers, raw = response.status, response.headers, response.read()
+        except HTTPError as exc:
+            status, reply_headers, raw = exc.code, exc.headers, b""
+            exc.close()
+        except (OSError, HTTPException) as exc:
             # Any transport failure, a body cut off mid-stream too, retries like a timeout.
             raise Timeout(str(exc)) from exc
-
-        if response.status_code in (401, 403):
-            raise AuthError(f"status {response.status_code}")
-        if response.status_code == 429:
-            raise RateLimited("status 429", _retry_after_seconds(response.headers.get("Retry-After")))
-        if response.status_code >= 500:
-            raise ServerError(f"status {response.status_code}")
-        if response.status_code != 200:
-            raise MalformedResponse(f"unexpected status {response.status_code}")
+        if status in (401, 403):
+            raise AuthError(f"status {status}")
+        if status == 429:
+            raise RateLimited("status 429", _retry_after_seconds(reply_headers.get("Retry-After")))
+        if status >= 500:
+            raise ServerError(f"status {status}")
+        if status != 200:
+            raise MalformedResponse(f"unexpected status {status}")
         try:
-            payload = response.json()
-            content = payload["choices"][0]["message"]["content"]
+            content = json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
             raise MalformedResponse(f"cannot parse completion body: {exc}") from exc
         if not isinstance(content, str) or not content.strip():

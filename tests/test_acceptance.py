@@ -7,10 +7,11 @@ import logging
 import math
 import random
 import time
+import urllib.error
+import urllib.request
 from contextlib import contextmanager
 
 import pytest
-import requests
 
 from dialogforge.backend import AuthError, MockBackend, RateLimited, complete_with_retry
 from dialogforge.cli import main
@@ -292,8 +293,10 @@ def test_criterion_10_suite_runtime_without_network():
     with criterion(10, "the suite runs with network blackholed, bounded at 60s by conftest"):
         # The bound itself is enforced by conftest's pytest_sessionfinish.
         assert SUITE_SECONDS == 60.0
-        proxies = requests.utils.get_environ_proxies("http://192.0.2.1/")
+        proxies = urllib.request.getproxies()
         assert proxies["http"] == proxies["https"] == BLACKHOLE_PROXY
-        assert requests.utils.get_environ_proxies("http://127.0.0.1:8000/") == {}
-        with pytest.raises(requests.exceptions.ConnectionError):
-            requests.get("http://192.0.2.1/", timeout=5)
+        assert not urllib.request.proxy_bypass("192.0.2.1")
+        assert urllib.request.proxy_bypass("127.0.0.1")
+        with pytest.raises(urllib.error.URLError) as raised:
+            urllib.request.urlopen("http://192.0.2.1/", timeout=5)
+        assert isinstance(raised.value.reason, ConnectionError)

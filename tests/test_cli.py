@@ -1042,6 +1042,36 @@ def test_a_stdout_that_cannot_encode_a_record_keeps_the_records_before_it(tmp_pa
     assert [json.loads(line)["note_id"] for line in proc.stdout.decode().splitlines()] == ["a"]
 
 
+# Imports the CLI, runs generate --mock and evaluate, and prints the top-level
+# names those loaded besides the standard library and dialogforge.
+_LOADED_SCRIPT = """
+import json, sys
+started = set(sys.modules)
+from dialogforge.cli import main
+out, lexicon, notes = sys.argv[1:]
+codes = [
+    main(["generate", "--mock", "--input", notes, "--lexicon", lexicon, "--out", out]),
+    main(["evaluate", "--hyp", out, "--ref", out, "--lexicon", lexicon]),
+]
+loaded = {name.partition(".")[0] for name in set(sys.modules) - started}
+print(json.dumps({"codes": codes, "foreign": sorted(loaded - sys.stdlib_module_names - {"dialogforge"})}))
+"""
+
+
+def test_generate_mock_and_evaluate_load_only_the_standard_library(tmp_path):
+    # Modules the interpreter loads before the script runs (site's .pth
+    # hooks) are the environment's, not the program's, so they are left out.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCRIPT, str(tmp_path / "dialogues.jsonl"), str(LEXICON_PATH), str(NOTES_PATH)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    # evaluate prints its score table first.
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0], "foreign": []}
+
+
 def test_evaluate_id_mismatch(tmp_path, capsys):
     _, hyp = _generate(tmp_path, "--mock")
     ref = tmp_path / "refs.jsonl"
