@@ -184,10 +184,10 @@ class HttpBackend:
             "max_tokens": request.max_reply_tokens,
             "temperature": request.temperature,
         }
-        headers = {"Content-Type": "application/json"}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        post = Request(f"{self.endpoint}/chat/completions", json.dumps(body, allow_nan=False).encode(), headers)
+        post = Request(f"{self.endpoint}/chat/completions", json.dumps(body, allow_nan=False).encode())
+        post.add_header("Content-Type", "application/json")
+        if self._api_key:  # an unredirected header: a redirect does not carry the key to another host
+            post.add_unredirected_header("Authorization", f"Bearer {self._api_key}")
         try:
             # One connection a request, through the proxies the environment names.
             with urlopen(post, timeout=REQUEST_TIMEOUT_S) as response:

@@ -212,9 +212,12 @@ def is_canonical(text: str) -> bool:
     return _CANONICAL_RE.fullmatch(text) is not None
 
 
-def echoes(text: str, turns: Sequence[Utterance], transcript: str) -> bool:
-    """True only where ``text`` is ``transcript``, ``format_transcript(turns)``, and parses back as ``turns``."""
-    return text.count("\n") == len(turns) - 1 and text == transcript and is_canonical(text)
+def echoes(text: str, transcript: str, n_turns: int) -> bool:
+    """True only where ``text`` is ``transcript`` and parses back as ``n_turns``
+    turns that format to it unchanged. So where ``transcript`` is
+    ``format_transcript(turns)`` for ``n_turns`` turns, ``text`` parses back as
+    ``turns``."""
+    return text.count("\n") == n_turns - 1 and text == transcript and is_canonical(text)
 
 
 def last_turn_text(text: str, speaker: Speaker) -> Optional[str]:

@@ -74,7 +74,9 @@ def _rewrite_pass(
     keep = "concatenating turns" if stage == "postediting" else "keeping input"
     reply = _call(backend, _request(template, bindings, cfg), cfg)
     bound = (*conversation, *conversation2)
-    if echoes(reply, bound, "\n".join(filter(None, (bindings["conversation"], bindings["conversation2"])))):
+    # format_transcript(bound), from the slots already formatted.
+    transcript = "\n".join(slot for slot in (bindings["conversation"], bindings["conversation2"]) if slot)
+    if echoes(reply, transcript, len(bound)):
         return Dialogue(dialogue.note_id, head + bound)
     try:
         turns = head + tuple(parse_transcript(reply))

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 import threading
@@ -242,9 +243,13 @@ class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
         raw = self.rfile.read(length)
-        self.server.seen.append(
-            {"path": self.path, "headers": dict(self.headers), "body": json.loads(raw)}
-        )
+        self._reply({"path": self.path, "headers": dict(self.headers), "body": json.loads(raw)})
+
+    def do_GET(self):
+        self._reply({"path": self.path, "headers": dict(self.headers), "body": None})
+
+    def _reply(self, seen):
+        self.server.seen.append(seen)
         # a reply is (status, payload) or (status, payload, extra headers)
         status, payload, *extra = (
             self.server.replies.pop(0)
@@ -275,6 +280,12 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture()
 def stub_server():
+    with _serving() as server:
+        yield server
+
+
+@contextlib.contextmanager
+def _serving():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.seen = []
     server.replies = []
@@ -449,6 +460,18 @@ def test_http_redirect_that_keeps_the_method_fails_the_request(stub_server, stat
     with pytest.raises(MalformedResponse, match=f"unexpected status {status}"):
         HttpBackend(_endpoint(stub_server), "m", api_key="k").complete(user_request("hi"))
     assert len(stub_server.seen) == 1
+
+
+@pytest.mark.parametrize("status", [301, 302, 303])
+def test_http_redirect_to_another_host_does_not_carry_the_key(stub_server, status):
+    with _serving() as target:
+        stub_server.replies.append((status, "{}", {"Location": f"{_endpoint(target)}/elsewhere"}))
+        reply = HttpBackend(_endpoint(stub_server), "m", api_key="k").complete(user_request("hi"))
+    # urllib follows these as a GET, with neither the body nor the key.
+    assert reply == "stub reply"
+    assert stub_server.seen[0]["headers"]["Authorization"] == "Bearer k"
+    assert [seen["path"] for seen in target.seen] == ["/elsewhere"]
+    assert target.seen[0]["body"] is None and "Authorization" not in target.seen[0]["headers"]
 
 
 def test_http_rejects_bad_endpoint():
