@@ -6,11 +6,13 @@ each turn is ``{"speaker", "text"}``. Configuration precedence is flags over
 config file over built-in defaults; the API key is read only from the
 ``DIALOGFORGE_API_KEY`` environment variable.
 
-``generate --workers N`` keeps at most N backend requests in flight. A note's
-sections run concurrently and its merge fold on the note's own thread, a
-waiting request of an earlier note goes first, and records are still written
-in input order. With N = 1, notes and their sections run one after another on
-the calling thread.
+segment, extract and generate share one record loop: a note's records are
+built and UTF-8-encoded on their own, then flushed in input order, so a note
+that fails or cannot be written is logged and skipped alone; exit code 1 says
+some note has no record. ``generate --workers N`` keeps at most N backend
+requests in flight: a note's sections run concurrently, its merge fold on its
+own thread, and a waiting request of an earlier note goes first. With N = 1,
+notes and their sections run one after another on the calling thread.
 """
 
 import argparse
@@ -108,15 +110,12 @@ def build_config(args: argparse.Namespace) -> GenerationConfig:
         raise CliError(f"invalid config: {exc}") from exc
 
 
-def print_effective_config(cfg: GenerationConfig) -> None:
-    for field in dataclasses.fields(GenerationConfig):
-        print(f"{field.name}={getattr(cfg, field.name)}")
-
-
-def _read_records(path: str, field: str, kind: type, shape: str) -> Iterator[Tuple[str, str, Dict]]:
-    """(``<path> line <n>``, id, record) per JSONL record: an object with an ``id``
-    and a ``field`` of type ``kind``, else the error ``shape``. An id is a non-blank
-    string or an integer (read with ``str``) that no other record of the file has."""
+def _read_records(path: str, field: str, kind: type, shape: str, build: Callable) -> List:
+    """``build(id, value)`` per JSONL record: an object with an ``id`` and a
+    ``field`` of type ``kind``, else the error ``shape``. An id is a non-blank
+    string or an integer (read with ``str``) that no other record of the file
+    has. A ModelError from ``build`` is an error naming the record's line."""
+    built = []
     id_lines: Dict[str, int] = {}
     # Not splitlines(): ensure_ascii=False leaves U+2028, U+2029 and U+0085 raw in strings.
     for line_no, line in enumerate(_read(path).split("\n"), start=1):
@@ -136,42 +135,33 @@ def _read_records(path: str, field: str, kind: type, shape: str) -> Iterator[Tup
         if record_id in id_lines:
             raise CliError(f"{where}: id {record_id!r} is already used on line {id_lines[record_id]}")
         id_lines[record_id] = line_no
-        yield where, record_id, record
+        try:
+            built.append(build(record_id, record[field]))
+        except ModelError as exc:
+            raise CliError(f"{where}: {exc}") from exc
+    return built
 
 
 def _read_notes(path: str) -> List[ClinicalNote]:
-    notes = []
-    for where, note_id, record in _read_records(
-        path, "text", str, "note record needs 'id' and a string 'text'"
-    ):
-        try:
-            notes.append(ClinicalNote(id=note_id, text=record["text"]))
-        except ModelError as exc:
-            raise CliError(f"{where}: {exc}") from exc
-    return notes
+    return _read_records(path, "text", str, "note record needs 'id' and a string 'text'", ClinicalNote)
 
 
 def _read_dialogues(path: str) -> List[Dialogue]:
-    dialogues = []
-    for where, dialogue_id, record in _read_records(
-        path, "turns", list, "dialogue record needs 'id' and a list 'turns'"
-    ):
+    def dialogue(dialogue_id: str, turns: List) -> Dialogue:
         try:
-            turns = tuple(Utterance(turn["speaker"], turn["text"]) for turn in record["turns"])
+            return Dialogue(dialogue_id, [Utterance(turn["speaker"], turn["text"]) for turn in turns])
         except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{where}: bad turn record ({exc})") from exc
-        dialogues.append(Dialogue(dialogue_id, turns))
-    return dialogues
+            raise ModelError(f"bad turn record ({exc})") from exc
+
+    return _read_records(path, "turns", list, "dialogue record needs 'id' and a list 'turns'", dialogue)
 
 
 @contextlib.contextmanager
 def _output(path: Optional[str]) -> Iterator[TextIO]:
-    """``--out`` truncated, or stdout; closed or flushed when the block ends.
+    """``--out`` truncated, or stdout; a file is closed when the block ends.
     Open it only once the inputs are valid."""
     if not path:
         yield sys.stdout
-        with _writing(sys.stdout):
-            sys.stdout.flush()
         return
     with _writing(path):
         out = open(path, "w", encoding="utf-8")
@@ -204,13 +194,42 @@ def _writing(out: Union[TextIO, str]) -> Iterator[None]:
         raise CliError(f"cannot write {name}: {exc}") from exc
 
 
-def _record_line(record: Dict) -> str:
-    return json.dumps(record, ensure_ascii=False) + "\n"
-
-
-def _write_record(out: TextIO, line: str) -> None:
+def _write_record(out: TextIO, text: str) -> None:
     with _writing(out):
-        out.write(line)
+        out.write(text)
+        out.flush()
+
+
+def _write_records(out_path: Optional[str], notes: List[ClinicalNote], records: Callable, map_notes=map) -> int:
+    """Writes the dicts ``records(note, ...)`` returns as JSON lines to
+    ``out_path`` or stdout, one flushed write a note, in input order: 1 if
+    some note has none, else 0. A note fails alone, logged, on a BackendError
+    or ValueError, or text UTF-8 cannot encode; an AuthError ends the run."""
+
+    def note_text(note: ClinicalNote, *args) -> str:
+        try:
+            text = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records(note, *args))
+            text.encode("utf-8")
+            return text
+        except AuthError:
+            raise
+        except (BackendError, ValueError) as exc:
+            # The text: a handler that keeps the record would keep the
+            # exception, and through its traceback the scheduler.
+            logger.error("note %s failed: %s", note.id, str(exc))
+            return ""
+
+    missing = 0
+    with _output(out_path) as out:
+        try:
+            for text in map_notes(note_text, notes):
+                if text:
+                    _write_record(out, text)
+                else:
+                    missing += 1
+        except AuthError as exc:
+            raise CliError(f"authentication failed: {exc}", exit_code=2) from exc
+    return 1 if missing else 0
 
 
 INDEX_SUFFIX = ".dialogforge-index"
@@ -274,31 +293,32 @@ def _write_index(path: str, index_path: str, data: bytes) -> None:
 
 def cmd_segment(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     notes = _read_notes(args.input)
-    with _output(args.out) as out:
-        for note in notes:
-            for section in segment_note(note, cfg.similarity_threshold):
-                _write_record(out, _record_line({
-                    "note_id": note.id,
-                    "header": section.header.canonical_name,
-                    "body": section.body,
-                    "span": [section.start, section.end],
-                }))
-    return 0
+
+    def sections(note: ClinicalNote) -> List[Dict]:
+        return [{
+            "note_id": note.id,
+            "header": section.header.canonical_name,
+            "body": section.body,
+            "span": [section.start, section.end],
+        } for section in segment_note(note, cfg.similarity_threshold)]
+
+    return _write_records(args.out, notes, sections)
 
 
 def cmd_extract(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     lexicon = _load_lexicon_file(args.lexicon)
     notes = _read_notes(args.input)
-    with _output(args.out) as out:
-        for note in notes:
-            _write_record(out, _record_line({
-                "id": note.id,
-                "concepts": [
-                    {"surface": c.surface, "cui": c.cui, "semantic_group": c.semantic_group.value}
-                    for c in reportable_concepts(note.text, lexicon, cfg)
-                ],
-            }))
-    return 0
+
+    def concepts(note: ClinicalNote) -> List[Dict]:
+        return [{
+            "id": note.id,
+            "concepts": [
+                {"surface": c.surface, "cui": c.cui, "semantic_group": c.semantic_group.value}
+                for c in reportable_concepts(note.text, lexicon, cfg)
+            ],
+        }]
+
+    return _write_records(args.out, notes, concepts)
 
 
 def _make_backend(args: argparse.Namespace, cfg: GenerationConfig):
@@ -493,49 +513,26 @@ def cmd_generate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     except (OSError, ModelError) as exc:
         raise CliError(f"cannot load prompt templates: {exc}") from exc
 
-    def generate(note: ClinicalNote, backend=backend, map_sections=map) -> Optional[str]:
-        """The note's record line, or None when it has none."""
-        try:
-            # A lone surrogate has no UTF-8 encoding, so its record could not
-            # be written: fail the note before it costs a backend call.
-            note.id.encode("utf-8")
-            note.text.encode("utf-8")
-            dialogue = run_full_pipeline(note, lexicon, backend, cfg, templates, map_sections)
-            if len(dialogue.turns) < 2:
-                # evaluate refuses a dialogue with fewer than two turns
-                logger.warning("note %s: %d turn(s); no record written", note.id, len(dialogue.turns))
-                return None
-            checklist = dialogue.meta["checklist"]
-            line = _record_line({
-                "id": note.id,
-                "mode": cfg.mode,
-                "turns": [{"speaker": t.speaker.value, "text": t.text} for t in dialogue.turns],
-                "coverage": {"covered": checklist.covered_count(), "total": len(checklist)},
-            })
-            line.encode("utf-8")  # a reply may hold a lone surrogate too
-            return line
-        except AuthError:
-            raise
-        except (BackendError, ValueError) as exc:
-            # The text: a handler that keeps the record would keep the
-            # exception, and through its traceback the scheduler.
-            logger.error("note %s failed: %s", note.id, str(exc))
-            return None
+    def generate(note: ClinicalNote, backend=backend, map_sections=map) -> List[Dict]:
+        # Fail a note whose record UTF-8 cannot encode before it costs a backend call.
+        note.id.encode("utf-8")
+        note.text.encode("utf-8")
+        # perfbench times each cli.run_full_pipeline call as a note, set-up until the first: add no work before it.
+        dialogue = run_full_pipeline(note, lexicon, backend, cfg, templates, map_sections)
+        if len(dialogue.turns) < 2:
+            # evaluate refuses a dialogue with fewer than two turns
+            logger.warning("note %s: %d turn(s); no record written", note.id, len(dialogue.turns))
+            return []
+        checklist = dialogue.meta["checklist"]
+        return [{
+            "id": note.id,
+            "mode": cfg.mode,
+            "turns": [{"speaker": t.speaker.value, "text": t.text} for t in dialogue.turns],
+            "coverage": {"covered": checklist.covered_count(), "total": len(checklist)},
+        }]
 
-    missing = 0
-    with _output(args.out) as out, _Scheduler(backend, args.workers) as scheduler:
-        try:
-            # Write each record as it arrives, in input order, so a failed run keeps it.
-            for line in scheduler.map(generate, notes):
-                if line is None:
-                    missing += 1
-                    continue
-                _write_record(out, line)
-                with _writing(out):
-                    out.flush()
-        except AuthError as exc:
-            raise CliError(f"authentication failed: {exc}", exit_code=2) from exc
-    return 1 if missing else 0
+    with _Scheduler(backend, args.workers) as scheduler:
+        return _write_records(args.out, notes, generate, scheduler.map)
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
@@ -550,12 +547,11 @@ def cmd_evaluate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
         report = evaluate_corpus(pairs, lexicon, cfg)
     except ValueError as exc:
         raise CliError(f"evaluation failed: {exc}") from exc
-    with _output(args.out) as out, _writing(out):
-        out.write(json.dumps(report.as_dict(), ensure_ascii=False, indent=2) + "\n")
+    with _output(args.out) as out:
+        _write_record(out, json.dumps(report.as_dict(), ensure_ascii=False, indent=2) + "\n")
     if args.out:
         # Without --out, stdout holds the JSON report alone.
-        with _writing(sys.stdout):
-            print(render_report_table(report), flush=True)
+        _write_record(sys.stdout, render_report_table(report) + "\n")
     return 0
 
 
@@ -641,7 +637,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = build_config(args)
         if args.print_config:
-            print_effective_config(cfg)
+            for field in dataclasses.fields(GenerationConfig):
+                print(f"{field.name}={getattr(cfg, field.name)}")
             return 0
         return args.func(args, cfg)
     except CliError as exc:

@@ -886,6 +886,29 @@ def test_a_closed_stdout_is_one_error_line(tmp_path):
     assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.parametrize("command, stage", [
+    ("segment", "segment_note"), ("extract", "reportable_concepts"), ("generate", "run_full_pipeline"),
+])
+def test_each_note_is_flushed_before_the_next_starts(tmp_path, monkeypatch, command, stage):
+    # Reads --out as each note's work starts: by then every earlier note's
+    # records are in the file, so a run that stops keeps them.
+    out = tmp_path / "out.jsonl"
+    seen = []
+    work = getattr(cli, stage)
+
+    def reading(*args):
+        seen.append(out.read_text(encoding="utf-8"))
+        return work(*args)
+
+    monkeypatch.setattr(cli, stage, reading)
+    assert main([*_WRITERS[command], "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    ids = [json.loads(line)["id"] for line in NOTES_PATH.read_text(encoding="utf-8").splitlines() if line]
+    key = "note_id" if command == "segment" else "id"
+    assert len(seen) == len(ids) == 3
+    assert seen == ["".join(line for line in lines if json.loads(line)[key] in ids[:i]) for i in range(len(ids))]
+
+
 # Each input of each command, as (argv with "BAD" in its place, what the error calls it).
 _GOLDEN_SHORT = str(GOLDEN_DIR / "generate_short.jsonl")
 _INPUTS = {
@@ -936,23 +959,32 @@ def test_an_input_that_starts_with_a_byte_order_mark_reads_as_without_one(tmp_pa
 
 
 @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
-def test_a_record_the_output_cannot_encode_is_one_error_line(tmp_path, capsys, to_stdout):
-    # "\ud800" is valid JSON, but UTF-8 has no encoding for a lone surrogate.
-    notes = tmp_path / "notes.jsonl"
-    notes.write_text(
-        '{"id": "a", "text": "CHIEF COMPLAINT:\\nCough."}\n{"id": "b", "text": "Cough \\ud800."}\n',
-        encoding="utf-8",
-    )
-    out = tmp_path / "out.jsonl"
-    argv = ["segment", "--input", str(notes)] + ([] if to_stdout else ["--out", str(out)])
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    name = "stdout" if to_stdout else out
-    assert captured.err.startswith(f"error: cannot write {name}: 'utf-8' codec can't encode character '\\ud800'")
-    assert captured.err.count("\n") == 1
-    # The records before it are kept.
-    written = captured.out if to_stdout else out.read_text(encoding="utf-8")
-    assert [json.loads(line)["note_id"] for line in written.splitlines()] == ["a"]
+def test_a_record_the_output_cannot_encode_is_one_error_line(tmp_path, capsys, caplog, to_stdout):
+    # "\ud800" is valid JSON, but UTF-8 has no encoding for a lone surrogate:
+    # the note that holds one fails alone, and the notes around it are written.
+    fixture = [json.loads(line) for line in NOTES_PATH.read_text(encoding="utf-8").splitlines() if line]
+    bad = {"id": "n2\ud800", "text": fixture[1]["text"].replace(".", ". \ud800", 1)}
+    for command in ("segment", "extract"):
+        runs = []
+        for name, records in (("bad", [fixture[0], bad, fixture[2]]), ("without", [fixture[0], fixture[2]])):
+            notes = tmp_path / f"{name}.jsonl"
+            notes.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+            out = tmp_path / f"{command}-{name}.out.jsonl"
+            argv = [str(notes) if arg == str(NOTES_PATH) else arg for arg in _WRITERS[command]]
+            caplog.clear()
+            code = main(argv + ([] if to_stdout else ["--out", str(out)]))
+            captured = capsys.readouterr()
+            failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+            runs.append((code, captured.out if to_stdout else out.read_text(encoding="utf-8"), captured.err, failed))
+        (code, written, err, failed), (code_without, written_without, _, _) = runs
+        assert (code, code_without) == (1, 0)
+        assert "error:" not in err
+        assert len(failed) == 1
+        assert failed[0].startswith("note n2\ud800 failed: 'utf-8' codec can't encode character '\\ud800'")
+        # n1 and n3 are written as in a run without n2
+        assert written == written_without
+        key = "note_id" if command == "segment" else "id"
+        assert {json.loads(line)[key] for line in written.splitlines()} == {"n1", "n3"}
 
 
 @pytest.mark.parametrize("workers", [1, 3])
