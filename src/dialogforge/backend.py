@@ -2,7 +2,15 @@
 
 The HTTP variant speaks the common ``/chat/completions`` JSON shape; endpoint
 and model name are configuration, and the bearer token comes from the
-``DIALOGFORGE_API_KEY`` environment variable only.
+``DIALOGFORGE_API_KEY`` environment variable only. It keeps its HTTP/1.1
+connections alive in a pool that holds at most one connection per request in
+flight, so ``generate --workers N`` opens at most N; ``close`` closes them at
+the end of a run. ``HTTP_PROXY``, ``HTTPS_PROXY`` and ``NO_PROXY`` are read
+once, when the first connection opens. On Linux each request sets
+``TCP_QUICKACK`` once it is sent, so that a server which writes its reply
+headers and body apart, with Nagle's algorithm on, does not wait for the
+client's delayed ACK on a kept-alive connection. A redirect is not followed:
+any 3xx fails the request, and nothing is sent to its ``Location``.
 
 A request carries, besides its messages, the pipeline ``stage`` that built it
 (the template name) and the rendered text of each template slot. Both stay in
@@ -21,19 +29,22 @@ That makes a full pipeline run deterministic and keyword-coverage-complete by
 construction, whatever the templates say.
 """
 
+import base64
 import json
 import os
 import random
 import re
+import socket
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from email.utils import parsedate_to_datetime
-from http.client import HTTPException
-from typing import Dict, List, Optional, Sequence, Tuple
-from urllib.error import HTTPError
-from urllib.parse import urlparse
-from urllib.request import Request, urlopen
+from functools import partial
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from urllib.parse import unquote, urlparse, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 from .model import (
     MODES, Speaker, Unparseable, Utterance, format_transcript, is_canonical, last_turn_text, parse_transcript
@@ -154,8 +165,36 @@ def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
     return max(0.0, when.timestamp() - time.time())
 
 
+# Linux only. A server that sends its reply headers and body in two writes with
+# Nagle's algorithm on holds the body until the headers are acknowledged; on a
+# kept-alive connection the client's delayed ACK would then stall each reply
+# by up to 40 ms. The option is not sticky, so it is set after every send.
+_TCP_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+# The User-Agent that urlopen sent.
+_USER_AGENT = "Python-urllib/%d.%d" % sys.version_info[:2]
+
+
+def _proxy_route(proxy: str) -> Tuple[str, str, Dict[str, str]]:
+    """(scheme, host[:port], headers) of a proxy URL or a bare ``host:port``,
+    read as urllib's ProxyHandler reads it: ``user:password@`` becomes a Basic
+    ``Proxy-Authorization`` header."""
+    parts = urlsplit(proxy if "://" in proxy else "//" + proxy)
+    headers = {}
+    if parts.username and parts.password:
+        credentials = f"{unquote(parts.username)}:{unquote(parts.password)}".encode()
+        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials).decode("ascii")
+    return parts.scheme, parts.netloc.rpartition("@")[2], headers
+
+
 class HttpBackend:
-    """POSTs chat-completion requests to ``<endpoint>/chat/completions``."""
+    """POSTs chat-completion requests to ``<endpoint>/chat/completions`` over
+    kept-alive HTTP/1.1 connections.
+
+    A request takes an idle connection or opens a new one, reads the whole
+    reply and puts the connection back, unless the server said it will close
+    it. So the pool holds at most as many connections as requests ever ran at
+    once; ``close`` closes them.
+    """
 
     def __init__(
         self,
@@ -165,7 +204,7 @@ class HttpBackend:
         requests_per_minute: Optional[float] = None,
     ):
         parsed = urlparse(endpoint)
-        if parsed.username is not None:  # urllib would take "user:password@host" for the host name
+        if parsed.username is not None:  # "user:password@host" would be taken for the host name
             raise ValueError(f"endpoint url must not hold credentials; the key comes from ${API_KEY_ENV}")
         # ``port`` raises ValueError for a port that is no number from 0 to 65535.
         if parsed.scheme not in ("http", "https") or not parsed.hostname or parsed.port == 0:
@@ -174,6 +213,10 @@ class HttpBackend:
         self.model = model
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self._limiter = TokenBucket(requests_per_minute) if requests_per_minute is not None else None
+        # (new connection, request target, headers), read at the first connection
+        self._route: Optional[Tuple[Callable[..., HTTPConnection], str, Dict[str, str]]] = None
+        self._idle: List[HTTPConnection] = []
+        self._lock = threading.Lock()
 
     def complete(self, request: ChatRequest) -> str:
         if self._limiter is not None:
@@ -184,17 +227,8 @@ class HttpBackend:
             "max_tokens": request.max_reply_tokens,
             "temperature": request.temperature,
         }
-        post = Request(f"{self.endpoint}/chat/completions", json.dumps(body, allow_nan=False).encode())
-        post.add_header("Content-Type", "application/json")
-        if self._api_key:  # an unredirected header: a redirect does not carry the key to another host
-            post.add_unredirected_header("Authorization", f"Bearer {self._api_key}")
         try:
-            # One connection a request, through the proxies the environment names.
-            with urlopen(post, timeout=REQUEST_TIMEOUT_S) as response:
-                status, reply_headers, raw = response.status, response.headers, response.read()
-        except HTTPError as exc:
-            status, reply_headers, raw = exc.code, exc.headers, b""
-            exc.close()
+            status, reply_headers, raw = self._post(json.dumps(body, allow_nan=False).encode())
         except (OSError, HTTPException) as exc:
             # Any transport failure, a body cut off mid-stream too, retries like a timeout.
             raise Timeout(str(exc)) from exc
@@ -213,6 +247,82 @@ class HttpBackend:
         if not isinstance(content, str) or not content.strip():
             raise MalformedResponse("completion content is empty")
         return content
+
+    def close(self) -> None:
+        """Closes the idle connections; a later request opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def _post(self, payload: bytes):
+        """(status, headers, body) of one POST. A pooled connection that the
+        server closed while it sat idle fails before any status line arrives;
+        the request is then sent once more on a new connection."""
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
+        if not reused:
+            connection = self._connect()
+        try:
+            try:
+                response = self._send(connection, payload)
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is a ConnectionResetError
+                if not reused:
+                    raise
+                connection.close()
+                connection = self._connect()
+                response = self._send(connection, payload)
+            with response:
+                raw = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._lock:
+                self._idle.append(connection)
+        return response.status, response.headers, raw
+
+    def _send(self, connection: HTTPConnection, payload: bytes):
+        _, target, headers = self._route
+        connection.request("POST", target, payload, headers)
+        if _TCP_QUICKACK is not None:
+            connection.sock.setsockopt(socket.IPPROTO_TCP, _TCP_QUICKACK, 1)
+        return connection.getresponse()
+
+    def _connect(self) -> HTTPConnection:
+        """A new connection; http.client sets ``TCP_NODELAY`` when it opens."""
+        if self._route is None:
+            self._route = self._read_route()
+        return self._route[0](timeout=REQUEST_TIMEOUT_S)
+
+    def _read_route(self):
+        """(new connection, request target, headers) for the endpoint, straight
+        or through the proxy the environment names for its scheme. An ``http``
+        request goes to the proxy with its absolute URL; an ``https`` one goes
+        through a ``CONNECT`` tunnel."""
+        url = f"{self.endpoint}/chat/completions".partition("#")[0]
+        parts = urlsplit(url)
+        target = parts._replace(scheme="", netloc="").geturl()
+        headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
+        if self._api_key:
+            headers["Authorization"] = f"Bearer {self._api_key}"
+        https = parts.scheme == "https"
+        proxy = getproxies().get(parts.scheme)
+        if not proxy or proxy_bypass(parts.netloc):
+            return partial(HTTPSConnection if https else HTTPConnection, parts.netloc), target, headers
+        proxy_scheme, proxy_host, proxy_headers = _proxy_route(proxy)
+        if https:
+            def tunnel(timeout: float) -> HTTPConnection:
+                connection = HTTPSConnection(proxy_host, timeout=timeout)
+                connection.set_tunnel(parts.netloc, headers=proxy_headers)
+                return connection
+
+            return tunnel, target, headers
+        opened = partial(HTTPSConnection if proxy_scheme == "https" else HTTPConnection, proxy_host)
+        return opened, url, {**headers, **proxy_headers}
 
 
 def complete_with_retry(

@@ -531,8 +531,12 @@ def cmd_generate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
             "coverage": {"covered": checklist.covered_count(), "total": len(checklist)},
         }]
 
-    with _Scheduler(backend, args.workers) as scheduler:
-        return _write_records(args.out, notes, generate, scheduler.map)
+    try:
+        with _Scheduler(backend, args.workers) as scheduler:
+            return _write_records(args.out, notes, generate, scheduler.map)
+    finally:
+        if isinstance(backend, HttpBackend):
+            backend.close()  # no request is in flight once the scheduler has exited
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: GenerationConfig) -> int:

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import random
+import socket
 import threading
 import time
 import urllib.request
@@ -10,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from dialogforge import backend as backend_module
+from dialogforge import cli
 from dialogforge.backend import (
     AuthError,
     ChatMessage,
@@ -25,7 +27,7 @@ from dialogforge.backend import (
     estimate_tokens,
 )
 
-from conftest import user_request
+from conftest import LEXICON_PATH, NOTES_PATH, user_request
 
 
 def test_estimate_tokens_empty():
@@ -285,10 +287,11 @@ def stub_server():
 
 
 @contextlib.contextmanager
-def _serving():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+def _serving(handler=_StubHandler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.seen = []
     server.replies = []
+    server.connections = []  # one entry per accepted connection
     thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.02), daemon=True)
     thread.start()
     try:
@@ -448,6 +451,52 @@ def test_http_goes_through_the_proxy_the_environment_names(stub_server, monkeypa
     assert [seen["path"] for seen in stub_server.seen] == ["http://llm.example.invalid/v1/chat/completions"]
 
 
+def test_http_sends_proxy_credentials_the_environment_names(stub_server, monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    host, port = stub_server.server_address
+    monkeypatch.setenv("HTTP_PROXY", f"http://u:p@{host}:{port}")
+    # Any urllib opener built earlier in the session keeps the proxies it read then.
+    urllib.request.install_opener(None)
+    try:
+        # The stub speaks HTTP/1.0, so it closes the connection after its reply.
+        reply = HttpBackend("http://llm.example.invalid/v1", "m", api_key="k").complete(user_request("hi"))
+    finally:
+        urllib.request.install_opener(None)
+    assert reply == "stub reply"
+    (seen,) = stub_server.seen
+    assert seen["path"] == "http://llm.example.invalid/v1/chat/completions"
+    headers = {name.lower(): value for name, value in seen["headers"].items()}
+    assert headers["proxy-authorization"] == "Basic dTpw"  # base64 of "u:p"
+
+
+class _RefusesTunnelsHandler(_StubHandler):
+    def do_CONNECT(self):
+        self.server.seen.append({"path": self.path, "headers": dict(self.headers), "body": None})
+        self.send_response(407)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+
+def test_https_goes_through_a_connect_tunnel_with_the_proxy_credentials(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    with _serving(_RefusesTunnelsHandler) as proxy:
+        host, port = proxy.server_address
+        monkeypatch.setenv("HTTPS_PROXY", f"http://u:p@{host}:{port}")
+        urllib.request.install_opener(None)
+        try:
+            with pytest.raises(Timeout, match="407"):
+                HttpBackend("https://llm.example.invalid/v1", "m", api_key="k").complete(user_request("hi"))
+        finally:
+            urllib.request.install_opener(None)
+    # The proxy sees the host to tunnel to and its own credentials, not the key.
+    (seen,) = proxy.seen
+    headers = {name.lower(): value for name, value in seen["headers"].items()}
+    assert seen["path"] == "llm.example.invalid:443"
+    assert headers["proxy-authorization"] == "Basic dTpw" and "authorization" not in headers
+
+
 def test_http_other_success_status_is_malformed(stub_server):
     stub_server.replies.append((201, json.dumps({"choices": [{"message": {"content": "created"}}]})))
     with pytest.raises(MalformedResponse, match="unexpected status 201"):
@@ -466,12 +515,11 @@ def test_http_redirect_that_keeps_the_method_fails_the_request(stub_server, stat
 def test_http_redirect_to_another_host_does_not_carry_the_key(stub_server, status):
     with _serving() as target:
         stub_server.replies.append((status, "{}", {"Location": f"{_endpoint(target)}/elsewhere"}))
-        reply = HttpBackend(_endpoint(stub_server), "m", api_key="k").complete(user_request("hi"))
-    # urllib follows these as a GET, with neither the body nor the key.
-    assert reply == "stub reply"
+        with pytest.raises(MalformedResponse, match=f"unexpected status {status}"):
+            HttpBackend(_endpoint(stub_server), "m", api_key="k").complete(user_request("hi"))
+    # No redirect is followed, so nothing at all reaches the other host.
     assert stub_server.seen[0]["headers"]["Authorization"] == "Bearer k"
-    assert [seen["path"] for seen in target.seen] == ["/elsewhere"]
-    assert target.seen[0]["body"] is None and "Authorization" not in target.seen[0]["headers"]
+    assert target.seen == []
 
 
 def test_http_rejects_bad_endpoint():
@@ -548,3 +596,105 @@ def test_http_requests_per_minute_holds_the_third_request_back(stub_server, monk
     # The bucket holds two requests; the third waits half a minute for a token.
     assert waits == [(pytest.approx(30.0), 2)]
     assert clock.now == pytest.approx(30.0) and len(stub_server.seen) == 3
+
+
+# ---------------------------------------------------------------------------
+# kept-alive connections against an HTTP/1.1 stub server
+# ---------------------------------------------------------------------------
+
+
+class _KeepAliveHandler(_StubHandler):
+    """Keeps a connection open across replies; like any ``http.server``
+    handler, it writes a reply's headers and body in two sends with Nagle's
+    algorithm on."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        self.server.connections.append(self.client_address)
+
+
+class _ClosesAfterReplyHandler(_KeepAliveHandler):
+    """Closes the socket after each reply, without a ``Connection: close``."""
+
+    def _reply(self, seen):
+        super()._reply(seen)
+        self.close_connection = True
+
+
+class _DropsRequestsHandler(_KeepAliveHandler):
+    """Answers the first request, then closes the connection at every other
+    request without a reply."""
+
+    def _reply(self, seen):
+        if not self.server.seen:
+            super()._reply(seen)
+            return
+        self.server.seen.append(seen)
+        self.close_connection = True
+
+
+def test_http_sequential_requests_share_one_connection():
+    with _serving(_KeepAliveHandler) as server:
+        with contextlib.closing(HttpBackend(_endpoint(server), "m", api_key="k")) as backend:
+            for _ in range(3):
+                assert backend.complete(user_request("hi")) == "stub reply"
+    assert len(server.seen) == 3 and len(server.connections) == 1
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="TCP_QUICKACK is Linux-only")
+def test_http_kept_alive_reply_does_not_wait_for_a_delayed_ack():
+    # Without an immediate ACK of the reply headers, the server's Nagle
+    # algorithm holds each body back for the client's 40 ms delayed ACK.
+    with _serving(_KeepAliveHandler) as server:
+        with contextlib.closing(HttpBackend(_endpoint(server), "m", api_key="k")) as backend:
+            backend.complete(user_request("hi"))
+            took = []
+            for _ in range(10):
+                started = time.perf_counter()
+                backend.complete(user_request("hi"))
+                took.append(time.perf_counter() - started)
+    assert len(server.connections) == 1
+    assert sorted(took)[len(took) // 2] < 0.02
+
+
+def test_http_connection_the_server_closed_is_resent_once_on_a_new_one():
+    with _serving(_ClosesAfterReplyHandler) as server:
+        with contextlib.closing(HttpBackend(_endpoint(server), "m", api_key="k")) as backend:
+            sleeps = []
+            for _ in range(3):
+                reply = complete_with_retry(backend, user_request("hi"), max_retries=0, sleep=sleeps.append)
+                assert reply == "stub reply"
+    assert sleeps == [] and len(server.seen) == 3 and len(server.connections) == 3
+
+
+def test_http_resent_request_that_fails_again_is_a_timeout():
+    with _serving(_DropsRequestsHandler) as server:
+        with contextlib.closing(HttpBackend(_endpoint(server), "m", api_key="k")) as backend:
+            assert backend.complete(user_request("hi")) == "stub reply"
+            with pytest.raises(Timeout):
+                backend.complete(user_request("hi"))
+    # The request was sent on the pooled connection, then once on a new one.
+    assert len(server.seen) == 3 and len(server.connections) == 2
+
+
+def test_generate_opens_at_most_one_connection_per_worker_and_closes_them(tmp_path, monkeypatch):
+    opened = []
+
+    class RecordedConnection(backend_module.HTTPConnection):
+        def connect(self):
+            super().connect()
+            opened.append(self)
+
+    monkeypatch.setattr(backend_module, "HTTPConnection", RecordedConnection)
+    out = tmp_path / "dialogues.jsonl"
+    with _serving(_KeepAliveHandler) as server:
+        code = cli.main([
+            "generate", "--endpoint", _endpoint(server), "--workers", "2", "--max-rounds", "1",
+            "--input", str(NOTES_PATH), "--lexicon", str(LEXICON_PATH), "--out", str(out),
+        ])
+    assert code == 0 and len(out.read_text(encoding="utf-8").splitlines()) == 3
+    assert 1 <= len(opened) <= 2 and len(server.connections) == len(opened)
+    assert len(server.seen) > len(opened)
+    assert all(connection.sock is None for connection in opened)
