@@ -1,7 +1,7 @@
 """Note-to-dialogue synthesis and evaluation toolkit."""
 
 from .backend import MockBackend
-from .concepts import load_lexicon
+from .concepts import load_lexicon, load_lexicon_file
 from .metrics import evaluate_corpus
 from .model import ClinicalNote, GenerationConfig
 from .refiner import run_full_pipeline

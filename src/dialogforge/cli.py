@@ -4,7 +4,8 @@ Datasets are line-delimited JSON. Input notes are ``{"id", "text"}`` records;
 generated dialogues are ``{"id", "mode", "turns", "coverage"}`` records where
 each turn is ``{"speaker", "text"}``. Configuration precedence is flags over
 config file over built-in defaults; the API key is read only from the
-``DIALOGFORGE_API_KEY`` environment variable.
+``DIALOGFORGE_API_KEY`` environment variable. ``model.read_text`` decodes every
+input file, and ``concepts.load_lexicon_file`` loads a lexicon and its index.
 
 segment, extract and generate share one record loop: a note's records are
 built and UTF-8-encoded on their own, then flushed in input order, so a note
@@ -18,23 +19,19 @@ notes and their sections run one after another on the calling thread.
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import itertools
 import json
 import logging
 import os
-import stat
 import sys
-import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .backend import AuthError, BackendError, ENDPOINT_ENV, HttpBackend, MockBackend
-from .concepts import INDEX_FORMAT, Lexicon, LexiconError, load_lexicon, reportable_concepts
+from .concepts import LexiconError, load_lexicon_file, reportable_concepts
 from .metrics import evaluate_corpus, render_report_table
-from .model import MODES, ClinicalNote, Dialogue, GenerationConfig, ModelError, Utterance
+from .model import MODES, ClinicalNote, Dialogue, GenerationConfig, ModelError, Utterance, read_text
 from .prompts import load_templates
 from .refiner import run_full_pipeline
 from .segmenter import segment_note
@@ -68,20 +65,22 @@ def _coerce(name: str, raw: str):
     return raw
 
 
-def _read(path: str, what: str = "") -> str:
-    """The text of the UTF-8 input file ``path``, or the error ``cannot read
-    <what><path>``; ``what`` names the kind of file (``"lexicon "``, say).
-    A leading byte-order mark is dropped, so a file reads as it would without one."""
+def _read(path: str, what: str = "", load: Callable = read_text):
+    """``load(path)``, by default the text of the input file ``path``. A read,
+    UTF-8 or JSON error is ``cannot read <what><path>: ...``, a LexiconError
+    ``<what><path>: ...``; ``what`` names the kind of file (``"lexicon "``)."""
     try:
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
-    except (OSError, UnicodeDecodeError) as exc:
+        return load(path)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read {what}{path}: {exc}") from exc
+    except LexiconError as exc:
+        raise CliError(f"{what}{path}: {exc}") from exc
 
 
 def load_config_file(path: str) -> Dict[str, object]:
     """``key=value`` lines; blank lines and ``#`` comments ignored."""
     values: Dict[str, object] = {}
-    for line_no, line in enumerate(_read(path, "config file ").splitlines(), start=1):
+    for line_no, line in enumerate(_read(path, "config file ").split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -232,65 +231,6 @@ def _write_records(out_path: Optional[str], notes: List[ClinicalNote], records: 
     return 1 if missing else 0
 
 
-INDEX_SUFFIX = ".dialogforge-index"
-_INDEX_MAGIC = b"dialogforge-index "
-
-
-def _load_lexicon_file(path: str) -> Lexicon:
-    """The lexicon at ``path``, read from its index ``<path>.dialogforge-index``
-    when the index's header matches: the index format, the interpreter's
-    ``cache_tag`` (marshal data may change between versions) and the SHA-256
-    of the lexicon text. Otherwise the text is parsed, and the index written
-    for the next command, unless the index path holds a file this program
-    did not write."""
-    text = _read(path, "lexicon ")
-    index_path = path + INDEX_SUFFIX
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    header = _INDEX_MAGIC + f"{INDEX_FORMAT} {sys.implementation.cache_tag} {digest}\n".encode("ascii")
-    try:
-        with open(index_path, "rb") as index:
-            found = index.read()
-    except FileNotFoundError:
-        found = b""
-    except OSError:
-        found = None  # something is there that cannot be read: keep it
-    if found and found.startswith(header):
-        # A damaged index is parsed over, like a stale one.
-        with contextlib.suppress(EOFError, ValueError, TypeError, KeyError):
-            return Lexicon.from_index(found[len(header):])
-    try:
-        lexicon = load_lexicon(text.split("\n"))
-    except LexiconError as exc:
-        raise CliError(f"lexicon {path}: {exc}") from exc
-    # A file there that does not start as an index does is not ours to replace.
-    if found is not None and _INDEX_MAGIC.startswith(found[: len(_INDEX_MAGIC)]):
-        _write_index(path, index_path, header + lexicon.to_index())
-    return lexicon
-
-
-def _write_index(path: str, index_path: str, data: bytes) -> None:
-    """Write ``data`` to ``index_path`` through a temporary file in its
-    directory and ``os.replace``, so that no reader sees a torn index; give it
-    the mode of the lexicon file ``path``. Only a regular lexicon file gets an
-    index: not ``/dev/stdin`` or a FIFO. A write that fails (a read-only
-    directory, say) is logged at DEBUG and costs the next command a parse."""
-    temp = None
-    try:
-        mode = os.stat(path).st_mode
-        if not stat.S_ISREG(mode):
-            return
-        fd, temp = tempfile.mkstemp(prefix=os.path.basename(index_path) + ".", dir=os.path.dirname(index_path))
-        with os.fdopen(fd, "wb") as out:
-            os.fchmod(out.fileno(), stat.S_IMODE(mode) & 0o666)
-            out.write(data)
-        os.replace(temp, index_path)
-    except OSError as exc:
-        logger.debug("lexicon index %s not written: %s", index_path, exc)
-        if temp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(temp)
-
-
 def cmd_segment(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     notes = _read_notes(args.input)
 
@@ -306,7 +246,7 @@ def cmd_segment(args: argparse.Namespace, cfg: GenerationConfig) -> int:
 
 
 def cmd_extract(args: argparse.Namespace, cfg: GenerationConfig) -> int:
-    lexicon = _load_lexicon_file(args.lexicon)
+    lexicon = _read(args.lexicon, "lexicon ", load_lexicon_file)
     notes = _read_notes(args.input)
 
     def concepts(note: ClinicalNote) -> List[Dict]:
@@ -323,10 +263,7 @@ def cmd_extract(args: argparse.Namespace, cfg: GenerationConfig) -> int:
 
 def _make_backend(args: argparse.Namespace, cfg: GenerationConfig):
     if args.mock_script:
-        try:
-            script = json.loads(_read(args.mock_script, "mock script "))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"cannot read mock script {args.mock_script}: {exc}") from exc
+        script = _read(args.mock_script, "mock script ", lambda path: json.loads(read_text(path)))
         if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
             raise CliError(f"mock script {args.mock_script} must be a JSON list of strings")
         return MockBackend(script=script, style=cfg.mode)
@@ -505,7 +442,7 @@ class _Scheduler:
 def cmd_generate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     if args.workers < 1:
         raise CliError("--workers must be positive")
-    lexicon = _load_lexicon_file(args.lexicon)
+    lexicon = _read(args.lexicon, "lexicon ", load_lexicon_file)
     backend = _make_backend(args, cfg)
     notes = _read_notes(args.input)
     try:
@@ -540,7 +477,7 @@ def cmd_generate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
-    lexicon = _load_lexicon_file(args.lexicon)
+    lexicon = _read(args.lexicon, "lexicon ", load_lexicon_file)
     hyps = _read_dialogues(args.hyp)
     refs = {d.note_id: d for d in _read_dialogues(args.ref)}
     unmatched = [h.note_id for h in hyps if h.note_id not in refs]
@@ -607,9 +544,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p_generate.add_argument("--mock-script", help="JSON list of scripted mock replies")
         p_generate.add_argument("--endpoint", help=f"chat-completions endpoint (or ${ENDPOINT_ENV})")
         p_generate.add_argument("--model", default="gpt-3.5-turbo", help="model name sent to the endpoint")
-        p_generate.add_argument(
-            "--requests-per-minute", dest="requests_per_minute", type=float, default=None
-        )
+        p_generate.add_argument("--requests-per-minute", type=float)
         p_generate.add_argument("--workers", type=int, default=1, help="backend requests in flight")
         p_generate.add_argument("--prompts", help="directory of <name>.txt prompt template overrides")
         _add_config_flags(

@@ -12,12 +12,21 @@ window have ``s`` distinct tokens, ``k`` of them in some entry. An entry of
 ``o / (s + e - o)`` is at most ``o / s <= k / s``. Float division rounds
 correctly, so it keeps that order: when ``k / s`` is below the threshold, no
 entry reaches it. An exact match has ``k == s`` and is never skipped.
+
+``load_lexicon_file`` keeps a marshal index beside a lexicon file, read with no
+parse while its header (format, ``cache_tag``, the text's SHA-256) matches.
 """
 
+import contextlib
+import hashlib
 import logging
 import marshal
+import os
+import stat
+import sys
+import tempfile
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .model import (
     Checklist,
@@ -28,6 +37,7 @@ from .model import (
     SemanticGroup,
     Utterance,
     concept_fields,
+    read_text,
     words,
 )
 
@@ -48,9 +58,11 @@ class MalformedRecord(LexiconError):
         super().__init__(f"malformed lexicon record at line {line_no}: {detail}")
 
 
-# The version of ``Lexicon.to_index``'s format. Bump it when ``_index`` gains,
-# loses or changes a column, so that no older index is read.
-INDEX_FORMAT = 1
+# The index format. Bump it, with the digest tests/test_lexicon_index.py pins,
+# when a column or the parse of a line changes, so no older index is read.
+_INDEX_FORMAT = 1
+INDEX_SUFFIX = ".dialogforge-index"
+_INDEX_MAGIC = b"dialogforge-index "
 
 
 class Lexicon:
@@ -71,8 +83,6 @@ class Lexicon:
     fills them from the file without building a ``ConceptEntry``; an id's
     entry is built the first time a match returns it, then kept.
     ``Lexicon(entries)`` runs the same index loop and keeps the entries given.
-    ``to_index`` writes the columns with ``marshal``, and ``from_index`` reads
-    them back with no parse.
     """
 
     def __init__(self, entries: Iterable[ConceptEntry]):
@@ -121,8 +131,8 @@ class Lexicon:
         self.max_term_tokens = longest
         self._duplicates = duplicates
 
-    def to_index(self) -> bytes:
-        """The columns of the index as ``marshal`` data, for ``from_index``.
+    def _to_index(self) -> bytes:
+        """The columns of the index as ``marshal`` data, for ``_from_index``.
         Groups are written as their labels: marshal cannot write an enum."""
         return marshal.dumps((
             self._surfaces, self._cuis, [group.value for group in self._groups], self._keys,
@@ -130,10 +140,10 @@ class Lexicon:
         ))
 
     @classmethod
-    def from_index(cls, data: bytes) -> "Lexicon":
-        """The lexicon whose ``to_index`` wrote ``data``. It logs the duplicate
+    def _from_index(cls, data: bytes) -> "Lexicon":
+        """The lexicon whose ``_to_index`` wrote ``data``. It logs the duplicate
         surface warnings of the parse that built the index, in order. Data
-        that ``to_index`` did not write raises EOFError, ValueError, TypeError
+        that ``_to_index`` did not write raises EOFError, ValueError, TypeError
         or KeyError, and logs nothing."""
         lexicon = cls.__new__(cls)
         (
@@ -211,6 +221,53 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
     lexicon = Lexicon.__new__(Lexicon)
     lexicon._index(_read_rows(source))
     return lexicon
+
+
+def load_lexicon_file(path: Union[str, "os.PathLike[str]"]) -> Lexicon:
+    """The lexicon of the file ``path``, from ``<path>.dialogforge-index`` when
+    its header matches; else parsed, and the index written unless a file there
+    does not start as one. A file that cannot be read raises OSError or
+    UnicodeDecodeError, one that does not parse LexiconError."""
+    text = read_text(path)
+    index_path = os.fspath(path) + INDEX_SUFFIX
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    header = _INDEX_MAGIC + f"{_INDEX_FORMAT} {sys.implementation.cache_tag} {digest}\n".encode("ascii")
+    try:
+        with open(index_path, "rb") as index:
+            found = index.read()
+    except FileNotFoundError:
+        found = b""
+    except OSError:
+        found = None  # something is there that cannot be read: keep it
+    if found and found.startswith(header):
+        # A damaged index is parsed over, like a stale one.
+        with contextlib.suppress(EOFError, ValueError, TypeError, KeyError):
+            return Lexicon._from_index(found[len(header):])
+    lexicon = load_lexicon(text.split("\n"))
+    if found is not None and _INDEX_MAGIC.startswith(found[: len(_INDEX_MAGIC)]):
+        _write_index(path, index_path, header + lexicon._to_index())
+    return lexicon
+
+
+def _write_index(path: Union[str, "os.PathLike[str]"], index_path: str, data: bytes) -> None:
+    """Write ``data`` to ``index_path`` by ``os.replace`` of a temporary file,
+    so no reader sees a torn index, with the mode of the regular lexicon file
+    ``path`` (not a FIFO). A failed write is logged at DEBUG alone."""
+    temp = None
+    try:
+        mode = os.stat(path).st_mode
+        if not stat.S_ISREG(mode):
+            return
+        fd, temp = tempfile.mkstemp(prefix=os.path.basename(index_path) + ".", dir=os.path.dirname(index_path))
+        with os.fdopen(fd, "wb") as out:
+            os.fchmod(out.fileno(), stat.S_IMODE(mode) & 0o666)
+            out.write(data)
+        os.replace(temp, index_path)
+    except OSError as exc:
+        logger.debug("lexicon index %s not written: %s", index_path, exc)
+        if temp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
 
 
 def _read_rows(source: Iterable[str]) -> Iterator[Tuple[str, str, SemanticGroup, str, None]]:

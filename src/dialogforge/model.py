@@ -16,7 +16,8 @@ import math
 import re
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 # The canonical section heading vocabulary, in priority order. Fuzzy header
 # matching breaks ties by position in this tuple.
@@ -51,6 +52,13 @@ PREAMBLE = "preamble"
 
 class ModelError(ValueError):
     """A domain validation failure."""
+
+
+def read_text(path: Union[str, Path]) -> str:
+    r"""The text of the UTF-8 input file ``path``: universal newlines, and no
+    leading byte-order mark. Split it into lines at ``\n`` alone: U+2028,
+    U+0085 and form feed may stand inside a line."""
+    return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
 
 
 def _squash(text: str) -> str:

@@ -2,13 +2,13 @@
 
 A directory may override any template with a ``<name>.txt`` file using the
 slots its stage binds; anything not overridden falls back to the embedded
-defaults below.
+defaults below. A file is decoded by ``read_text``, as every input file is.
 """
 
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from .model import ModelError, PromptTemplate
+from .model import ModelError, PromptTemplate, read_text
 
 DOCTOR_PROMPT = """Clinical Note: {{note}}
 Please role-play as a doctor and further ask a question based on the above dialogue to follow up the history conversation. The treatment plan, medication, and dosage you give to the patient must also be consistent with the clinical note. Your question should be around these keywords, and you cannot modify these keywords or use synonyms.
@@ -70,7 +70,7 @@ def load_templates(directory: Optional[Union[str, Path]] = None) -> Dict[str, Pr
         raise ModelError(f"{root}: not a directory")
     for path in sorted(root.glob("*.txt")):
         try:
-            templates[path.stem] = PromptTemplate(path.stem, path.read_text(encoding="utf-8"))
+            templates[path.stem] = PromptTemplate(path.stem, read_text(path))
         except ValueError as exc:  # undecodable text, an unknown name or a bad placeholder
             raise ModelError(f"{path}: {exc}") from exc
     return templates

@@ -1153,6 +1153,17 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert "max_rounds=7" in out
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x0c"], ids=["U+2028", "U+0085", "form-feed"])
+def test_a_config_line_ends_only_at_a_newline(tmp_path, capsys, separator):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# keep the default rounds{separator}max_rounds=1\n", encoding="utf-8")
+    argv = ["generate", "--input", "x", "--lexicon", "y", "--print-config"]
+    assert main(argv) == 0
+    defaults = capsys.readouterr().out
+    assert main([*argv, "--config", str(config)]) == 0
+    assert capsys.readouterr().out == defaults
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("rounds=7\n", encoding="utf-8")

@@ -1,7 +1,10 @@
-"""The compiled lexicon index: ``Lexicon.to_index`` and ``from_index``, and the
-``<lexicon>.dialogforge-index`` file that ``cli._load_lexicon_file`` keeps."""
+"""The compiled lexicon index: ``Lexicon._to_index`` and ``_from_index``, and
+the ``<lexicon>.dialogforge-index`` file that ``load_lexicon_file`` keeps."""
 
+import hashlib
+import json
 import logging
+import marshal
 import os
 import tempfile
 import threading
@@ -12,26 +15,29 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dialogforge import cli
-from dialogforge.cli import CliError, INDEX_SUFFIX, main
-from dialogforge.concepts import INDEX_FORMAT, Lexicon, load_lexicon
+import dialogforge
+from dialogforge import concepts
+from dialogforge.cli import main
+from dialogforge.concepts import INDEX_SUFFIX, Lexicon, LexiconError, load_lexicon, load_lexicon_file
 
 from conftest import LEXICON_PATH, NOTES_PATH
 from test_concepts import _LINE_WORDS, _lexicon_lines
 
 _CONCEPTS_LOGGER = logging.getLogger("dialogforge.concepts")
+# Appended to the fixture lexicon, so that a load logs a duplicate warning.
+_DUPLICATE_LINE = "Diabetes\tC9\tdisease\n"
 
 
 def _loading(path):
-    """``(lexicon or the CliError's text, messages logged)`` of one
-    ``_load_lexicon_file`` call."""
+    """``(lexicon or the LexiconError's text, messages logged)`` of one
+    ``load_lexicon_file`` call."""
     records = []
     handler = logging.Handler()
     handler.emit = records.append
     _CONCEPTS_LOGGER.addHandler(handler)
     try:
-        outcome = cli._load_lexicon_file(str(path))
-    except CliError as exc:
+        outcome = load_lexicon_file(path)
+    except LexiconError as exc:
         outcome = str(exc)
     finally:
         _CONCEPTS_LOGGER.removeHandler(handler)
@@ -39,15 +45,40 @@ def _loading(path):
 
 
 def test_the_index_holds_every_column_of_its_format():
-    # A column added to Lexicon._index must go into to_index and from_index,
-    # and INDEX_FORMAT must be bumped, so that no older index is read.
+    # A column added to Lexicon._index must go into _to_index and _from_index,
+    # and _INDEX_FORMAT must be bumped, so that no older index is read.
     lexicon = load_lexicon(["a b\tC1\tdrug\n", "A-B\tC2\tdisease\n"])
-    assert INDEX_FORMAT == 1
+    assert concepts._INDEX_FORMAT == 1
     assert sorted(vars(lexicon)) == [
         "_built", "_cuis", "_duplicates", "_exact", "_groups", "_keys", "_postings", "_set_sizes",
         "_surfaces", "max_term_tokens",
     ]
-    assert vars(Lexicon.from_index(lexicon.to_index())) == vars(lexicon)
+    assert vars(Lexicon._from_index(lexicon._to_index())) == vars(lexicon)
+
+
+def test_the_fixture_index_is_pinned_to_its_format():
+    # The header keys on the format, not on how a line parses: a change to
+    # concept_fields, SemanticGroup.parse or the duplicate rule leaves every
+    # old index in use unless the format is bumped. JSON, not marshal bytes,
+    # so that the digest is the same on every Python version.
+    text = LEXICON_PATH.read_text(encoding="utf-8") + _DUPLICATE_LINE
+    columns = marshal.loads(load_lexicon(text.split("\n"))._to_index())
+    digest = hashlib.sha256(json.dumps(columns, sort_keys=True).encode("utf-8")).hexdigest()
+    pinned = (1, "cb250168e50f719bd77a69223c615e482ac87853b860c74cb374ef3838064ea9")
+    assert (concepts._INDEX_FORMAT, digest) == pinned, (
+        "the index of tests/data/lexicon.tsv plus one duplicate changed: "
+        "bump concepts._INDEX_FORMAT together with this digest"
+    )
+
+
+def test_the_library_loads_a_lexicon_with_a_byte_order_mark(tmp_path):
+    plain, bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+    plain.write_bytes(LEXICON_PATH.read_bytes())
+    bom.write_bytes(b"\xef\xbb\xbf" + LEXICON_PATH.read_bytes())
+    expected = dialogforge.load_lexicon_file(plain).entries
+    for _ in ("cold", "warm"):
+        assert dialogforge.load_lexicon_file(bom).entries == expected
+        assert bom.with_name(bom.name + INDEX_SUFFIX).exists()
 
 
 # Cold, the text is parsed and the index written; warm, the index is read.
@@ -71,12 +102,12 @@ def test_a_lexicon_read_from_its_index_is_the_parsed_one(lines, bom, windows, th
         index = path.with_name(path.name + INDEX_SUFFIX)
         if isinstance(cold, str):
             # A malformed lexicon raises its error, and no index is written.
-            assert cold.startswith(f"lexicon {path}: malformed lexicon record at line ")
+            assert cold.startswith("malformed lexicon record at line ")
             assert not index.exists()
             assert _loading(path) == (cold, cold_log)
             return
         assert index.exists()
-        with mock.patch.object(cli, "load_lexicon", side_effect=AssertionError("parsed, not read")):
+        with mock.patch.object(concepts, "load_lexicon", side_effect=AssertionError("parsed, not read")):
             warm, warm_log = _loading(path)
         assert warm_log == cold_log
         assert vars(warm) == vars(cold)
@@ -93,7 +124,7 @@ def copied(tmp_path):
     """A copy of the fixture lexicon with one duplicate surface, its index
     path, and the extract output and log of a parse of it."""
     lexicon = tmp_path / "lexicon.tsv"
-    lexicon.write_text(LEXICON_PATH.read_text(encoding="utf-8") + "Diabetes\tC9\tdisease\n", encoding="utf-8")
+    lexicon.write_text(LEXICON_PATH.read_text(encoding="utf-8") + _DUPLICATE_LINE, encoding="utf-8")
     expected = tmp_path / "expected.jsonl"
     assert _extract(lexicon, expected) == 0
     return lexicon, lexicon.with_name(lexicon.name + INDEX_SUFFIX), expected.read_bytes()
@@ -114,9 +145,9 @@ _DUPLICATE = [("dialogforge.concepts", "WARNING", "duplicate lexicon surface 'di
 def test_a_warm_index_gives_the_records_and_warnings_of_a_parse(copied, tmp_path, capsys, caplog, monkeypatch):
     lexicon, index, expected = copied
     written = index.read_bytes()
-    assert written.startswith(f"dialogforge-index {INDEX_FORMAT} ".encode())
+    assert written.startswith(f"dialogforge-index {concepts._INDEX_FORMAT} ".encode())
     parses = []
-    monkeypatch.setattr(cli, "load_lexicon", lambda lines: parses.append(1) or load_lexicon(lines))
+    monkeypatch.setattr(concepts, "load_lexicon", lambda lines: parses.append(1) or load_lexicon(lines))
     assert _run(lexicon, tmp_path, capsys, caplog) == (expected, "", _DUPLICATE)
     assert parses == []
     assert index.read_bytes() == written
@@ -172,10 +203,10 @@ def test_an_index_that_cannot_be_written_changes_no_output(copied, tmp_path, cap
         raise PermissionError(13, "Permission denied")
 
     monkeypatch.setattr(tempfile if failing == "mkstemp" else os, failing, refuse)
-    caplog.set_level(logging.DEBUG, logger="dialogforge.cli")
+    caplog.set_level(logging.DEBUG, logger="dialogforge.concepts")
     for _ in range(2):
         assert _run(lexicon, tmp_path, capsys, caplog) == (expected, "", _DUPLICATE)
-        debug = [r.getMessage() for r in caplog.records if r.name == "dialogforge.cli"]
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
         assert debug == [f"lexicon index {index} not written: [Errno 13] Permission denied"]
     # No index, and no temporary file left behind.
     assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.jsonl", "lexicon.tsv", "out.jsonl"]

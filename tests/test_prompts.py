@@ -42,3 +42,9 @@ def test_load_templates_overrides_from_directory(tmp_path):
     templates = load_templates(tmp_path)
     assert "briefly" in templates["patient"].body
     assert templates["doctor"] == DEFAULT_TEMPLATES["doctor"]
+
+
+def test_load_templates_drops_a_byte_order_mark(tmp_path):
+    for name, template in DEFAULT_TEMPLATES.items():
+        (tmp_path / f"{name}.txt").write_bytes(b"\xef\xbb\xbf" + template.body.encode("utf-8"))
+    assert load_templates(tmp_path) == DEFAULT_TEMPLATES
