@@ -12,20 +12,22 @@ built and UTF-8-encoded on their own, then flushed in input order, so a note
 that fails or cannot be written is logged and skipped alone; exit code 1 says
 some note has no record. ``generate --workers N`` keeps at most N backend
 requests in flight: a note's sections run concurrently, its merge fold on its
-own thread, and a waiting request of an earlier note goes first. With N = 1,
-notes and their sections run one after another on the calling thread.
+own thread as they end, and a waiting request of an earlier note goes first.
+With N = 1, notes, sections and folds run in turn on the calling thread.
 """
 
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import logging
 import os
+import shutil
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .backend import AuthError, BackendError, ENDPOINT_ENV, HttpBackend, MockBackend
@@ -33,7 +35,7 @@ from .concepts import LexiconError, load_lexicon_file, reportable_concepts
 from .metrics import evaluate_corpus, render_report_table
 from .model import MODES, ClinicalNote, Dialogue, GenerationConfig, ModelError, Utterance, read_text
 from .prompts import load_templates
-from .refiner import run_full_pipeline
+from .refiner import run_full_pipeline, run_in_turn
 from .segmenter import segment_note
 
 logger = logging.getLogger(__name__)
@@ -302,17 +304,21 @@ class _Lane:
     def complete(self, request):
         return self._scheduler.request(self, request)
 
-    def map(self, chain: Callable, sections: Sequence) -> List:
-        """Runs ``chain`` on every section at once and waits for all of them:
-        the results in section order, or the note's first error."""
+    def map(self, chain: Callable, sections: Sequence) -> Iterator:
+        """Starts ``chain`` on every section at once. The results in section
+        order, each as soon as it and every earlier one are done; once some
+        chain of the note has failed, its first error instead."""
         scheduler = self._scheduler
         with scheduler._cond:
             self.running += len(sections)
         futures = [scheduler._chains.submit(scheduler._run, self, chain, section) for section in sections]
-        wait(futures)
+        return map(self._result, futures)
+
+    def _result(self, future):
+        result = future.result()
         if self.error:
             raise self.error
-        return [future.result() for future in futures]
+        return result
 
 
 class _Scheduler:
@@ -321,8 +327,8 @@ class _Scheduler:
 
     A chain is one section's loop, polish and hallucination check; a note's
     ``map_sections`` starts all of its chains at once, each on its own
-    thread, and the note's merge fold then runs on the note's thread. Three
-    rules share the bound:
+    thread, and the note's merge fold runs on the note's thread, merge k as
+    soon as sections 0 to k+1 are done. Three rules share the bound:
 
     - A request starts only while fewer than ``workers`` are in flight; a
       waiting request of an earlier note (by input index) goes first.
@@ -333,9 +339,10 @@ class _Scheduler:
       AuthError stops it, and so does any exception that leaves the ``with``
       block: a failed write, a full disk or a Ctrl-C. A note whose request is
       refused then has not failed, and is not logged as failed. Once a chain
-      fails, the other chains of its note start no request. A non-retryable
-      error stops them before its slot is freed, one that ran out of retries
-      as its chain ends.
+      fails, the other chains and the fold of its note start no request. A
+      non-retryable error stops them before its slot is freed, one that ran
+      out of retries as its chain ends. A note ends after its chains, which
+      start no request once its fold has failed.
 
     With one worker, notes run inline and one at a time, with no scheduling.
     """
@@ -391,6 +398,8 @@ class _Scheduler:
             return generate(note, lane, lane.map)
         finally:
             with self._cond:
+                lane.error = lane.error or BackendError("its note has ended")
+                self._cond.wait_for(lambda: not lane.running)
                 self._admitted.remove(lane)
                 lane.error = None  # its traceback holds the lane, which a GC pass would have to free
                 self._cond.notify_all()
@@ -450,7 +459,7 @@ def cmd_generate(args: argparse.Namespace, cfg: GenerationConfig) -> int:
     except (OSError, ModelError) as exc:
         raise CliError(f"cannot load prompt templates: {exc}") from exc
 
-    def generate(note: ClinicalNote, backend=backend, map_sections=map) -> List[Dict]:
+    def generate(note: ClinicalNote, backend=backend, map_sections=run_in_turn) -> List[Dict]:
         # Fail a note whose record UTF-8 cannot encode before it costs a backend call.
         note.id.encode("utf-8")
         note.text.encode("utf-8")
@@ -512,13 +521,16 @@ def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of every command, or with ``command`` given, one with only
     that command's arguments added: each ``add_argument`` builds a help
-    formatter, which reads the terminal size. Every command is registered
-    either way, so the top-level help and an unknown command's error are the same."""
-    parser = argparse.ArgumentParser(
+    formatter. Every formatter takes the width ``HelpFormatter`` reads from the
+    terminal size, read once. Every command is registered either way, so the
+    top-level help and an unknown command's error are the same."""
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    new_parser = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
+    parser = new_parser(
         prog="dialogforge",
         description="Synthesize doctor-patient dialogues from clinical notes and evaluate them.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
     p_segment = sub.add_parser("segment", help="split notes into header-labeled sections")
     if command in (None, "segment"):

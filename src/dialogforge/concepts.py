@@ -60,7 +60,7 @@ class MalformedRecord(LexiconError):
 
 # The index format. Bump it, with the digest tests/test_lexicon_index.py pins,
 # when a column or the parse of a line changes, so no older index is read.
-_INDEX_FORMAT = 1
+_INDEX_FORMAT = 2
 INDEX_SUFFIX = ".dialogforge-index"
 _INDEX_MAGIC = b"dialogforge-index "
 
@@ -114,7 +114,7 @@ class Lexicon:
             keys.append(key)
             built.append(entry)
             tokens = key.split(" ")
-            token_set = set(tokens)
+            token_set = dict.fromkeys(tokens)  # first-occurrence order, not the hash seed's
             sizes.append(len(token_set))
             for token in token_set:
                 postings.setdefault(token, []).append(entry_id)

@@ -197,16 +197,18 @@ def run_section_loop(
     cfg: GenerationConfig,
     templates: Optional[Dict[str, PromptTemplate]] = None,
     note_id: str = "",
+    checklist: Optional[Checklist] = None,
 ) -> Dialogue:
     """Generate a dialogue for one section, with ``meta`` keeping its
-    ``checklist``, ``termination`` reason and ``round_keywords``.
+    ``checklist`` (built unless given), ``termination`` reason and ``round_keywords``.
 
     A section with no filtered concepts yields an empty dialogue without any
     backend calls. When the factuality pass is enabled, entries still missing
     after the main loop get one extra targeted round before the check,
     bounding the loop at max_rounds + 1 rounds.
     """
-    checklist = build_checklist(section, lexicon, cfg)
+    if checklist is None:
+        checklist = build_checklist(section, lexicon, cfg)
     state = LoopState(checklist=checklist)
     reason = TERMINATE_CHECKLIST_EMPTY
     if checklist.entries:

@@ -2,9 +2,9 @@
 
 Per section: loop output is polished for fluency, then screened against the
 note for fabricated content. That chain reads only its own section, so a
-caller's ``map_sections`` may run a note's section chains concurrently. The
-section dialogues are then folded left to right into one conversation by a
-merge pass, on the calling thread. All three passes go through one
+caller's ``map_sections`` may run a note's section chains concurrently. A
+merge pass on the calling thread folds the section dialogues left to right
+into one conversation, each merge as soon as both of its inputs are done. All three passes go through one
 guarded rewrite. A reply that ``model.echoes`` the turns sent is its input,
 taken with no parse or guard; any other is read with ``parse_transcript``: if
 it cannot be parsed back into turns, changes who speaks first, or loses any
@@ -17,7 +17,7 @@ against the note's union checklist.
 import logging
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .concepts import Lexicon, mark_covered
+from .concepts import Lexicon, build_checklist, mark_covered
 from .model import (
     Checklist,
     ClinicalNote,
@@ -158,21 +158,27 @@ def postedit_combine(
     )
 
 
+def run_in_turn(chain: Callable, sections: Sequence) -> List:
+    """The default ``map_sections``: every chain in turn, before the fold."""
+    return [chain(section) for section in sections]
+
+
 def run_full_pipeline(
     note: ClinicalNote,
     lexicon: Lexicon,
     backend,
     cfg: GenerationConfig,
     templates: Optional[Dict[str, PromptTemplate]] = None,
-    map_sections: Callable = map,
+    map_sections: Callable = run_in_turn,
 ) -> Dialogue:
     """Segment, run the loop per section, refine, and combine.
 
     Each section's loop, polish and hallucination check is one chain.
-    ``map_sections(chain, sections)`` runs it on every section and yields the
-    results in section order, like the builtin ``map``, which runs them one
-    after another; a caller's ``map_sections`` may run them concurrently. The
-    merge fold then runs here, left to right.
+    ``map_sections(chain, items)`` starts it on every item and yields the
+    results in section order. The merge fold here takes each as it comes, left
+    to right: a caller's ``map_sections`` may run the chains concurrently and
+    yield each result once it and all earlier ones are done, so that merge k
+    runs while later chains still do.
 
     In short mode every merge binds the whole conversation so far. In long
     mode a later merge binds only the newest turns the previous merge wrote,
@@ -185,43 +191,38 @@ def run_full_pipeline(
     hits anywhere returns an empty dialogue without touching the backend.
     Backend errors propagate so the caller can retry the whole note.
     """
-    sections = segment_note(note, cfg.similarity_threshold)
-
-    def refine(section) -> Optional[Tuple[Dialogue, Checklist]]:
-        dialogue = run_section_loop(section, lexicon, backend, cfg, templates, note_id=note.id)
-        if not dialogue.turns:
-            return None
-        checklist = dialogue.meta["checklist"]
-        dialogue = polish(dialogue, section.body, checklist, lexicon, backend, cfg, templates)
-        dialogue = hallucination_check(dialogue, section.body, checklist, lexicon, backend, cfg, templates)
-        return dialogue, checklist
-
-    refined = [r for r in map_sections(refine, sections) if r is not None]
-
-    if not refined:
+    # A checklist needs no backend, so the union the merges bind is known before any chain runs.
+    checked = [(section, checklist) for section in segment_note(note, cfg.similarity_threshold)
+               if (checklist := build_checklist(section, lexicon, cfg)).entries]
+    if not checked:
         return Dialogue(note.id, (), {"checklist": Checklist(())})
+
+    def refine(item) -> Dialogue:
+        section, checklist = item
+        dialogue = run_section_loop(section, lexicon, backend, cfg, templates, note.id, checklist)
+        dialogue = polish(dialogue, section.body, checklist, lexicon, backend, cfg, templates)
+        return hallucination_check(dialogue, section.body, checklist, lexicon, backend, cfg, templates)
 
     # The note's checklist: each CUI once, first section first.
     by_cui: Dict[str, ConceptEntry] = {}
-    for _, checklist in refined:
+    for _, checklist in checked:
         for entry in checklist.entries:
             by_cui.setdefault(entry.cui, entry)
     union = Checklist(by_cui.values())
     position = {cui: index for index, cui in enumerate(by_cui)}
 
-    combined = refined[0][0]
+    combined = None
     head = 0  # the leading turns of ``combined`` that merges keep unbound
-    for fold, (dialogue, checklist) in enumerate(refined):
+    for dialogue, (_, checklist) in zip(map_sections(refine, checked), checked):
         # The merge guard protects what the folded sections have covered.
         for entry, done in zip(checklist.entries, checklist.covered):
             if done:
                 union.mark(position[entry.cui])
-        if fold:
-            combined = postedit_combine(
-                combined, dialogue, note.text, union, lexicon, backend, cfg, templates, head
-            )
-            if cfg.mode == "long":
-                head = max(head, len(combined.turns) - len(dialogue.turns))
+        combined = dialogue if combined is None else postedit_combine(
+            combined, dialogue, note.text, union, lexicon, backend, cfg, templates, head
+        )
+        if cfg.mode == "long":
+            head = max(head, len(combined.turns) - len(dialogue.turns))
 
     final = Checklist(union.entries)
     mark_covered(final, combined.turns, lexicon, cfg)

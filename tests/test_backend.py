@@ -363,6 +363,27 @@ def test_http_missing_choices(stub_server):
         backend.complete(user_request("hi"))
 
 
+@pytest.mark.parametrize("content", ["", " \n\t "], ids=["empty", "whitespace"])
+def test_http_empty_completion_content_is_malformed(stub_server, tmp_path, caplog, content):
+    # The body parses but holds no text: a MalformedResponse, not retried.
+    reply = (200, json.dumps({"choices": [{"message": {"content": content}}]}))
+    stub_server.replies.append(reply)
+    backend = HttpBackend(_endpoint(stub_server), "m", api_key="k")
+    with pytest.raises(MalformedResponse) as excinfo:
+        complete_with_retry(backend, user_request("hi"), max_retries=3, base_delay=0.0)
+    assert str(excinfo.value) == "completion content is empty" and len(stub_server.seen) == 1
+    # In generate the note fails: one error line, no record and exit code 1.
+    notes, out = tmp_path / "notes.jsonl", tmp_path / "dialogues.jsonl"
+    notes.write_text(json.dumps({"id": "a", "text": "MEDICATIONS:\ntakes aspirin.\n"}) + "\n", encoding="utf-8")
+    stub_server.replies.append(reply)
+    argv = ["generate", "--endpoint", _endpoint(stub_server), "--input", str(notes), "--lexicon", str(LEXICON_PATH)]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert out.read_bytes() == b"" and len(stub_server.seen) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        "note a failed: completion content is empty"
+    ]
+
+
 def test_http_retry_integration(stub_server):
     body = json.dumps({"choices": [{"message": {"content": "finally"}}]})
     stub_server.replies.extend([(429, "{}"), (429, "{}"), (200, body)])

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from dialogforge import cli
-from dialogforge.cli import build_parser, main
+from dialogforge.cli import build_parser, load_config_file, main
 from dialogforge.concepts import extract_concepts, filter_semantic_groups
 from dialogforge.model import STAGE_SLOTS, ClinicalNote
 
@@ -1172,6 +1174,30 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["false", "no", "off", "Off"])
+def test_config_file_reads_false_no_and_off_as_false(tmp_path, capsys, raw):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"enable_factuality={raw}\n", encoding="utf-8")
+    assert load_config_file(str(config)) == {"enable_factuality": False}
+    assert main(["segment", "--input", "x", "--config", str(config), "--print-config"]) == 0
+    assert "enable_factuality=False" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("max_rounds=seven", "config key max_rounds: cannot parse 'seven'"),
+        ("similarity_threshold=high", "config key similarity_threshold: cannot parse 'high'"),
+        ("max_rounds 7", "config file {path} line 2: expected key=value"),
+    ],
+)
+def test_config_file_line_errors_are_an_error_line(tmp_path, capsys, line, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# rounds\n{line}\n", encoding="utf-8")
+    assert main(["segment", "--input", str(NOTES_PATH), "--config", str(config)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(path=config)}\n")
+
+
 @pytest.mark.parametrize("route", ["flag", "config file"])
 def test_config_range_error_is_an_error_line(tmp_path, capsys, route):
     if route == "flag":
@@ -1237,6 +1263,30 @@ def test_main_parses_as_the_parser_of_every_command(capsys, argv):
         outcomes.append((excinfo.value.code, *capsys.readouterr()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] or outcomes[0][2]
+
+
+# build_parser reads the terminal width once for all of its formatters; the
+# help must read as HelpFormatter writes it when it reads the width itself.
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("command", [None, *COMMAND_OPTIONS])
+def test_help_reads_as_the_default_formatter_writes_it(monkeypatch, capsys, columns, command):
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "-h"] if command else ["-h"])
+    assert excinfo.value.code == 0
+    parser = build_parser(command)
+    (commands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    for each in (parser, *commands.choices.values()):
+        each.formatter_class = argparse.HelpFormatter
+    assert capsys.readouterr() == ((commands.choices[command] if command else parser).format_help(), "")
+
+
+def test_a_parser_build_reads_the_terminal_size_once(monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: calls.append(args) or size(*args))
+    build_parser()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ import json
 import logging
 import marshal
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -48,7 +50,7 @@ def test_the_index_holds_every_column_of_its_format():
     # A column added to Lexicon._index must go into _to_index and _from_index,
     # and _INDEX_FORMAT must be bumped, so that no older index is read.
     lexicon = load_lexicon(["a b\tC1\tdrug\n", "A-B\tC2\tdisease\n"])
-    assert concepts._INDEX_FORMAT == 1
+    assert concepts._INDEX_FORMAT == 2
     assert sorted(vars(lexicon)) == [
         "_built", "_cuis", "_duplicates", "_exact", "_groups", "_keys", "_postings", "_set_sizes",
         "_surfaces", "max_term_tokens",
@@ -60,15 +62,36 @@ def test_the_fixture_index_is_pinned_to_its_format():
     # The header keys on the format, not on how a line parses: a change to
     # concept_fields, SemanticGroup.parse or the duplicate rule leaves every
     # old index in use unless the format is bumped. JSON, not marshal bytes,
-    # so that the digest is the same on every Python version.
+    # so that the digest is the same on every Python version; in the order
+    # the index holds its keys, which is part of the format.
     text = LEXICON_PATH.read_text(encoding="utf-8") + _DUPLICATE_LINE
     columns = marshal.loads(load_lexicon(text.split("\n"))._to_index())
-    digest = hashlib.sha256(json.dumps(columns, sort_keys=True).encode("utf-8")).hexdigest()
-    pinned = (1, "cb250168e50f719bd77a69223c615e482ac87853b860c74cb374ef3838064ea9")
+    digest = hashlib.sha256(json.dumps(columns).encode("utf-8")).hexdigest()
+    pinned = (2, "d1cb48ef0a366a151db1ae76d79d1046fbafa1842cdf74416b870a9aa73a2cf2")
     assert (concepts._INDEX_FORMAT, digest) == pinned, (
         "the index of tests/data/lexicon.tsv plus one duplicate changed: "
         "bump concepts._INDEX_FORMAT together with this digest"
     )
+
+
+def test_the_index_file_does_not_depend_on_the_hash_seed(tmp_path):
+    # Each child process writes the index of its own copy of the fixture
+    # lexicon under another hash seed; the bytes must be the same.
+    src = Path(concepts.__file__).resolve().parents[1]
+    written = []
+    for seed in ("0", "1"):
+        lexicon = tmp_path / seed / "lexicon.tsv"
+        lexicon.parent.mkdir()
+        lexicon.write_bytes(LEXICON_PATH.read_bytes())
+        env = {
+            **os.environ, "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+        }
+        code = "import sys; from dialogforge.concepts import load_lexicon_file; load_lexicon_file(sys.argv[1])"
+        proc = subprocess.run([sys.executable, "-c", code, str(lexicon)], capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        written.append(lexicon.with_name(lexicon.name + INDEX_SUFFIX).read_bytes())
+    assert written[0] == written[1]
 
 
 def test_the_library_loads_a_lexicon_with_a_byte_order_mark(tmp_path):

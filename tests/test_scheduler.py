@@ -178,7 +178,7 @@ def test_a_note_starts_only_while_fewer_than_workers_chains_run():
         started.append(note)
         if note == "a":
             assert b_started.wait(10)
-            return map_sections(chain, (x, y))
+            return list(map_sections(chain, (x, y)))
         if note == "b":
             b_started.set()
             _until(lambda: len(running) == 2)
@@ -211,13 +211,13 @@ def test_a_note_in_its_merge_fold_counts_as_one_chain():
     def generate(note, lane, map_sections):
         started.append(note)
         if note == "a":
-            sections = map_sections(str.upper, ["s"])
+            sections = list(map_sections(str.upper, ["s"]))
             folding.set()
             assert fold.wait(10)
             return sections
         if note == "b":
             _until(lambda: "f" in started)
-            return map_sections(chain, (x, y))
+            return list(map_sections(chain, (x, y)))
         if note == "f":
             _until(lambda: folding.is_set() and len(running) == 2)
         return note
@@ -329,6 +329,121 @@ def test_a_failed_chain_stops_its_note_and_no_other(tmp_path, monkeypatch, worke
     assert "n2" in started and "n2" not in after
     records = full.splitlines(keepends=True)
     assert kept.splitlines(keepends=True) == [records[0], records[2]]
+
+
+def _one_note(tmp_path, text):
+    path = tmp_path / "note.jsonl"
+    path.write_text(json.dumps({"id": "p", "text": text}) + "\n", encoding="utf-8")
+    return path
+
+
+def test_a_merge_starts_while_a_later_section_still_runs(tmp_path, monkeypatch):
+    # The fixture's second note has three sections with concepts. The first
+    # request of the last one is held until a merge starts: merge 0 needs
+    # only the first two sections, so it goes out while the third chain waits.
+    record = FIXTURE[1]
+    last = segment_note(ClinicalNote(record["id"], record["text"]))[-1].body
+    merging = threading.Event()
+    log = []
+    complete = MockBackend.complete
+
+    def held_complete(backend, request):
+        if request.stage == "postediting":
+            log.append("merge")
+            merging.set()
+        elif request.slots.get("note") == last and "held" not in log:
+            log.append("held")
+            log.append("released" if merging.wait(10) else "timed out")
+        return complete(backend, request)
+
+    notes = _one_note(tmp_path, record["text"])
+    serial = _generate(tmp_path, notes, "--workers", "1")
+    monkeypatch.setattr(MockBackend, "complete", held_complete)
+    assert _generate(tmp_path, notes, "--workers", "2") == serial
+    assert serial[0] == 0 and log[:3] == ["held", "merge", "released"]
+
+
+FOUR_SECTIONS = (
+    "MEDICATIONS:\ntakes aspirin nightly. Also lisinopril.\n"
+    "PLAN:\nschedule a colonoscopy. Recheck in a week.\n"
+    "LABS:\nstart insulin soon. Check anemia.\n"
+    "ASSESSMENT:\nasthma is stable. Mild migraine.\n"
+)
+
+
+def test_a_chain_that_fails_while_its_note_merges_fails_the_note(tmp_path, monkeypatch, caplog):
+    # Four chains on three workers. The last chain's first request is held
+    # until just after the pipeline has failed. The third chain's first
+    # request waits until merge 0 and that held request have started, then
+    # fails; merge 0 ends once that failure has left the scheduler. The fold
+    # then stops at the third section: the note fails with that chain's
+    # error, sends nothing more, and ends only after its last chain.
+    sections = [section.body for section in segment_note(ClinicalNote("p", FOUR_SECTIONS))]
+    assert len(sections) == 4
+    merging, held, failed, pipeline_failed = (threading.Event() for _ in range(4))
+    lock = threading.Lock()
+    log = []
+    complete = MockBackend.complete
+    request, run, run_note, pipeline = (
+        cli._Scheduler.request, cli._Scheduler._run, cli._Scheduler._run_note, cli.run_full_pipeline
+    )
+
+    def append(event):
+        with lock:
+            log.append(event)
+
+    def held_complete(backend, chat):
+        section = "merge" if chat.stage == "postediting" else sections.index(chat.slots["note"])
+        append(("start", section))
+        if section == "merge" and not merging.is_set():
+            merging.set()
+            assert failed.wait(10)
+        elif section == 2:
+            assert merging.wait(10) and held.wait(10)
+            raise MalformedResponse("the labs chain has no reply")
+        elif section == 3 and log.count(("start", 3)) == 1:
+            held.set()
+            # A little longer, so that a note that did not wait would have ended.
+            pipeline_failed.wait(10)
+            time.sleep(0.05)
+        return complete(backend, chat)
+
+    def marking_request(scheduler, lane, chat):
+        try:
+            return request(scheduler, lane, chat)
+        except MalformedResponse:
+            append("failure")
+            failed.set()
+            raise
+
+    def failing_pipeline(*args):
+        try:
+            return pipeline(*args)
+        except BackendError:
+            append("pipeline failed")
+            pipeline_failed.set()
+            raise
+
+    def ended(original, event):
+        def wrapper(*args):
+            try:
+                return original(*args)
+            finally:
+                append(event)
+        return wrapper
+
+    monkeypatch.setattr(MockBackend, "complete", held_complete)
+    monkeypatch.setattr(cli._Scheduler, "request", marking_request)
+    monkeypatch.setattr(cli._Scheduler, "_run", ended(run, "chain end"))
+    monkeypatch.setattr(cli._Scheduler, "_run_note", ended(run_note, "note end"))
+    monkeypatch.setattr(cli, "run_full_pipeline", failing_pipeline)
+    assert _generate(tmp_path, _one_note(tmp_path, FOUR_SECTIONS), "--workers", "3") == (1, b"")
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["note p failed: the labs chain has no reply"]
+    assert log.index(("start", "merge")) < log.index("failure") < log.index("pipeline failed")
+    after = log[log.index("failure") + 1:]
+    assert not any(isinstance(event, tuple) for event in after), "a request started after the failure"
+    assert log.count("chain end") == 4 and log[-1] == "note end"
 
 
 class _GateLog(cli._Scheduler):
@@ -470,7 +585,7 @@ def test_a_note_refused_after_the_run_stops_is_not_logged_as_failed(tmp_path, mo
         if note.id == "a":
             turns = (Utterance(Speaker.DOCTOR, "Any cough?"), Utterance(Speaker.PATIENT, "No."))
             return Dialogue(note.id, turns, {"checklist": Checklist([])})
-        return map_sections(backend.complete, ["first", "second", "third"])
+        return list(map_sections(backend.complete, ["first", "second", "third"]))
 
     class BrokenStdout(io.StringIO):
         def write(self, text):
