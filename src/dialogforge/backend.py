@@ -21,10 +21,10 @@ The mock plays back its scripted replies, if any, and falls back to rule
 replies once the script runs out. A rule reply answers by stage from the
 slot text, never from the prompt wording: doctor requests get a single
 question embedding every requested keyword verbatim, patient requests echo
-the note sentences that mention the keywords of the last doctor question
-(read with ``last_turn_text``), and the refinement stages echo the turns of
-their conversation slots through the pipeline's own transcript codec (in
-short style, text that is already ``is_canonical`` as it is).
+the note sentences that mention the keywords of the last doctor turn
+``parse_transcript`` reads in the history, and the refinement stages echo the
+turns of their conversation slots through the pipeline's own transcript codec
+(in short style, text that is already ``is_canonical`` as it is).
 That makes a full pipeline run deterministic and keyword-coverage-complete by
 construction, whatever the templates say.
 """
@@ -40,15 +40,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 from email.utils import parsedate_to_datetime
-from functools import partial
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import unquote, urlparse, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
-from .model import (
-    MODES, Speaker, Unparseable, Utterance, format_transcript, is_canonical, last_turn_text, parse_transcript
-)
+from .model import MODES, Speaker, Unparseable, Utterance, format_transcript, is_canonical, parse_transcript
 
 API_KEY_ENV = "DIALOGFORGE_API_KEY"
 ENDPOINT_ENV = "DIALOGFORGE_ENDPOINT"
@@ -174,16 +171,16 @@ _TCP_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 _USER_AGENT = "Python-urllib/%d.%d" % sys.version_info[:2]
 
 
-def _proxy_route(proxy: str) -> Tuple[str, str, Dict[str, str]]:
-    """(scheme, host[:port], headers) of a proxy URL or a bare ``host:port``,
-    read as urllib's ProxyHandler reads it: ``user:password@`` becomes a Basic
-    ``Proxy-Authorization`` header."""
-    parts = urlsplit(proxy if "://" in proxy else "//" + proxy)
-    headers = {}
-    if parts.username and parts.password:
-        credentials = f"{unquote(parts.username)}:{unquote(parts.password)}".encode()
-        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials).decode("ascii")
-    return parts.scheme, parts.netloc.rpartition("@")[2], headers
+class _Route(NamedTuple):
+    """A connection to ``host[:port]``, over TLS if ``tls``, that first opens a
+    ``CONNECT`` tunnel to ``tunnel`` with ``tunnel_headers`` if ``tunnel`` is
+    set; each request is sent to ``target`` with ``headers``."""
+    host: str
+    tls: bool
+    target: str
+    headers: Dict[str, str]
+    tunnel: Optional[str] = None
+    tunnel_headers: Optional[Dict[str, str]] = None
 
 
 class HttpBackend:
@@ -213,8 +210,7 @@ class HttpBackend:
         self.model = model
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self._limiter = TokenBucket(requests_per_minute) if requests_per_minute is not None else None
-        # (new connection, request target, headers), read at the first connection
-        self._route: Optional[Tuple[Callable[..., HTTPConnection], str, Dict[str, str]]] = None
+        self._route: Optional[_Route] = None  # read at the first connection
         self._idle: List[HTTPConnection] = []
         self._lock = threading.Lock()
 
@@ -286,43 +282,43 @@ class HttpBackend:
         return response.status, response.headers, raw
 
     def _send(self, connection: HTTPConnection, payload: bytes):
-        _, target, headers = self._route
-        connection.request("POST", target, payload, headers)
+        connection.request("POST", self._route.target, payload, self._route.headers)
         if _TCP_QUICKACK is not None:
             connection.sock.setsockopt(socket.IPPROTO_TCP, _TCP_QUICKACK, 1)
         return connection.getresponse()
 
     def _connect(self) -> HTTPConnection:
-        """A new connection; http.client sets ``TCP_NODELAY`` when it opens."""
-        if self._route is None:
-            self._route = self._read_route()
-        return self._route[0](timeout=REQUEST_TIMEOUT_S)
+        """A new connection; http.client sets ``TCP_NODELAY`` when it opens.
+        Two workers' first connections may both read the route; each publishes it whole."""
+        self._route = route = self._route or self._read_route()
+        connection = (HTTPSConnection if route.tls else HTTPConnection)(route.host, timeout=REQUEST_TIMEOUT_S)
+        if route.tunnel:
+            connection.set_tunnel(route.tunnel, headers=route.tunnel_headers)
+        return connection
 
-    def _read_route(self):
-        """(new connection, request target, headers) for the endpoint, straight
-        or through the proxy the environment names for its scheme. An ``http``
-        request goes to the proxy with its absolute URL; an ``https`` one goes
-        through a ``CONNECT`` tunnel."""
+    def _read_route(self) -> _Route:
+        """The endpoint's route, straight or through the proxy (a URL or a bare
+        ``host:port``) the environment names for its scheme, read as urllib's
+        ProxyHandler reads it. An ``http`` request goes to the proxy with its
+        absolute URL, an ``https`` one through a ``CONNECT`` tunnel."""
         url = f"{self.endpoint}/chat/completions".partition("#")[0]
         parts = urlsplit(url)
-        target = parts._replace(scheme="", netloc="").geturl()
         headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
-        https = parts.scheme == "https"
+        route = _Route(parts.netloc, parts.scheme == "https", parts._replace(scheme="", netloc="").geturl(), headers)
         proxy = getproxies().get(parts.scheme)
         if not proxy or proxy_bypass(parts.netloc):
-            return partial(HTTPSConnection if https else HTTPConnection, parts.netloc), target, headers
-        proxy_scheme, proxy_host, proxy_headers = _proxy_route(proxy)
-        if https:
-            def tunnel(timeout: float) -> HTTPConnection:
-                connection = HTTPSConnection(proxy_host, timeout=timeout)
-                connection.set_tunnel(parts.netloc, headers=proxy_headers)
-                return connection
-
-            return tunnel, target, headers
-        opened = partial(HTTPSConnection if proxy_scheme == "https" else HTTPConnection, proxy_host)
-        return opened, url, {**headers, **proxy_headers}
+            return route
+        proxy_parts = urlsplit(proxy if "://" in proxy else "//" + proxy)
+        proxy_headers = {}
+        if proxy_parts.username and proxy_parts.password:
+            credentials = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password)}".encode()
+            proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials).decode("ascii")
+        proxy_host = proxy_parts.netloc.rpartition("@")[2]
+        if route.tls:
+            return route._replace(host=proxy_host, tunnel=parts.netloc, tunnel_headers=proxy_headers)
+        return _Route(proxy_host, proxy_parts.scheme == "https", url, {**headers, **proxy_headers})
 
 
 def complete_with_retry(
@@ -427,8 +423,12 @@ class MockBackend:
 
     @staticmethod
     def _patient_reply(note: str, history: str) -> str:
-        question = last_turn_text(history, Speaker.DOCTOR)
-        asked = _DOCTOR_ASK_RE.search(question) if question else None
+        try:
+            turns = parse_transcript(history)
+        except Unparseable:  # no speaker tag, so no question
+            turns = []
+        question = next((turn.text for turn in reversed(turns) if turn.speaker is Speaker.DOCTOR), "")
+        asked = _DOCTOR_ASK_RE.search(question)
         keywords = [k.strip() for k in asked.group(1).split(",") if k.strip()] if asked else []
         sentences = _split_sentences(note)
         echoed: List[str] = []

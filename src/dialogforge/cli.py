@@ -49,21 +49,22 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _coerce(name: str, raw: str):
+def _coerce(name: str, raw: str, where: str):
+    """``raw`` read as config key ``name``; an error names ``where`` it stands."""
     kind = _CONFIG_FIELDS[name]
     if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
-        raise CliError(f"config key {name}: expected a boolean, got {raw!r}")
+        raise CliError(f"{where}: config key {name}: expected a boolean, got {raw!r}")
     try:
         if kind is int:
             return int(raw)
         if kind is float:
             return float(raw)
     except ValueError:
-        raise CliError(f"config key {name}: cannot parse {raw!r}") from None
+        raise CliError(f"{where}: config key {name}: cannot parse {raw!r}") from None
     return raw
 
 
@@ -86,13 +87,14 @@ def load_config_file(path: str) -> Dict[str, object]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        where = f"config file {path} line {line_no}"
         if "=" not in stripped:
-            raise CliError(f"config file {path} line {line_no}: expected key=value")
+            raise CliError(f"{where}: expected key=value")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         if key not in _CONFIG_FIELDS:
-            raise CliError(f"config file {path} line {line_no}: unknown key {key!r}")
-        values[key] = _coerce(key, raw.strip())
+            raise CliError(f"{where}: unknown key {key!r}")
+        values[key] = _coerce(key, raw.strip(), where)
     return values
 
 

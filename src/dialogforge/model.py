@@ -3,9 +3,9 @@ r"""Domain types shared across the pipeline, and its one transcript codec.
 The types are plain data containers with construction-time validation, all
 immutable except :class:`Checklist`, whose covered flags only flip to True.
 ``format_transcript``/``parse_transcript`` write and read every ``Doctor:``/
-``Patient:`` transcript: prompt slots, model replies and the mock's echoes.
-``last_turn_text`` reads one speaker's last turn as ``parse_transcript``
-would. A transcript line ends only at ``\n``, ``\r\n`` or ``\r``.
+``Patient:`` transcript: prompt slots, model replies, the mock's echoes and
+the history whose last doctor turn the mock answers. A transcript line ends
+only at ``\n``, ``\r\n`` or ``\r``.
 ``is_canonical`` accepts only text that both write and read unchanged:
 ``Doctor: ``/``Patient: `` lines joined by ``\n``, whose texts start with no
 whitespace, ``*`` or ``_`` and end with no whitespace. ``echoes`` also asks for
@@ -17,7 +17,7 @@ import re
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 # The canonical section heading vocabulary, in priority order. Fuzzy header
 # matching breaks ties by position in this tuple.
@@ -226,22 +226,6 @@ def echoes(text: str, transcript: str, n_turns: int) -> bool:
     ``format_transcript(turns)`` for ``n_turns`` turns, ``text`` parses back as
     ``turns``."""
     return text.count("\n") == n_turns - 1 and text == transcript and is_canonical(text)
-
-
-def last_turn_text(text: str, speaker: Speaker) -> Optional[str]:
-    """The text :func:`parse_transcript` gives the last turn of ``speaker``,
-    or None when there is none. Only the lines from that turn's tag to the
-    next tag are parsed."""
-    lines = split_lines(text)
-    end = len(lines)
-    for start in range(len(lines) - 1, -1, -1):
-        match = _TAG_RE.match(lines[start])
-        if match is None:
-            continue
-        if _SPEAKERS[match.group(1).lower()] is speaker:
-            return parse_transcript("\n".join(lines[start:end]))[0].text
-        end = start
-    return None
 
 
 class SemanticGroup(str, Enum):

@@ -2,6 +2,7 @@ import contextlib
 import json
 import random
 import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -516,6 +517,81 @@ def test_https_goes_through_a_connect_tunnel_with_the_proxy_credentials(monkeypa
     headers = {name.lower(): value for name, value in seen["headers"].items()}
     assert seen["path"] == "llm.example.invalid:443"
     assert headers["proxy-authorization"] == "Basic dTpw" and "authorization" not in headers
+
+
+def test_http_goes_through_a_proxy_given_as_a_bare_host_and_port(stub_server, monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    host, port = stub_server.server_address
+    monkeypatch.setenv("HTTP_PROXY", f"{host}:{port}")
+    with contextlib.closing(HttpBackend("http://llm.example.invalid/v1", "m", api_key="k")) as backend:
+        assert backend.complete(user_request("hi")) == "stub reply"
+    (seen,) = stub_server.seen
+    assert seen["path"] == "http://llm.example.invalid/v1/chat/completions"
+    assert "proxy-authorization" not in {name.lower() for name in seen["headers"]}
+
+
+def test_http_goes_straight_to_an_endpoint_host_no_proxy_names(stub_server, monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    _, port = stub_server.server_address
+    monkeypatch.setenv("NO_PROXY", "localhost")
+    with _serving() as proxy:
+        monkeypatch.setenv("HTTP_PROXY", _endpoint(proxy))
+        with contextlib.closing(HttpBackend(f"http://localhost:{port}/v1", "m", api_key="k")) as backend:
+            assert backend.complete(user_request("hi")) == "stub reply"
+    assert proxy.seen == []
+    assert [seen["path"] for seen in stub_server.seen] == ["/v1/chat/completions"]
+
+
+def test_http_goes_to_an_https_proxy_with_the_absolute_url(stub_server, monkeypatch):
+    opened = []
+
+    class RecordedHTTPSConnection(backend_module.HTTPConnection):
+        """Records the host it opens and speaks plain HTTP to the stub."""
+
+        def __init__(self, host, *args, **kwargs):
+            opened.append(host)
+            super().__init__(host, *args, **kwargs)
+
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(backend_module, "HTTPSConnection", RecordedHTTPSConnection)
+    host, port = stub_server.server_address
+    monkeypatch.setenv("HTTP_PROXY", f"https://{host}:{port}")
+    with contextlib.closing(HttpBackend("http://llm.example.invalid/v1", "m", api_key="k")) as backend:
+        assert backend.complete(user_request("hi")) == "stub reply"
+    assert opened == [f"{host}:{port}"]
+    (seen,) = stub_server.seen
+    assert seen["path"] == "http://llm.example.invalid/v1/chat/completions"
+    assert seen["headers"]["Authorization"] == "Bearer k"
+
+
+def test_requests_that_open_their_first_connections_at_once_all_take_the_proxy_route(stub_server, monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", _endpoint(stub_server))
+    replies = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with contextlib.closing(HttpBackend("http://llm.example.invalid/v1", "m", api_key="k")) as backend:
+            start = threading.Barrier(8)
+
+            def request():
+                start.wait(timeout=5)
+                replies.append(backend.complete(user_request("hi")))
+
+            threads = [threading.Thread(target=request) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert replies == ["stub reply"] * 8
+    assert [seen["path"] for seen in stub_server.seen] == ["http://llm.example.invalid/v1/chat/completions"] * 8
 
 
 def test_http_other_success_status_is_malformed(stub_server):

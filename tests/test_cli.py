@@ -1186,8 +1186,9 @@ def test_config_file_reads_false_no_and_off_as_false(tmp_path, capsys, raw):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("max_rounds=seven", "config key max_rounds: cannot parse 'seven'"),
-        ("similarity_threshold=high", "config key similarity_threshold: cannot parse 'high'"),
+        ("max_rounds=seven", "config file {path} line 2: config key max_rounds: cannot parse 'seven'"),
+        ("similarity_threshold=high", "config file {path} line 2: config key similarity_threshold: cannot parse 'high'"),
+        ("enable_factuality=maybe", "config file {path} line 2: config key enable_factuality: expected a boolean, got 'maybe'"),
         ("max_rounds 7", "config file {path} line 2: expected key=value"),
     ],
 )

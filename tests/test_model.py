@@ -20,10 +20,8 @@ from dialogforge.model import (
     STAGE_SLOTS,
     Speaker,
     TEMPLATE_SLOTS,
-    Unparseable,
     Utterance,
     format_transcript,
-    last_turn_text,
     _squash,
     echoes,
     is_canonical,
@@ -290,7 +288,6 @@ def test_transcript_round_trip_keeps_an_inline_break(char):
     turns = [Utterance(Speaker.DOCTOR, f"any{char}cough?"), Utterance(Speaker.PATIENT, f"at{char}night")]
     transcript = format_transcript(turns)
     assert parse_transcript(transcript) == turns
-    assert last_turn_text(transcript, Speaker.DOCTOR) == f"any{char}cough?"
 
 
 def test_parse_transcript_reads_crlf_and_cr_line_ends():
@@ -300,40 +297,6 @@ def test_parse_transcript_reads_crlf_and_cr_line_ends():
         (Speaker.PATIENT, "Yes."),
         (Speaker.DOCTOR, "Fever?"),
     ]
-
-
-_TRANSCRIPT_LINES = [
-    "Doctor: any cough?",
-    "**Doctor:** and fever?",
-    "> DOCTOR :",
-    "Patient: yes",
-    "- patient: *at night*",
-    "patient:",
-    "  since tuesday  ",
-    "(checks chart)",
-    "Doctor said so",
-    "",
-    "   ",
-    "a\u2028b",
-]
-
-
-@given(
-    lines=st.lists(
-        st.tuples(st.sampled_from(_TRANSCRIPT_LINES), st.sampled_from(["\n", "\r\n", "\r"])), max_size=10
-    )
-)
-@example(lines=[("no tags", "\n"), ("at all", "\n")])
-@example(lines=[("Patient: fine", "\n"), ("  since tuesday  ", "\n")])
-@example(lines=[("Doctor: any cough?", "\n"), ("(checks chart)", "\n"), ("Patient: yes", "\n")])
-def test_last_turn_text_equals_the_parsed_last_turn(lines):
-    history = "".join(line + end for line, end in lines)
-    for speaker in Speaker:
-        try:
-            texts = [t.text for t in parse_transcript(history) if t.speaker is speaker]
-        except Unparseable:
-            texts = []
-        assert last_turn_text(history, speaker) == (texts[-1] if texts else None)
 
 
 # --- transcript codec: the canonical form ------------------------------------
