@@ -4,7 +4,8 @@ The extractor is a greedy longest-match dictionary tagger over word-boundary
 token windows: at each position it tries the widest window first, accepting a
 window that matches a lexicon entry either exactly (after normalization) or
 by token-set Jaccard similarity at or above the configured threshold. Matched
-spans never overlap; repeated concepts are deduplicated by CUI.
+spans never overlap; ``scan_matches`` gives each as a ``(start, end, entry)``
+tuple over token indices. Repeated concepts are deduplicated by CUI.
 
 Most windows cannot match, and the scan skips them without a lookup. Let a
 window have ``s`` distinct tokens, ``k`` of them in some entry. An entry of
@@ -13,8 +14,9 @@ window have ``s`` distinct tokens, ``k`` of them in some entry. An entry of
 correctly, so it keeps that order: when ``k / s`` is below the threshold, no
 entry reaches it. An exact match has ``k == s`` and is never skipped.
 
-``load_lexicon_file`` keeps a marshal index beside a lexicon file, read with no
-parse while its header (format, ``cache_tag``, the text's SHA-256) matches.
+``load_lexicon_file`` keeps a marshal index of the lexicon's columns, group
+labels as they are, beside a lexicon file, read with no parse while its header
+(format, ``cache_tag``, the text's SHA-256) matches.
 """
 
 import contextlib
@@ -25,7 +27,6 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .model import (
@@ -78,23 +79,24 @@ class Lexicon:
     never asks ``match_window`` about it.
 
     The index is columns of strings and ids, as in QuickUMLS (Soldaini &
-    Goharian 2016): an entry id's surface, CUI, group and key, a key -> id
-    map, token -> id postings and each key's token set size. ``load_lexicon``
+    Goharian 2016): an entry id's surface, CUI, group label and key, a key ->
+    id map, token -> id postings and each key's token set size. ``load_lexicon``
     fills them from the file without building a ``ConceptEntry``; an id's
-    entry is built the first time a match returns it, then kept.
+    entry, its label made a ``SemanticGroup``, is built the first time a match
+    returns it, then kept.
     ``Lexicon(entries)`` runs the same index loop and keeps the entries given.
     """
 
     def __init__(self, entries: Iterable[ConceptEntry]):
-        self._index((e.surface, e.cui, e.semantic_group, e.key, e) for e in entries)
+        self._index((e.surface, e.cui, e.semantic_group.value, e.key, e) for e in entries)
 
-    def _index(self, rows: Iterable[Tuple[str, str, SemanticGroup, str, Optional[ConceptEntry]]]) -> None:
-        """Index ``(surface, cui, group, key, entry or None)`` rows in order."""
+    def _index(self, rows: Iterable[Tuple[str, str, str, str, Optional[ConceptEntry]]]) -> None:
+        """Index ``(surface, cui, group label, key, entry or None)`` rows in order."""
         # The loop works on locals, not attributes: every command builds the
         # index at start-up.
         surfaces: List[str] = []
         cuis: List[str] = []
-        groups: List[SemanticGroup] = []
+        groups: List[str] = []
         keys: List[str] = []
         built: List[Optional[ConceptEntry]] = []
         exact: Dict[str, int] = {}
@@ -132,10 +134,9 @@ class Lexicon:
         self._duplicates = duplicates
 
     def _to_index(self) -> bytes:
-        """The columns of the index as ``marshal`` data, for ``_from_index``.
-        Groups are written as their labels: marshal cannot write an enum."""
+        """The columns of the index as ``marshal`` data, for ``_from_index``."""
         return marshal.dumps((
-            self._surfaces, self._cuis, [group.value for group in self._groups], self._keys,
+            self._surfaces, self._cuis, self._groups, self._keys,
             self._exact, self._postings, self._set_sizes, self.max_term_tokens, self._duplicates,
         ))
 
@@ -143,15 +144,13 @@ class Lexicon:
     def _from_index(cls, data: bytes) -> "Lexicon":
         """The lexicon whose ``_to_index`` wrote ``data``. It logs the duplicate
         surface warnings of the parse that built the index, in order. Data
-        that ``_to_index`` did not write raises EOFError, ValueError, TypeError
-        or KeyError, and logs nothing."""
+        that ``_to_index`` did not write raises EOFError, ValueError or
+        TypeError, and logs nothing."""
         lexicon = cls.__new__(cls)
         (
-            lexicon._surfaces, lexicon._cuis, labels, lexicon._keys, lexicon._exact,
+            lexicon._surfaces, lexicon._cuis, lexicon._groups, lexicon._keys, lexicon._exact,
             lexicon._postings, lexicon._set_sizes, lexicon.max_term_tokens, lexicon._duplicates,
         ) = marshal.loads(data)
-        by_label = {group.value: group for group in SemanticGroup}
-        lexicon._groups = [by_label[label] for label in labels]
         lexicon._built = [None] * len(lexicon._keys)
         for surface in lexicon._duplicates:
             _warn_duplicate(surface)
@@ -165,7 +164,8 @@ class Lexicon:
             # entry. The two are equal and checklists merge by CUI, so it does
             # not matter which one the slot keeps.
             entry = self._built[entry_id] = ConceptEntry._from_checked(
-                self._surfaces[entry_id], self._cuis[entry_id], self._groups[entry_id], self._keys[entry_id]
+                self._surfaces[entry_id], self._cuis[entry_id], SemanticGroup(self._groups[entry_id]),
+                self._keys[entry_id],
             )
         return entry
 
@@ -241,7 +241,7 @@ def load_lexicon_file(path: Union[str, "os.PathLike[str]"]) -> Lexicon:
         found = None  # something is there that cannot be read: keep it
     if found and found.startswith(header):
         # A damaged index is parsed over, like a stale one.
-        with contextlib.suppress(EOFError, ValueError, TypeError, KeyError):
+        with contextlib.suppress(EOFError, ValueError, TypeError):
             return Lexicon._from_index(found[len(header):])
     lexicon = load_lexicon(text.split("\n"))
     if found is not None and _INDEX_MAGIC.startswith(found[: len(_INDEX_MAGIC)]):
@@ -270,9 +270,9 @@ def _write_index(path: Union[str, "os.PathLike[str]"], index_path: str, data: by
                 os.unlink(temp)
 
 
-def _read_rows(source: Iterable[str]) -> Iterator[Tuple[str, str, SemanticGroup, str, None]]:
+def _read_rows(source: Iterable[str]) -> Iterator[Tuple[str, str, str, str, None]]:
     # A file holds few distinct group labels, so each is parsed once.
-    groups: Dict[str, SemanticGroup] = {}
+    groups: Dict[str, str] = {}
     for line_no, raw in enumerate(source, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         stripped = line.lstrip()
@@ -289,26 +289,20 @@ def _read_rows(source: Iterable[str]) -> Iterator[Tuple[str, str, SemanticGroup,
             raise MalformedRecord(line_no, str(exc)) from exc
         parsed = groups.get(group)
         if parsed is None:
-            parsed = groups[group] = SemanticGroup.parse(group)
+            parsed = groups[group] = SemanticGroup.parse(group).value
         yield surface, cui, parsed, key, None
 
 
-@dataclass(frozen=True)
-class ConceptMatch:
-    """A lexicon hit over token indices [start, end) of the scanned text."""
-
-    start: int
-    end: int
-    entry: ConceptEntry
-
-
-def scan_matches(text: str, lexicon: Lexicon, approx_threshold: float) -> List[ConceptMatch]:
-    """All greedy longest matches in order, before CUI deduplication. Only
-    windows the bound of the module docstring keeps reach ``match_window``."""
+def scan_matches(text: str, lexicon: Lexicon, approx_threshold: float) -> List[Tuple[int, int, ConceptEntry]]:
+    """All greedy longest matches in order, before CUI deduplication: each an
+    ``(start, end, entry)`` hit over token indices [start, end). Only windows
+    the bound of the module docstring keeps reach ``match_window``."""
     return _scan_tokens(words(text), lexicon, approx_threshold)
 
 
-def _scan_tokens(tokens: Sequence[str], lexicon: Lexicon, approx_threshold: float) -> List[ConceptMatch]:
+def _scan_tokens(
+    tokens: Sequence[str], lexicon: Lexicon, approx_threshold: float
+) -> List[Tuple[int, int, ConceptEntry]]:
     """``scan_matches`` over the word tokens of a text."""
     if not 0 < approx_threshold <= 1:
         raise ValueError("approx_threshold must be in (0, 1]")
@@ -316,7 +310,7 @@ def _scan_tokens(tokens: Sequence[str], lexicon: Lexicon, approx_threshold: floa
     # A closing True stops the search for the next token with postings at n.
     indexed = lexicon.indexed(tokens) + [True]
     longest = lexicon.max_term_tokens
-    matches: List[ConceptMatch] = []
+    matches = []
     i = 0
     while i < n:
         # A window with no token that has postings cannot match, so start no
@@ -338,7 +332,7 @@ def _scan_tokens(tokens: Sequence[str], lexicon: Lexicon, approx_threshold: floa
         for end in reversed(ends):
             entry = lexicon.match_window(tokens[i:end], approx_threshold)
             if entry is not None:
-                matches.append(ConceptMatch(i, end, entry))
+                matches.append((i, end, entry))
                 i = end
                 break
         else:
@@ -353,13 +347,10 @@ def extract_concepts(text: str, lexicon: Lexicon, approx_threshold: float) -> Li
 
 def concepts_of_tokens(tokens: Sequence[str], lexicon: Lexicon, approx_threshold: float) -> List[ConceptEntry]:
     """``extract_concepts`` over the word tokens of a text."""
-    seen = set()
-    out = []
-    for match in _scan_tokens(tokens, lexicon, approx_threshold):
-        if match.entry.cui not in seen:
-            seen.add(match.entry.cui)
-            out.append(match.entry)
-    return out
+    first: Dict[str, ConceptEntry] = {}
+    for _, _, entry in _scan_tokens(tokens, lexicon, approx_threshold):
+        first.setdefault(entry.cui, entry)
+    return list(first.values())
 
 
 def filter_semantic_groups(concepts: Sequence[ConceptEntry]) -> List[ConceptEntry]:

@@ -345,26 +345,29 @@ class PromptTemplate:
 
     Every ``{{`` in the body must open a slot the template's ``STAGE_SLOTS``
     entry names, so a render with its stage's bindings leaves no placeholder.
+    ``pieces`` is the body split at its placeholders: text, slot, ..., text.
     """
 
     name: str
     body: str
+    pieces: Tuple[str, ...] = field(init=False, compare=False, repr=False)
     _slots: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.name not in STAGE_SLOTS:
             raise ModelError(f"unknown template name: {self.name!r}")
-        slots = set()
         for match in TEMPLATE_SLOT_RE.finditer(self.body):
             if match.group(1) not in TEMPLATE_SLOTS:
                 raise ModelError(
                     f"template {self.name!r} has a bad placeholder at offset {match.start()}"
                 )
-            slots.add(match.group(1))
+        pieces = tuple(TEMPLATE_SLOT_RE.split(self.body))
+        slots = frozenset(pieces[1::2])
         unbound = ", ".join(f"{{{{{slot}}}}}" for slot in sorted(slots - STAGE_SLOTS[self.name]))
         if unbound:
             raise ModelError(f"the {self.name} stage does not bind {unbound}")
-        object.__setattr__(self, "_slots", frozenset(slots))
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "_slots", slots)
 
     def referenced_slots(self) -> frozenset:
         return self._slots

@@ -27,7 +27,6 @@ from .model import (
     NoteSection,
     PromptTemplate,
     Speaker,
-    TEMPLATE_SLOT_RE,
     Utterance,
     format_transcript,
 )
@@ -49,16 +48,14 @@ class UnboundSlot(KeyError):
 
 
 def render_prompt(template: PromptTemplate, slots: Dict[str, str]) -> str:
-    """The template body with every referenced slot replaced by its text in
-    ``slots``; UnboundSlot names the first slot without one."""
-
-    def substitute(match):
-        slot = match.group(1)
-        if slot not in slots:
-            raise UnboundSlot(slot)
-        return slots[slot]
-
-    return TEMPLATE_SLOT_RE.sub(substitute, template.body)
+    """The template's ``pieces`` with each slot name replaced by its text in
+    ``slots``; UnboundSlot names the first slot in body order without one."""
+    pieces = list(template.pieces)
+    try:
+        pieces[1::2] = [slots[slot] for slot in pieces[1::2]]
+    except KeyError as missing:
+        raise UnboundSlot(missing.args[0]) from None
+    return "".join(pieces)
 
 
 @dataclass

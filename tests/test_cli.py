@@ -1,11 +1,13 @@
 import argparse
 import contextlib
 import json
+import logging
 import os
 import shutil
 import subprocess
 import sys
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -13,10 +15,20 @@ import pytest
 
 from dialogforge import cli
 from dialogforge.cli import build_parser, load_config_file, main
+from dialogforge.backend import MockBackend
 from dialogforge.concepts import extract_concepts, filter_semantic_groups
-from dialogforge.model import STAGE_SLOTS, ClinicalNote
+from dialogforge.model import (
+    STAGE_SLOTS,
+    ClinicalNote,
+    Dialogue,
+    GenerationConfig,
+    Utterance,
+    format_transcript,
+    parse_transcript,
+)
 
 from conftest import DATA_DIR, LEXICON_PATH, NOTES_PATH
+from test_refiner import _drop_keyword, union_recount
 
 GOLDEN_DIR = DATA_DIR / "golden"
 
@@ -241,6 +253,91 @@ def test_generate_mock_matches_golden_output(tmp_path, golden, mode, factuality)
     code, out = _generate(tmp_path, "--mock", *extra)
     assert code == 0
     assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
+_REWRITE_STAGES = ("polish", "hallucination", "postediting")
+
+
+def _reworded(reply):
+    """The mock's transcript reply with "Well, " opening every turn, so that
+    every keyword surface stays verbatim."""
+    return format_transcript([Utterance(turn.speaker, "Well, " + turn.text) for turn in parse_transcript(reply)])
+
+
+def _rewriting_mock(monkeypatch, rewrite):
+    """``MockBackend.complete`` with each polish, hallucination and postediting
+    reply passed through ``rewrite(reply, request)``; the count of rewrites
+    done, by stage."""
+    complete = MockBackend.complete
+    done = Counter()
+
+    def rewriting(self, request):
+        reply = complete(self, request)
+        if request.stage not in _REWRITE_STAGES:
+            return reply
+        rewritten = rewrite(reply, request)
+        done[request.stage] += rewritten != reply
+        return rewritten
+
+    monkeypatch.setattr(MockBackend, "complete", rewriting)
+    return done
+
+
+def _warnings(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_generate_takes_reworded_rewrites_that_keep_every_keyword(tmp_path, monkeypatch, caplog, lexicon, mode):
+    # An accepted rewrite that does not echo runs the parse and the keyword
+    # guard, and its turns are the record's.
+    code, out = _generate(tmp_path, "--mock", "--mode", mode)
+    assert code == 0
+    echo_records = _read_jsonl(out)
+    done = _rewriting_mock(monkeypatch, lambda reply, request: _reworded(reply))
+    caplog.clear()
+    runs = {}
+    for workers in ("1", "3"):
+        code, out = _generate(tmp_path, "--mock", "--mode", mode, "--workers", workers)
+        assert code == 0
+        runs[workers] = out.read_bytes()
+    assert runs["1"] == runs["3"]
+    assert all(done[stage] for stage in _REWRITE_STAGES)
+    assert not any("keeping input" in line or "concatenating turns" in line for line in _warnings(caplog))
+    cfg = GenerationConfig.for_mode(mode)
+    notes = {record["id"]: ClinicalNote(record["id"], record["text"]) for record in _read_jsonl(NOTES_PATH)}
+    records = _read_jsonl(out)
+    assert [r["id"] for r in records] == [r["id"] for r in echo_records]
+    for record, echo in zip(records, echo_records):
+        assert record["turns"] != echo["turns"]
+        turns = [Utterance(turn["speaker"], turn["text"]) for turn in record["turns"]]
+        recount = union_recount(notes[record["id"]], Dialogue(record["id"], turns), lexicon, cfg)
+        assert record["coverage"] == {"covered": recount.covered_count(), "total": len(recount)} == echo["coverage"]
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_generate_keeps_a_section_whose_first_rewrite_drops_a_keyword(tmp_path, monkeypatch, caplog, mode):
+    code, out = _generate(tmp_path, "--mock", "--mode", mode)
+    assert code == 0
+    echo_bytes = out.read_bytes()
+    done = _rewriting_mock(
+        monkeypatch,
+        lambda reply, request: _drop_keyword(_reworded(reply), 0, request) if request.stage == "polish" else reply,
+    )
+    for workers in ("1", "3"):
+        caplog.clear()
+        done.clear()
+        code, out = _generate(tmp_path, "--mock", "--mode", mode, "--workers", workers)
+        assert code == 0
+        assert out.read_bytes() == echo_bytes
+        # One warning for each section's polish, each of which lost a keyword.
+        warnings = _warnings(caplog)
+        assert len(warnings) == done["polish"] > 0
+        assert all(
+            line.startswith("polish reply for note ") and " dropped keywords [" in line
+            and line.endswith("; keeping input")
+            for line in warnings
+        )
 
 
 class _Always401(BaseHTTPRequestHandler):

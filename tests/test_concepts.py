@@ -98,7 +98,7 @@ def test_punctuated_surface_matches_exactly_before_reordered_entry():
     ]
     lexicon = Lexicon(entries)
     text = "congestive heart failure"
-    got = [(m.start, m.end, m.entry) for m in scan_matches(text, lexicon, 0.7)]
+    got = scan_matches(text, lexicon, 0.7)
     assert got == oracle_concept_matches(text, entries, 0.7)
     assert [entry.cui for _, _, entry in got] == ["C2"]
 
@@ -122,7 +122,7 @@ def test_extract_longest_match_wins(lexicon, cfg):
     assert [c.surface for c in found] == ["diabetes mellitus"]
     # brute force over all window matchings agrees
     oracle = oracle_concept_matches(text, lexicon.entries, cfg.concept_threshold)
-    assert [(m.start, m.end, m.entry) for m in scan_matches(text, lexicon, cfg.concept_threshold)] == oracle
+    assert scan_matches(text, lexicon, cfg.concept_threshold) == oracle
 
 
 def test_extract_empty_text(lexicon, cfg):
@@ -162,11 +162,11 @@ def test_scan_matches_spans_never_overlap(lexicon, cfg):
         rng.shuffle(parts)
         text = " ".join(parts)
         matches = scan_matches(text, lexicon, cfg.concept_threshold)
-        for left, right in zip(matches, matches[1:]):
-            assert left.end <= right.start
+        for (_, left_end, _), (right_start, _, _) in zip(matches, matches[1:]):
+            assert left_end <= right_start
         token_count = len(words(text))
-        for match in matches:
-            assert 0 <= match.start < match.end <= token_count
+        for start, end, _ in matches:
+            assert 0 <= start < end <= token_count
 
 
 def test_filter_keeps_reportable_groups_only(lexicon, cfg):
@@ -316,8 +316,7 @@ def test_match_window_agrees_with_linear_scan(entries, window, threshold):
 @example(entries=[_entry("a"), _entry("p q r s", "C2")], text="a x x x", threshold=0.5)
 def test_scan_matches_agrees_with_oracle(entries, text, threshold):
     lexicon = Lexicon(entries)
-    got = [(m.start, m.end, m.entry) for m in scan_matches(text, lexicon, threshold)]
-    assert got == oracle_concept_matches(text, entries, threshold)
+    assert scan_matches(text, lexicon, threshold) == oracle_concept_matches(text, entries, threshold)
 
 
 # The bound of scan_matches: a window whose distinct tokens have postings in a
@@ -480,8 +479,8 @@ def test_loaded_and_constructed_lexicons_agree(lines, window, text, threshold):
     built = Lexicon(ConceptEntry(surface, cui, group) for surface, cui, group, _ in rows)
     assert (len(loaded), loaded.max_term_tokens) == (len(built), built.max_term_tokens)
     assert _row(loaded.match_window(window, threshold)) == _row(built.match_window(window, threshold))
-    assert [(m.start, m.end, _row(m.entry)) for m in scan_matches(text, loaded, threshold)] == [
-        (m.start, m.end, _row(m.entry)) for m in scan_matches(text, built, threshold)
+    assert [(start, end, _row(entry)) for start, end, entry in scan_matches(text, loaded, threshold)] == [
+        (start, end, _row(entry)) for start, end, entry in scan_matches(text, built, threshold)
     ]
 
 
@@ -511,8 +510,8 @@ def test_an_entry_is_built_when_a_match_first_returns_it(monkeypatch):
         "asthma\tC1\tdisease\nHeart-Failure\tC2\tdisease\naspirin\tC3\tdrug\nheart attack\tC4\tdisease\n"
     )
     assert counts == {"checked": 0, "columns": 0}
-    matches = scan_matches("Asthma, aspirin, more asthma; heart failure.", lexicon, 0.7)
-    assert [_row(m.entry) for m in matches] == [
+    entries = [entry for _, _, entry in scan_matches("Asthma, aspirin, more asthma; heart failure.", lexicon, 0.7)]
+    assert [_row(entry) for entry in entries] == [
         ("asthma", "C1", SemanticGroup.DISEASE, "asthma"),
         ("aspirin", "C3", SemanticGroup.DRUG, "aspirin"),
         ("asthma", "C1", SemanticGroup.DISEASE, "asthma"),
@@ -520,8 +519,8 @@ def test_an_entry_is_built_when_a_match_first_returns_it(monkeypatch):
     ]
     # One entry per distinct matched id; a later match returns the same one.
     assert counts == {"checked": 0, "columns": 3}
-    assert matches[2].entry is matches[0].entry
-    assert lexicon.match_window(["asthma"], 1.0) is matches[0].entry
+    assert entries[2] is entries[0]
+    assert lexicon.match_window(["asthma"], 1.0) is entries[0]
     assert counts == {"checked": 0, "columns": 3}
 
 

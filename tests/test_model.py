@@ -28,7 +28,7 @@ from dialogforge.model import (
     parse_transcript,
     words,
 )
-from dialogforge.orchestrator import render_prompt
+from dialogforge.orchestrator import UnboundSlot, render_prompt
 
 from conftest import make_dialogue, transcript_texts, turn_lists
 from oracles import oracle_render, oracle_template_slots
@@ -193,15 +193,45 @@ _BODY_FRAGMENTS = (
 )
 
 
-@given(body=st.lists(st.sampled_from(_BODY_FRAGMENTS), max_size=12).map("".join))
-@example(body="{{{note}}")
-@example(body="{{note")
-@example(body="{{}}")
-@example(body="{{a}b}}")
-@example(body="{{note}}{{")
-@example(body="{{ brace")
-@example(body="}}{{note}}}")
-def test_template_slot_scanner_agrees_with_reference(body):
+# Slot values that look like placeholders or regex replacement escapes: a
+# render copies them as they are and does not scan them again.
+_VALUE_FRAGMENTS = ["{{note}}", "{{", "}}", "{", "\\", "\\1", "\\g<0>", "\\n", "a", "é", "\n"]
+_slot_values = st.dictionaries(
+    st.sampled_from(sorted(TEMPLATE_SLOTS)), st.lists(st.sampled_from(_VALUE_FRAGMENTS), max_size=4).map("".join)
+)
+
+
+def _assert_renders_as_oracle(template, body, values):
+    """``render_prompt`` gives the oracle's text, or, where the oracle finds a
+    slot with no value, raises UnboundSlot naming that first one in body order."""
+    try:
+        expected = oracle_render(body, values)
+    except KeyError as missing:
+        with pytest.raises(UnboundSlot) as unbound:
+            render_prompt(template, values)
+        assert unbound.value.slot == missing.args[0]
+        return
+    assert render_prompt(template, values) == expected
+
+
+@given(body=st.lists(st.sampled_from(_BODY_FRAGMENTS), max_size=12).map("".join), values=_slot_values)
+@example(body="{{{note}}", values={})
+@example(body="{{note", values={})
+@example(body="{{}}", values={})
+@example(body="{{a}b}}", values={})
+@example(body="{{note}}{{", values={})
+@example(body="{{ brace", values={})
+@example(body="}}{{note}}}", values={})
+# Adjacent placeholders, one first and one last, values holding placeholders
+# and backslashes.
+@example(body="{{note}}{{keywords}}", values={"note": "{{keywords}}", "keywords": "\\1\\g<0>\\"})
+@example(body="{{note}}", values={"note": "}}{{note}}{{"})
+# A repeated slot.
+@example(body="a{{history}}b{{history}}", values={"history": "{{note}}\\"})
+# The first unbound slot in body order is not the first unbound one sorted.
+@example(body="{{note}} {{conversation}} {{note}}", values={})
+@example(body="{{keywords}}{{note}}{{conversation}}", values={"keywords": "k"})
+def test_template_slot_scanner_agrees_with_reference(body, values):
     for stage, slots in STAGE_SLOTS.items():
         expected = oracle_template_slots(body, slots)
         if expected is None:
@@ -210,8 +240,9 @@ def test_template_slot_scanner_agrees_with_reference(body):
             continue
         template = PromptTemplate(stage, body)
         assert template.referenced_slots() == expected
-        values = {slot: "{" + slot.upper() + "}" for slot in slots}
-        assert render_prompt(template, values) == oracle_render(body, values)
+        bound = {slot: values.get(slot, "{" + slot.upper() + "}") for slot in slots}
+        _assert_renders_as_oracle(template, body, bound)
+        _assert_renders_as_oracle(template, body, values)
 
 
 def test_generation_config_defaults_and_validation():

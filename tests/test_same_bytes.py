@@ -1,9 +1,14 @@
-"""``generate --mock`` writes the same bytes as the commit that pinned them.
+"""``generate --mock`` and ``evaluate`` write the same bytes as the commit
+that pinned them.
 
 CI's "Generate output against the base" step builds 150 seed-11 notes and a
 2k lexicon with ``perfbench/gen.py`` and compares ``generate --mock`` at the
-base commit with HEAD, as a report. This test makes the same comparison a
-gate: each configuration's records and log lines must hash to the SHA-256
+base commit with HEAD, as a report. Its "Evaluate output against the base"
+step scores the three golden generate files against each other, and 36
+seed-11 ``eval-long-dialogues``-shaped pairs, each alone and all at once.
+Both steps build their inputs with ``write_gen_inputs`` and
+``write_eval_inputs`` below. This test makes the same comparisons a gate:
+each run's output, stdout table and log lines must hash to the SHA-256
 digests in ``tests/data/same_bytes.json``. The inputs are hashed first, so an
 edit to the generator shows as an input change, not an output change.
 
@@ -11,8 +16,10 @@ A change that alters the output on purpose rewrites that file with
 ``python tests/test_same_bytes.py`` and says so.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import itertools
 import json
 import logging
@@ -37,25 +44,69 @@ CONFIGS = [
     for parts in itertools.product(["data", "gen"], BUDGETS, ["short", "long"], ["w1", "w3"])
 ]
 
+GOLDEN_DIR = DATA_DIR / "golden"
+# Each golden evaluate run: its hypothesis and reference files, on the fixture lexicon.
+GOLDEN_RUNS = {
+    "short-long": ("generate_short.jsonl", "generate_long.jsonl"),
+    "long-short": ("generate_long.jsonl", "generate_short.jsonl"),
+    "factuality-short": ("generate_short_factuality.jsonl", "generate_short.jsonl"),
+}
+# eval-long-dialogues holds 18 turn counts in 2 batches.
+PAIRS = [f"p{k}" for k in range(36)]
+EVAL_RUNS = [*GOLDEN_RUNS, "all", *PAIRS]
+EVAL_INPUTS = ["lexicon.tsv", *(f"{pair}.{side}.jsonl" for pair in ["all", *PAIRS] for side in ("hyp", "ref"))]
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def write_gen_inputs(directory: Path) -> None:
-    """``notes.jsonl`` and ``lexicon.tsv`` in ``directory``, built as CI's
-    "Generate output against the base" step builds them."""
+def _perfbench(workload_name: str):
+    """``perfbench/gen.py`` as a module, and the workload's parameter values."""
     spec = importlib.util.spec_from_file_location("_perfbench_gen", PERFBENCH / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    workload = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))["gen-mock-cpu"]
+    workload = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))[workload_name]
+    return gen, {key: value["value"] for key, value in workload.items() if isinstance(value, dict)}
+
+
+def write_gen_inputs(directory: Path) -> None:
+    """``notes.jsonl`` and ``lexicon.tsv`` in ``directory``: 150 seed-11
+    ``gen-mock-cpu``-shaped notes and their lexicon."""
+    gen, workload = _perfbench("gen-mock-cpu")
     rng = random.Random(11)
-    rows = gen.make_lexicon(rng, workload["lexicon_entries"]["value"], workload["synonym_share"]["value"])
+    rows = gen.make_lexicon(rng, workload["lexicon_entries"], workload["synonym_share"])
     (directory / "lexicon.tsv").write_text(gen.lexicon_text(rows), encoding="utf-8")
-    notes = gen.make_notes(rng, rows, workload["note_shapes"]["value"] * 10, "n")
+    notes = gen.make_notes(rng, rows, workload["note_shapes"] * 10, "n")
     (directory / "notes.jsonl").write_text(
         "".join(json.dumps({"id": note["id"], "text": note["text"]}) + "\n" for note in notes), encoding="utf-8"
     )
+
+
+def write_eval_inputs(directory: Path) -> None:
+    """``EVAL_INPUTS`` in ``directory``: the lexicon and 36 seed-11
+    ``eval-long-dialogues``-shaped pairs, each pair in its own
+    ``p<k>.hyp.jsonl`` and ``p<k>.ref.jsonl``, and all of them together in
+    ``all.hyp.jsonl`` and ``all.ref.jsonl``."""
+    gen, workload = _perfbench("eval-long-dialogues")
+    rng = random.Random(11)
+    rows = gen.make_lexicon(rng, workload["lexicon_entries"], workload["synonym_share"])
+    (directory / "lexicon.tsv").write_text(gen.lexicon_text(rows), encoding="utf-8")
+    vocab = gen.make_vocab(rng, workload["vocabulary"], rows)
+    every = {"hyp": [], "ref": []}
+    for k, turns in enumerate(workload["turns"] * workload["batches"]):
+        lengths = gen.turn_lengths(rng, turns, tuple(workload["tokens_per_turn"]))
+        hyp, ref = gen.make_pair(rng, vocab, rows, lengths, workload["concept_rate"])
+        for side, texts in (("hyp", hyp), ("ref", ref)):
+            line = json.dumps(gen.dialogue_record(f"p{k}", texts)) + "\n"
+            (directory / f"p{k}.{side}.jsonl").write_text(line, encoding="utf-8")
+            every[side].append(line)
+    for side, lines in every.items():
+        (directory / f"all.{side}.jsonl").write_text("".join(lines), encoding="utf-8")
+
+
+def _log_digest(records) -> str:
+    return _sha256("".join(LOG_FORMAT.format(record) + "\n" for record in records).encode("utf-8"))
 
 
 def run_config(config: str, gen_dir: Path, out: Path, records) -> dict:
@@ -67,8 +118,29 @@ def run_config(config: str, gen_dir: Path, out: Path, records) -> dict:
         "generate", "--mock", "--mode", mode, *BUDGETS[budget], "--workers", workers[1:],
         "--input", str(notes), "--lexicon", str(lexicon), "--out", str(out),
     ])
-    log = "".join(LOG_FORMAT.format(record) + "\n" for record in records())
-    return {"exit": code, "records": _sha256(out.read_bytes()), "log": _sha256(log.encode("utf-8"))}
+    return {"exit": code, "records": _sha256(out.read_bytes()), "log": _log_digest(records())}
+
+
+def run_eval(run: str, eval_dir: Path, out: Path, records) -> dict:
+    """Exit code and digests of ``evaluate`` in ``run``, writing its report to
+    ``out``; ``records()`` gives the log records the run emitted."""
+    if run in GOLDEN_RUNS:
+        (hyp, ref), lexicon = (GOLDEN_DIR / name for name in GOLDEN_RUNS[run]), LEXICON_PATH
+    else:
+        hyp, ref, lexicon = eval_dir / f"{run}.hyp.jsonl", eval_dir / f"{run}.ref.jsonl", eval_dir / "lexicon.tsv"
+    table = io.StringIO()
+    with contextlib.redirect_stdout(table):
+        code = cli.main([
+            "evaluate", "--hyp", str(hyp), "--ref", str(ref), "--lexicon", str(lexicon), "--out", str(out),
+        ])
+    return {
+        "exit": code, "report": _sha256(out.read_bytes()), "table": _sha256(table.getvalue().encode("utf-8")),
+        "log": _log_digest(records()),
+    }
+
+
+def _input_digests(directory: Path, names) -> dict:
+    return {name: _sha256((directory / name).read_bytes()) for name in names}
 
 
 @pytest.fixture(scope="module")
@@ -79,18 +151,36 @@ def gen_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def eval_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("eval")
+    write_eval_inputs(directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
 def digests():
     return json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
 
 
 def test_the_generated_inputs_are_the_pinned_ones(gen_dir, digests):
-    assert {name: _sha256((gen_dir / name).read_bytes()) for name in ("notes.jsonl", "lexicon.tsv")} == digests["inputs"]
+    assert _input_digests(gen_dir, ("notes.jsonl", "lexicon.tsv")) == digests["inputs"]
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_generate_writes_the_pinned_bytes(config, gen_dir, digests, tmp_path, caplog):
     caplog.set_level(logging.INFO)
     assert run_config(config, gen_dir, tmp_path / "out.jsonl", lambda: caplog.records) == digests["outputs"][config]
+
+
+def test_the_evaluate_inputs_are_the_pinned_ones(eval_dir, digests):
+    assert _input_digests(eval_dir, EVAL_INPUTS) == digests["evaluate"]["inputs"]
+
+
+@pytest.mark.parametrize("run", EVAL_RUNS)
+def test_evaluate_writes_the_pinned_bytes(run, eval_dir, digests, tmp_path, caplog):
+    caplog.set_level(logging.INFO)
+    got = run_eval(run, eval_dir, tmp_path / "report.json", lambda: caplog.records)
+    assert got == digests["evaluate"]["outputs"][run]
 
 
 def _pin() -> None:
@@ -100,16 +190,23 @@ def _pin() -> None:
     keep.emit = seen.append
     logging.getLogger().addHandler(keep)
     logging.getLogger().setLevel(logging.INFO)
-    with tempfile.TemporaryDirectory() as scratch:
-        directory = Path(scratch)
-        write_gen_inputs(directory)
+    with tempfile.TemporaryDirectory() as temp:
+        gen_dir, eval_dir = Path(temp, "gen"), Path(temp, "eval")
+        gen_dir.mkdir()
+        eval_dir.mkdir()
+        write_gen_inputs(gen_dir)
+        write_eval_inputs(eval_dir)
         pinned = {
-            "inputs": {name: _sha256((directory / name).read_bytes()) for name in ("notes.jsonl", "lexicon.tsv")},
+            "inputs": _input_digests(gen_dir, ("notes.jsonl", "lexicon.tsv")),
             "outputs": {},
+            "evaluate": {"inputs": _input_digests(eval_dir, EVAL_INPUTS), "outputs": {}},
         }
         for config in CONFIGS:
             seen.clear()
-            pinned["outputs"][config] = run_config(config, directory, directory / "out.jsonl", lambda: seen)
+            pinned["outputs"][config] = run_config(config, gen_dir, Path(temp, "out.jsonl"), lambda: seen)
+        for run in EVAL_RUNS:
+            seen.clear()
+            pinned["evaluate"]["outputs"][run] = run_eval(run, eval_dir, Path(temp, "report.json"), lambda: seen)
     DIGESTS_PATH.write_text(json.dumps(pinned, indent=1) + "\n", encoding="utf-8")
 
 
