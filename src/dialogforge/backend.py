@@ -53,7 +53,8 @@ ENDPOINT_ENV = "DIALOGFORGE_ENDPOINT"
 # Heuristic, model-agnostic token estimate: about 4 characters per token.
 CHARS_PER_TOKEN = 4
 
-# Seconds an HTTP request may take before it fails as a retryable Timeout.
+# Seconds one HTTP connect or socket read may wait before the request fails
+# as a retryable Timeout; nothing yet bounds a whole request that trickles in.
 REQUEST_TIMEOUT_S = 60.0
 
 
@@ -333,8 +334,8 @@ def complete_with_retry(
 
     Attempt ``n`` (0-based) sleeps uniform(0, base_delay * 2**n) before the
     next try, or longer if a 429 asked for a longer wait; a 429 that asks for
-    more than ``REQUEST_TIMEOUT_S`` propagates at once, as do non-retryable
-    errors.
+    more than ``REQUEST_TIMEOUT_S``, the longest wait of one connect or socket
+    read, propagates at once, as do non-retryable errors.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")

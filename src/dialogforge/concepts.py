@@ -14,9 +14,9 @@ window have ``s`` distinct tokens, ``k`` of them in some entry. An entry of
 correctly, so it keeps that order: when ``k / s`` is below the threshold, no
 entry reaches it. An exact match has ``k == s`` and is never skipped.
 
-``load_lexicon_file`` keeps a marshal index of the lexicon's columns, group
-labels as they are, beside a lexicon file, read with no parse while its header
-(format, ``cache_tag``, the text's SHA-256) matches.
+``load_lexicon_file`` keeps a marshal index of the lexicon's columns beside a
+lexicon file, read with no parse while its header (format, ``cache_tag``, the
+text's SHA-256) matches. Its bytes follow the text and the Python version.
 """
 
 import contextlib
@@ -59,11 +59,15 @@ class MalformedRecord(LexiconError):
         super().__init__(f"malformed lexicon record at line {line_no}: {detail}")
 
 
-# The index format. Bump it, with the digest tests/test_lexicon_index.py pins,
+# The index format. Bump it, with the digests tests/test_lexicon_index.py pins,
 # when a column or the parse of a line changes, so no older index is read.
-_INDEX_FORMAT = 2
+_INDEX_FORMAT = 3
 INDEX_SUFFIX = ".dialogforge-index"
 _INDEX_MAGIC = b"dialogforge-index "
+# The columns of a lexicon, in the order the index holds them.
+_COLUMNS = (
+    "_surfaces", "_cuis", "_groups", "_keys", "_exact", "_postings", "_set_sizes", "max_term_tokens", "_duplicates",
+)
 
 
 class Lexicon:
@@ -80,31 +84,27 @@ class Lexicon:
 
     The index is columns of strings and ids, as in QuickUMLS (Soldaini &
     Goharian 2016): an entry id's surface, CUI, group label and key, a key ->
-    id map, token -> id postings and each key's token set size. ``load_lexicon``
-    fills them from the file without building a ``ConceptEntry``; an id's
-    entry, its label made a ``SemanticGroup``, is built the first time a match
-    returns it, then kept.
-    ``Lexicon(entries)`` runs the same index loop and keeps the entries given.
+    id map, token -> id postings and each key's token set size. A lexicon
+    comes from ``load_lexicon``, which fills the columns from the file without
+    building a ``ConceptEntry``, or from an index that ``_from_index`` reads.
+    An id's entry, its label made a ``SemanticGroup``, is built the first time
+    a match returns it, then kept.
     """
 
-    def __init__(self, entries: Iterable[ConceptEntry]):
-        self._index((e.surface, e.cui, e.semantic_group.value, e.key, e) for e in entries)
-
-    def _index(self, rows: Iterable[Tuple[str, str, str, str, Optional[ConceptEntry]]]) -> None:
-        """Index ``(surface, cui, group label, key, entry or None)`` rows in order."""
+    def _index(self, rows: Iterable[Tuple[str, str, str, str]]) -> None:
+        """Index ``(surface, cui, group label, key)`` rows in order."""
         # The loop works on locals, not attributes: every command builds the
         # index at start-up.
         surfaces: List[str] = []
         cuis: List[str] = []
         groups: List[str] = []
         keys: List[str] = []
-        built: List[Optional[ConceptEntry]] = []
         exact: Dict[str, int] = {}
         postings: Dict[str, List[int]] = {}
         sizes: List[int] = []
         duplicates: List[str] = []
         longest = 1
-        for surface, cui, group, key, entry in rows:
+        for surface, cui, group, key in rows:
             if key in exact:
                 _warn_duplicate(surface)
                 duplicates.append(surface)
@@ -114,7 +114,6 @@ class Lexicon:
             cuis.append(cui)
             groups.append(group)
             keys.append(key)
-            built.append(entry)
             tokens = key.split(" ")
             token_set = dict.fromkeys(tokens)  # first-occurrence order, not the hash seed's
             sizes.append(len(token_set))
@@ -122,23 +121,17 @@ class Lexicon:
                 postings.setdefault(token, []).append(entry_id)
             if len(tokens) > longest:
                 longest = len(tokens)
-        self._surfaces = surfaces
-        self._cuis = cuis
-        self._groups = groups
-        self._keys = keys
-        self._built = built
-        self._exact = exact
-        self._postings = postings
-        self._set_sizes = sizes
-        self.max_term_tokens = longest
-        self._duplicates = duplicates
+        self._set(surfaces, cuis, groups, keys, exact, postings, sizes, longest, duplicates)
+
+    def _set(self, *columns: object) -> None:
+        """Take the ``_COLUMNS`` in order, no entry built; a wrong count raises ValueError."""
+        vars(self).update(zip(_COLUMNS, columns, strict=True))
+        self._built: List[Optional[ConceptEntry]] = [None] * len(self._keys)
 
     def _to_index(self) -> bytes:
-        """The columns of the index as ``marshal`` data, for ``_from_index``."""
-        return marshal.dumps((
-            self._surfaces, self._cuis, self._groups, self._keys,
-            self._exact, self._postings, self._set_sizes, self.max_term_tokens, self._duplicates,
-        ))
+        """The columns as ``marshal`` data, for ``_from_index``, dumped from a
+        fresh decode: no outside reference to their objects adds a back-reference."""
+        return marshal.dumps(marshal.loads(marshal.dumps(tuple(vars(self)[c] for c in _COLUMNS))))
 
     @classmethod
     def _from_index(cls, data: bytes) -> "Lexicon":
@@ -147,11 +140,7 @@ class Lexicon:
         that ``_to_index`` did not write raises EOFError, ValueError or
         TypeError, and logs nothing."""
         lexicon = cls.__new__(cls)
-        (
-            lexicon._surfaces, lexicon._cuis, lexicon._groups, lexicon._keys, lexicon._exact,
-            lexicon._postings, lexicon._set_sizes, lexicon.max_term_tokens, lexicon._duplicates,
-        ) = marshal.loads(data)
-        lexicon._built = [None] * len(lexicon._keys)
+        lexicon._set(*marshal.loads(data))
         for surface in lexicon._duplicates:
             _warn_duplicate(surface)
         return lexicon
@@ -270,7 +259,7 @@ def _write_index(path: Union[str, "os.PathLike[str]"], index_path: str, data: by
                 os.unlink(temp)
 
 
-def _read_rows(source: Iterable[str]) -> Iterator[Tuple[str, str, str, str, None]]:
+def _read_rows(source: Iterable[str]) -> Iterator[Tuple[str, str, str, str]]:
     # A file holds few distinct group labels, so each is parsed once.
     groups: Dict[str, str] = {}
     for line_no, raw in enumerate(source, start=1):
@@ -290,20 +279,16 @@ def _read_rows(source: Iterable[str]) -> Iterator[Tuple[str, str, str, str, None
         parsed = groups.get(group)
         if parsed is None:
             parsed = groups[group] = SemanticGroup.parse(group).value
-        yield surface, cui, parsed, key, None
+        yield surface, cui, parsed, key
 
 
-def scan_matches(text: str, lexicon: Lexicon, approx_threshold: float) -> List[Tuple[int, int, ConceptEntry]]:
-    """All greedy longest matches in order, before CUI deduplication: each an
-    ``(start, end, entry)`` hit over token indices [start, end). Only windows
-    the bound of the module docstring keeps reach ``match_window``."""
-    return _scan_tokens(words(text), lexicon, approx_threshold)
-
-
-def _scan_tokens(
+def scan_matches(
     tokens: Sequence[str], lexicon: Lexicon, approx_threshold: float
 ) -> List[Tuple[int, int, ConceptEntry]]:
-    """``scan_matches`` over the word tokens of a text."""
+    """All greedy longest matches over word tokens (``words`` of a text) in
+    order, before CUI deduplication: each an ``(start, end, entry)`` hit over
+    token indices [start, end). Only windows the bound of the module
+    docstring keeps reach ``match_window``."""
     if not 0 < approx_threshold <= 1:
         raise ValueError("approx_threshold must be in (0, 1]")
     n = len(tokens)
@@ -348,7 +333,7 @@ def extract_concepts(text: str, lexicon: Lexicon, approx_threshold: float) -> Li
 def concepts_of_tokens(tokens: Sequence[str], lexicon: Lexicon, approx_threshold: float) -> List[ConceptEntry]:
     """``extract_concepts`` over the word tokens of a text."""
     first: Dict[str, ConceptEntry] = {}
-    for _, _, entry in _scan_tokens(tokens, lexicon, approx_threshold):
+    for _, _, entry in scan_matches(tokens, lexicon, approx_threshold):
         first.setdefault(entry.cui, entry)
     return list(first.values())
 

@@ -9,7 +9,6 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dialogforge.concepts import (
-    Lexicon,
     MalformedRecord,
     build_checklist,
     extract_concepts,
@@ -33,6 +32,12 @@ from oracles import (
 
 def _load(text):
     return load_lexicon(io.StringIO(text))
+
+
+def _lexicon(entries):
+    """The lexicon of ``entries``, through the parse of their lines. Their
+    surfaces hold no tab or newline."""
+    return load_lexicon(f"{e.surface}\t{e.cui}\t{e.semantic_group.value}" for e in entries)
 
 
 def _lookup(lexicon, surface):
@@ -96,9 +101,9 @@ def test_punctuated_surface_matches_exactly_before_reordered_entry():
         ConceptEntry("failure heart congestive", "C1", SemanticGroup.DISEASE),
         ConceptEntry("congestive heart-failure", "C2", SemanticGroup.DISEASE),
     ]
-    lexicon = Lexicon(entries)
+    lexicon = _lexicon(entries)
     text = "congestive heart failure"
-    got = scan_matches(text, lexicon, 0.7)
+    got = scan_matches(words(text), lexicon, 0.7)
     assert got == oracle_concept_matches(text, entries, 0.7)
     assert [entry.cui for _, _, entry in got] == ["C2"]
 
@@ -122,7 +127,7 @@ def test_extract_longest_match_wins(lexicon, cfg):
     assert [c.surface for c in found] == ["diabetes mellitus"]
     # brute force over all window matchings agrees
     oracle = oracle_concept_matches(text, lexicon.entries, cfg.concept_threshold)
-    assert scan_matches(text, lexicon, cfg.concept_threshold) == oracle
+    assert scan_matches(words(text), lexicon, cfg.concept_threshold) == oracle
 
 
 def test_extract_empty_text(lexicon, cfg):
@@ -161,7 +166,7 @@ def test_scan_matches_spans_never_overlap(lexicon, cfg):
         parts = rng.sample(vocabulary, rng.randint(1, 5)) + rng.sample(fillers, rng.randint(0, 4))
         rng.shuffle(parts)
         text = " ".join(parts)
-        matches = scan_matches(text, lexicon, cfg.concept_threshold)
+        matches = scan_matches(words(text), lexicon, cfg.concept_threshold)
         for (_, left_end, _), (right_start, _, _) in zip(matches, matches[1:]):
             assert left_end <= right_start
         token_count = len(words(text))
@@ -303,8 +308,8 @@ def _entry(surface, cui="C1"):
 @example(entries=[_entry("b c a"), _entry("a-b", "C2")], window=["a", "b"], threshold=0.7)
 @example(entries=[_entry("a")], window=[], threshold=0.5)
 def test_match_window_agrees_with_linear_scan(entries, window, threshold):
-    lexicon = Lexicon(entries)
-    assert lexicon.match_window(window, threshold) is _window_entry(window, entries, threshold)
+    lexicon = _lexicon(entries)
+    assert _row(lexicon.match_window(window, threshold)) == _row(_window_entry(window, entries, threshold))
 
 
 @given(entries=_entries(), text=_joined(0, 8, _text_tokens), threshold=_thresholds)
@@ -315,8 +320,8 @@ def test_match_window_agrees_with_linear_scan(entries, window, threshold):
 # "a x x x" holds two distinct tokens and matches "a" at 1/2.
 @example(entries=[_entry("a"), _entry("p q r s", "C2")], text="a x x x", threshold=0.5)
 def test_scan_matches_agrees_with_oracle(entries, text, threshold):
-    lexicon = Lexicon(entries)
-    assert scan_matches(text, lexicon, threshold) == oracle_concept_matches(text, entries, threshold)
+    lexicon = _lexicon(entries)
+    assert scan_matches(words(text), lexicon, threshold) == oracle_concept_matches(text, entries, threshold)
 
 
 # The bound of scan_matches: a window whose distinct tokens have postings in a
@@ -325,7 +330,7 @@ def test_scan_matches_agrees_with_oracle(entries, text, threshold):
 @given(entries=_entries(), tokens=_window_tokens, threshold=_thresholds)
 @example(entries=[_entry("a"), _entry("a b", "C2")], tokens=["a", "zz", "zz"], threshold=0.6)
 def test_a_window_the_bound_rejects_matches_nothing(entries, tokens, threshold):
-    lexicon = Lexicon(entries)
+    lexicon = _lexicon(entries)
     slices = [tokens[i:j] for i in range(len(tokens)) for j in range(i + 1, len(tokens) + 1)]
     rejected = [w for w in slices if sum(lexicon.indexed(set(w))) / len(set(w)) < threshold]
     assume(rejected)
@@ -362,7 +367,7 @@ def _flagged_checklist(entries, flags):
 )
 @example(lexicon_entries=[_entry("a")], extra=[_entry("a")], flags=[], texts=[], threshold=0.5)
 def test_mark_covered_agrees_with_always_tagging_oracle(lexicon_entries, extra, flags, texts, threshold):
-    lexicon = Lexicon(lexicon_entries)
+    lexicon = _lexicon(lexicon_entries)
     cfg = GenerationConfig(concept_threshold=threshold)
     entries = extra + lexicon_entries[::2]
     utterances = _utterances(*texts)
@@ -447,41 +452,9 @@ def _row(entry):
     return entry and (entry.surface, entry.cui, entry.semantic_group, entry.key)
 
 
-def _well_formed(lines):
-    """``lines`` less each record the reference loader rejects, and its rows."""
-    while True:
-        try:
-            return lines, reference_load_lexicon(lines)[0]
-        except ReferenceMalformed as exc:
-            lines = lines[: exc.line_no - 1] + lines[exc.line_no :]
-
-
-# Windows and texts of the words the drawn lexicon lines hold, plus one that
-# no entry has.
+# Windows of the words the drawn lexicon lines hold, plus one that no entry
+# has.
 _LINE_WORDS = sorted(set(words(" ".join(_SURFACES)))) + ["zz"]
-
-
-# The two constructors: load_lexicon indexes the lines it parses, and
-# Lexicon indexes entries built from the reference loader's rows of them.
-@given(
-    lines=_lexicon_lines(),
-    window=st.lists(st.sampled_from(_LINE_WORDS), max_size=4),
-    text=st.lists(st.sampled_from(_LINE_WORDS + _SURFACES), max_size=6).map(" ".join),
-    threshold=_thresholds,
-)
-@example(
-    lines=["Heart-Failure\tC1\tdisease\n", "heart failure\tC2\tdrug\n", "failure\tC3\tother\n"],
-    window=["heart", "failure"], text="Heart failure, failure", threshold=0.5,
-)
-def test_loaded_and_constructed_lexicons_agree(lines, window, text, threshold):
-    lines, rows = _well_formed(lines)
-    loaded = load_lexicon(lines)
-    built = Lexicon(ConceptEntry(surface, cui, group) for surface, cui, group, _ in rows)
-    assert (len(loaded), loaded.max_term_tokens) == (len(built), built.max_term_tokens)
-    assert _row(loaded.match_window(window, threshold)) == _row(built.match_window(window, threshold))
-    assert [(start, end, _row(entry)) for start, end, entry in scan_matches(text, loaded, threshold)] == [
-        (start, end, _row(entry)) for start, end, entry in scan_matches(text, built, threshold)
-    ]
 
 
 def _count_builds(monkeypatch):
@@ -510,7 +483,8 @@ def test_an_entry_is_built_when_a_match_first_returns_it(monkeypatch):
         "asthma\tC1\tdisease\nHeart-Failure\tC2\tdisease\naspirin\tC3\tdrug\nheart attack\tC4\tdisease\n"
     )
     assert counts == {"checked": 0, "columns": 0}
-    entries = [entry for _, _, entry in scan_matches("Asthma, aspirin, more asthma; heart failure.", lexicon, 0.7)]
+    tokens = words("Asthma, aspirin, more asthma; heart failure.")
+    entries = [entry for _, _, entry in scan_matches(tokens, lexicon, 0.7)]
     assert [_row(entry) for entry in entries] == [
         ("asthma", "C1", SemanticGroup.DISEASE, "asthma"),
         ("aspirin", "C3", SemanticGroup.DRUG, "aspirin"),

@@ -20,7 +20,14 @@ from hypothesis import strategies as st
 import dialogforge
 from dialogforge import concepts
 from dialogforge.cli import main
-from dialogforge.concepts import INDEX_SUFFIX, Lexicon, LexiconError, load_lexicon, load_lexicon_file
+from dialogforge.concepts import (
+    INDEX_SUFFIX,
+    Lexicon,
+    LexiconError,
+    extract_concepts,
+    load_lexicon,
+    load_lexicon_file,
+)
 
 from conftest import LEXICON_PATH, NOTES_PATH
 from test_concepts import _LINE_WORDS, _lexicon_lines
@@ -28,6 +35,19 @@ from test_concepts import _LINE_WORDS, _lexicon_lines
 _CONCEPTS_LOGGER = logging.getLogger("dialogforge.concepts")
 # Appended to the fixture lexicon, so that a load logs a duplicate warning.
 _DUPLICATE_LINE = "Diabetes\tC9\tdisease\n"
+# The SHA-256 of the index payload of the fixture lexicon plus that line, with
+# no header: the header holds the cache_tag. marshal's encoding differs
+# between Python versions, so the digest does too.
+_PAYLOAD_DIGESTS = {
+    (3, 10): "410897115dca5b782ace3717e9b7e618948747b3207650d0fc50eb9b3c05b9ea",
+    (3, 11): "1fb71bd0275a0e103c6a79b61c971f2475b17e042743e0f7668a1f5579e105e5",
+    (3, 12): "1fb71bd0275a0e103c6a79b61c971f2475b17e042743e0f7668a1f5579e105e5",
+    (3, 13): "410897115dca5b782ace3717e9b7e618948747b3207650d0fc50eb9b3c05b9ea",
+}
+
+
+def _fixture_lexicon():
+    return load_lexicon((LEXICON_PATH.read_text(encoding="utf-8") + _DUPLICATE_LINE).split("\n"))
 
 
 def _loading(path):
@@ -47,10 +67,10 @@ def _loading(path):
 
 
 def test_the_index_holds_every_column_of_its_format():
-    # A column added to Lexicon._index must go into _to_index and _from_index,
-    # and _INDEX_FORMAT must be bumped, so that no older index is read.
+    # A column added to Lexicon._index must go into _COLUMNS, and
+    # _INDEX_FORMAT must be bumped, so that no older index is read.
     lexicon = load_lexicon(["a b\tC1\tdrug\n", "A-B\tC2\tdisease\n"])
-    assert concepts._INDEX_FORMAT == 2
+    assert concepts._INDEX_FORMAT == 3
     assert sorted(vars(lexicon)) == [
         "_built", "_cuis", "_duplicates", "_exact", "_groups", "_keys", "_postings", "_set_sizes",
         "_surfaces", "max_term_tokens",
@@ -64,31 +84,77 @@ def test_the_fixture_index_is_pinned_to_its_format():
     # old index in use unless the format is bumped. JSON, not marshal bytes,
     # so that the digest is the same on every Python version; in the order
     # the index holds its keys, which is part of the format.
-    text = LEXICON_PATH.read_text(encoding="utf-8") + _DUPLICATE_LINE
-    columns = marshal.loads(load_lexicon(text.split("\n"))._to_index())
+    columns = marshal.loads(_fixture_lexicon()._to_index())
     digest = hashlib.sha256(json.dumps(columns).encode("utf-8")).hexdigest()
-    pinned = (2, "d1cb48ef0a366a151db1ae76d79d1046fbafa1842cdf74416b870a9aa73a2cf2")
+    pinned = (3, "d1cb48ef0a366a151db1ae76d79d1046fbafa1842cdf74416b870a9aa73a2cf2")
     assert (concepts._INDEX_FORMAT, digest) == pinned, (
         "the index of tests/data/lexicon.tsv plus one duplicate changed: "
         "bump concepts._INDEX_FORMAT together with this digest"
     )
 
 
+@pytest.mark.skipif(sys.version_info[:2] not in _PAYLOAD_DIGESTS, reason="no payload digest for this Python")
+def test_the_fixture_index_payload_is_pinned_per_python_version():
+    # The JSON digest above cannot see marshal's back-references; this one
+    # pins the bytes a command writes after the header.
+    digest = hashlib.sha256(_fixture_lexicon()._to_index()).hexdigest()
+    assert (concepts._INDEX_FORMAT, digest) == (3, _PAYLOAD_DIGESTS[sys.version_info[:2]])
+
+
+# Builds the fixture lexicon's entries by matching its own text, then prints
+# the SHA-256 of its index payload.
+_BUILT_PAYLOAD = """import hashlib, sys
+from dialogforge.concepts import extract_concepts, load_lexicon
+text = open(sys.argv[1], encoding="utf-8").read() + sys.argv[2]
+lexicon = load_lexicon(text.split("\\n"))
+assert extract_concepts(text, lexicon, 0.7)
+print(hashlib.sha256(lexicon._to_index()).hexdigest())
+"""
+
+
+def _child_env(seed):
+    src = Path(concepts.__file__).resolve().parents[1]
+    return {
+        **os.environ, "PYTHONHASHSEED": seed,
+        "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+    }
+
+
+def test_the_index_payload_depends_on_the_lexicon_alone():
+    # marshal writes an object with a second reference as a back-reference,
+    # so a payload could follow whatever else holds the columns' objects.
+    lexicon = _fixture_lexicon()
+    payload = lexicon._to_index()
+    assert Lexicon._from_index(payload)._to_index() == payload
+    # Built entries hold the columns' strings.
+    assert extract_concepts(LEXICON_PATH.read_text(encoding="utf-8"), lexicon, 0.7)
+    assert lexicon._to_index() == payload
+    # Another holder of a column, and of one of its lists.
+    held = (lexicon._keys, lexicon._postings["heart"])
+    assert lexicon._to_index() == payload
+    assert held[0] is lexicon._keys
+    digest = hashlib.sha256(payload).hexdigest()
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _BUILT_PAYLOAD, str(LEXICON_PATH), _DUPLICATE_LINE],
+            capture_output=True, env=_child_env(seed), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().strip() == digest
+
+
 def test_the_index_file_does_not_depend_on_the_hash_seed(tmp_path):
     # Each child process writes the index of its own copy of the fixture
     # lexicon under another hash seed; the bytes must be the same.
-    src = Path(concepts.__file__).resolve().parents[1]
     written = []
     for seed in ("0", "1"):
         lexicon = tmp_path / seed / "lexicon.tsv"
         lexicon.parent.mkdir()
         lexicon.write_bytes(LEXICON_PATH.read_bytes())
-        env = {
-            **os.environ, "PYTHONHASHSEED": seed,
-            "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
-        }
         code = "import sys; from dialogforge.concepts import load_lexicon_file; load_lexicon_file(sys.argv[1])"
-        proc = subprocess.run([sys.executable, "-c", code, str(lexicon)], capture_output=True, env=env, timeout=60)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(lexicon)], capture_output=True, env=_child_env(seed), timeout=60
+        )
         assert proc.returncode == 0, proc.stderr.decode()
         written.append(lexicon.with_name(lexicon.name + INDEX_SUFFIX).read_bytes())
     assert written[0] == written[1]
@@ -191,6 +257,18 @@ def test_a_stale_index_is_parsed_over_and_rewritten(copied, tmp_path, capsys, ca
     assert _run(lexicon, tmp_path, capsys, caplog) == expected
     assert index.read_bytes() != stale
     assert index.read_bytes() == fresh.with_name(fresh.name + INDEX_SUFFIX).read_bytes()
+
+
+def test_a_format_2_index_is_parsed_over_and_rewritten(copied, tmp_path, capsys, caplog, monkeypatch):
+    lexicon, index, expected = copied
+    written = index.read_bytes()
+    assert written.startswith(b"dialogforge-index 3 ")
+    index.write_bytes(b"dialogforge-index 2 " + written[len(b"dialogforge-index 3 "):])
+    parses = []
+    monkeypatch.setattr(concepts, "load_lexicon", lambda lines: parses.append(1) or load_lexicon(lines))
+    assert _run(lexicon, tmp_path, capsys, caplog) == (expected, "", _DUPLICATE)
+    assert parses == [1]
+    assert index.read_bytes() == written
 
 
 @pytest.mark.parametrize("damage", ["truncated", "garbage"])

@@ -10,7 +10,9 @@ Both steps build their inputs with ``write_gen_inputs`` and
 ``write_eval_inputs`` below. This test makes the same comparisons a gate:
 each run's output, stdout table and log lines must hash to the SHA-256
 digests in ``tests/data/same_bytes.json``. The inputs are hashed first, so an
-edit to the generator shows as an input change, not an output change.
+edit to the generator shows as an input change, not an output change. The
+sizes of the inputs are frozen here, so re-sizing a benchmark workload in
+``perfbench/workloads.json`` changes no input.
 
 A change that alters the output on purpose rewrites that file with
 ``python tests/test_same_bytes.py`` and says so.
@@ -44,6 +46,28 @@ CONFIGS = [
     for parts in itertools.product(["data", "gen"], BUDGETS, ["short", "long"], ["w1", "w3"])
 ]
 
+# The perfbench/gen.py arguments of the inputs. Each value belongs to this
+# gate, not to the benchmark: it is what perfbench/workloads.json held for
+# gen-mock-cpu and eval-long-dialogues when the digests were pinned, and it
+# stays when a workload is re-sized.
+GEN_SIZES = {
+    "lexicon_entries": 2000,
+    "synonym_share": 0.1,
+    "note_shapes": [
+        [8], [4, 5], [2, 8], [4, 7], [3, 4, 5], [6, 7], [2, 6, 6], [3, 4, 2, 6], [5, 3, 8], [5, 2, 4, 6],
+        [2, 3, 4, 3, 6], [7, 4, 8], [4, 3, 5, 2, 6], [6, 5, 4, 6], [3, 5, 4, 2, 8],
+    ],
+}
+EVAL_SIZES = {
+    "lexicon_entries": 100,
+    "synonym_share": 0.1,
+    "vocabulary": 400,
+    "turns": [30, 32, 33, 35, 37, 39, 40, 42, 44, 46, 47, 49, 51, 53, 54, 56, 58, 60],
+    "batches": 2,
+    "tokens_per_turn": (10, 30),
+    "concept_rate": 0.4,
+}
+
 GOLDEN_DIR = DATA_DIR / "golden"
 # Each golden evaluate run: its hypothesis and reference files, on the fixture lexicon.
 GOLDEN_RUNS = {
@@ -51,8 +75,7 @@ GOLDEN_RUNS = {
     "long-short": ("generate_long.jsonl", "generate_short.jsonl"),
     "factuality-short": ("generate_short_factuality.jsonl", "generate_short.jsonl"),
 }
-# eval-long-dialogues holds 18 turn counts in 2 batches.
-PAIRS = [f"p{k}" for k in range(36)]
+PAIRS = [f"p{k}" for k in range(len(EVAL_SIZES["turns"]) * EVAL_SIZES["batches"])]
 EVAL_RUNS = [*GOLDEN_RUNS, "all", *PAIRS]
 EVAL_INPUTS = ["lexicon.tsv", *(f"{pair}.{side}.jsonl" for pair in ["all", *PAIRS] for side in ("hyp", "ref"))]
 
@@ -61,23 +84,22 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _perfbench(workload_name: str):
-    """``perfbench/gen.py`` as a module, and the workload's parameter values."""
+def _gen():
+    """``perfbench/gen.py`` as a module."""
     spec = importlib.util.spec_from_file_location("_perfbench_gen", PERFBENCH / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    workload = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))[workload_name]
-    return gen, {key: value["value"] for key, value in workload.items() if isinstance(value, dict)}
+    return gen
 
 
 def write_gen_inputs(directory: Path) -> None:
     """``notes.jsonl`` and ``lexicon.tsv`` in ``directory``: 150 seed-11
     ``gen-mock-cpu``-shaped notes and their lexicon."""
-    gen, workload = _perfbench("gen-mock-cpu")
+    gen = _gen()
     rng = random.Random(11)
-    rows = gen.make_lexicon(rng, workload["lexicon_entries"], workload["synonym_share"])
+    rows = gen.make_lexicon(rng, GEN_SIZES["lexicon_entries"], GEN_SIZES["synonym_share"])
     (directory / "lexicon.tsv").write_text(gen.lexicon_text(rows), encoding="utf-8")
-    notes = gen.make_notes(rng, rows, workload["note_shapes"] * 10, "n")
+    notes = gen.make_notes(rng, rows, GEN_SIZES["note_shapes"] * 10, "n")
     (directory / "notes.jsonl").write_text(
         "".join(json.dumps({"id": note["id"], "text": note["text"]}) + "\n" for note in notes), encoding="utf-8"
     )
@@ -88,15 +110,15 @@ def write_eval_inputs(directory: Path) -> None:
     ``eval-long-dialogues``-shaped pairs, each pair in its own
     ``p<k>.hyp.jsonl`` and ``p<k>.ref.jsonl``, and all of them together in
     ``all.hyp.jsonl`` and ``all.ref.jsonl``."""
-    gen, workload = _perfbench("eval-long-dialogues")
+    gen = _gen()
     rng = random.Random(11)
-    rows = gen.make_lexicon(rng, workload["lexicon_entries"], workload["synonym_share"])
+    rows = gen.make_lexicon(rng, EVAL_SIZES["lexicon_entries"], EVAL_SIZES["synonym_share"])
     (directory / "lexicon.tsv").write_text(gen.lexicon_text(rows), encoding="utf-8")
-    vocab = gen.make_vocab(rng, workload["vocabulary"], rows)
+    vocab = gen.make_vocab(rng, EVAL_SIZES["vocabulary"], rows)
     every = {"hyp": [], "ref": []}
-    for k, turns in enumerate(workload["turns"] * workload["batches"]):
-        lengths = gen.turn_lengths(rng, turns, tuple(workload["tokens_per_turn"]))
-        hyp, ref = gen.make_pair(rng, vocab, rows, lengths, workload["concept_rate"])
+    for k, turns in enumerate(EVAL_SIZES["turns"] * EVAL_SIZES["batches"]):
+        lengths = gen.turn_lengths(rng, turns, EVAL_SIZES["tokens_per_turn"])
+        hyp, ref = gen.make_pair(rng, vocab, rows, lengths, EVAL_SIZES["concept_rate"])
         for side, texts in (("hyp", hyp), ("ref", ref)):
             line = json.dumps(gen.dialogue_record(f"p{k}", texts)) + "\n"
             (directory / f"p{k}.{side}.jsonl").write_text(line, encoding="utf-8")
