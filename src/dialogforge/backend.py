@@ -40,7 +40,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from email.utils import parsedate_to_datetime
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from http.client import HTTPConnection, HTTPException, HTTPSConnection, IncompleteRead
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import unquote, urlparse, urlsplit
 from urllib.request import getproxies, proxy_bypass
@@ -190,8 +190,8 @@ class HttpBackend:
 
     A request takes an idle connection or opens a new one, reads the whole
     reply and puts the connection back, unless the server said it will close
-    it. So the pool holds at most as many connections as requests ever ran at
-    once; ``close`` closes them.
+    it or the body was over the cap. So the pool holds at most as many
+    connections as requests ever ran at once; ``close`` closes them.
     """
 
     def __init__(
@@ -224,8 +224,10 @@ class HttpBackend:
             "max_tokens": request.max_reply_tokens,
             "temperature": request.temperature,
         }
+        # 64 KiB for the JSON around the reply, and 6 bytes (a \uXXXX escape) a character.
+        cap = 64 * 1024 + 6 * CHARS_PER_TOKEN * request.max_reply_tokens
         try:
-            status, reply_headers, raw = self._post(json.dumps(body, allow_nan=False).encode())
+            status, reply_headers, raw = self._post(json.dumps(body, allow_nan=False).encode(), cap)
         except (OSError, HTTPException) as exc:
             # Any transport failure, a body cut off mid-stream too, retries like a timeout.
             raise Timeout(str(exc)) from exc
@@ -237,6 +239,8 @@ class HttpBackend:
             raise ServerError(f"status {status}")
         if status != 200:
             raise MalformedResponse(f"unexpected status {status}")
+        if len(raw) > cap:
+            raise MalformedResponse(f"reply body over {cap} bytes")
         try:
             content = json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
@@ -252,10 +256,11 @@ class HttpBackend:
         for connection in idle:
             connection.close()
 
-    def _post(self, payload: bytes):
-        """(status, headers, body) of one POST. A pooled connection that the
-        server closed while it sat idle fails before any status line arrives;
-        the request is then sent once more on a new connection."""
+    def _post(self, payload: bytes, cap: int):
+        """(status, headers, body) of one POST, body read to ``cap + 1`` bytes
+        at most; one over ``cap`` closes the connection. A pooled connection that
+        the server closed while it sat idle fails before any status line
+        arrives; the request is then sent once more on a new connection."""
         with self._lock:
             connection = self._idle.pop() if self._idle else None
         reused = connection is not None
@@ -271,11 +276,14 @@ class HttpBackend:
                 connection = self._connect()
                 response = self._send(connection, payload)
             with response:
-                raw = response.read()
+                raw = response.read(cap + 1)
+            if len(raw) <= cap and response.length:
+                # Read with a byte count, a body cut off before its Content-Length comes back short.
+                raise IncompleteRead(raw, response.length)
         except BaseException:
             connection.close()
             raise
-        if response.will_close:
+        if response.will_close or len(raw) > cap:
             connection.close()
         else:
             with self._lock:

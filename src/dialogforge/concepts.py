@@ -16,7 +16,8 @@ entry reaches it. An exact match has ``k == s`` and is never skipped.
 
 ``load_lexicon_file`` keeps a marshal index of the lexicon's columns beside a
 lexicon file, read with no parse while its header (format, ``cache_tag``, the
-text's SHA-256) matches. Its bytes follow the text and the Python version.
+text's SHA-256) matches. It dumps the columns that the parse returns, so the
+bytes follow the text and the Python version, and reads back what it wrote.
 """
 
 import contextlib
@@ -84,66 +85,19 @@ class Lexicon:
 
     The index is columns of strings and ids, as in QuickUMLS (Soldaini &
     Goharian 2016): an entry id's surface, CUI, group label and key, a key ->
-    id map, token -> id postings and each key's token set size. A lexicon
-    comes from ``load_lexicon``, which fills the columns from the file without
-    building a ``ConceptEntry``, or from an index that ``_from_index`` reads.
-    An id's entry, its label made a ``SemanticGroup``, is built the first time
-    a match returns it, then kept.
+    id map, token -> id postings and each key's token set size. ``_columns``
+    builds them from the lines ``load_lexicon`` or ``load_lexicon_file`` reads,
+    or an index holds them; no ``ConceptEntry`` is built. An id's entry, its
+    label made a ``SemanticGroup``, is built once, when a match first returns it.
     """
 
-    def _index(self, rows: Iterable[Tuple[str, str, str, str]]) -> None:
-        """Index ``(surface, cui, group label, key)`` rows in order."""
-        # The loop works on locals, not attributes: every command builds the
-        # index at start-up.
-        surfaces: List[str] = []
-        cuis: List[str] = []
-        groups: List[str] = []
-        keys: List[str] = []
-        exact: Dict[str, int] = {}
-        postings: Dict[str, List[int]] = {}
-        sizes: List[int] = []
-        duplicates: List[str] = []
-        longest = 1
-        for surface, cui, group, key in rows:
-            if key in exact:
-                _warn_duplicate(surface)
-                duplicates.append(surface)
-                continue
-            entry_id = exact[key] = len(keys)
-            surfaces.append(surface)
-            cuis.append(cui)
-            groups.append(group)
-            keys.append(key)
-            tokens = key.split(" ")
-            token_set = dict.fromkeys(tokens)  # first-occurrence order, not the hash seed's
-            sizes.append(len(token_set))
-            for token in token_set:
-                postings.setdefault(token, []).append(entry_id)
-            if len(tokens) > longest:
-                longest = len(tokens)
-        self._set(surfaces, cuis, groups, keys, exact, postings, sizes, longest, duplicates)
-
-    def _set(self, *columns: object) -> None:
-        """Take the ``_COLUMNS`` in order, no entry built; a wrong count raises ValueError."""
+    def __init__(self, columns: Tuple[object, ...]):
+        """The lexicon of the ``_COLUMNS`` in order. It logs a warning for each
+        duplicate surface, in order; a wrong count raises ValueError."""
         vars(self).update(zip(_COLUMNS, columns, strict=True))
         self._built: List[Optional[ConceptEntry]] = [None] * len(self._keys)
-
-    def _to_index(self) -> bytes:
-        """The columns as ``marshal`` data, for ``_from_index``, dumped from a
-        fresh decode: no outside reference to their objects adds a back-reference."""
-        return marshal.dumps(marshal.loads(marshal.dumps(tuple(vars(self)[c] for c in _COLUMNS))))
-
-    @classmethod
-    def _from_index(cls, data: bytes) -> "Lexicon":
-        """The lexicon whose ``_to_index`` wrote ``data``. It logs the duplicate
-        surface warnings of the parse that built the index, in order. Data
-        that ``_to_index`` did not write raises EOFError, ValueError or
-        TypeError, and logs nothing."""
-        lexicon = cls.__new__(cls)
-        lexicon._set(*marshal.loads(data))
-        for surface in lexicon._duplicates:
-            _warn_duplicate(surface)
-        return lexicon
+        for surface in self._duplicates:
+            logger.warning("duplicate lexicon surface %r ignored", surface)
 
     def _entry(self, entry_id: int) -> ConceptEntry:
         """The entry of ``entry_id``, built from its columns on first use."""
@@ -195,10 +149,6 @@ class Lexicon:
         return self._entry(min(qualifying)) if qualifying else None
 
 
-def _warn_duplicate(surface: str) -> None:
-    logger.warning("duplicate lexicon surface %r ignored", surface)
-
-
 def load_lexicon(source: Iterable[str]) -> Lexicon:
     """Parse tab-separated ``surface<TAB>cui<TAB>group`` records.
 
@@ -207,9 +157,7 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
     record that cannot form a ``ConceptEntry`` raises MalformedRecord. Each
     line is checked and indexed as it is read; no entry is built.
     """
-    lexicon = Lexicon.__new__(Lexicon)
-    lexicon._index(_read_rows(source))
-    return lexicon
+    return Lexicon(_columns(_read_rows(source)))
 
 
 def load_lexicon_file(path: Union[str, "os.PathLike[str]"]) -> Lexicon:
@@ -231,11 +179,14 @@ def load_lexicon_file(path: Union[str, "os.PathLike[str]"]) -> Lexicon:
     if found and found.startswith(header):
         # A damaged index is parsed over, like a stale one.
         with contextlib.suppress(EOFError, ValueError, TypeError):
-            return Lexicon._from_index(found[len(header):])
-    lexicon = load_lexicon(text.split("\n"))
+            return Lexicon(marshal.loads(found[len(header):]))
+    # Dumped as the parse returns them, before ``Lexicon`` logs a warning, the
+    # columns' objects have no holder outside them but ``_ONE_CHARACTER``, the
+    # same in every process. A tuple bound to a name would be flagged as held.
+    data = marshal.dumps(_columns(_read_rows(text.split("\n"))))
     if found is not None and _INDEX_MAGIC.startswith(found[: len(_INDEX_MAGIC)]):
-        _write_index(path, index_path, header + lexicon._to_index())
-    return lexicon
+        _write_index(path, index_path, header + data)
+    return Lexicon(marshal.loads(data))
 
 
 def _write_index(path: Union[str, "os.PathLike[str]"], index_path: str, data: bytes) -> None:
@@ -257,6 +208,46 @@ def _write_index(path: Union[str, "os.PathLike[str]"], index_path: str, data: by
         if temp is not None:
             with contextlib.suppress(OSError):
                 os.unlink(temp)
+
+
+# marshal writes whether a string is interned, and flags one held twice. Each
+# one-character string is kept here as the first interned one of its value, so
+# it is both in every process, whatever code the process compiled.
+_ONE_CHARACTER: Dict[str, str] = {}
+
+
+def _one(s: str) -> str:
+    return _ONE_CHARACTER.setdefault(s, sys.intern(s)) if len(s) == 1 else s
+
+
+def _columns(rows: Iterable[Tuple[str, str, str, str]]) -> Tuple[object, ...]:
+    """The ``_COLUMNS`` of ``(surface, cui, group label, key)`` rows, in order."""
+    surfaces: List[str] = []
+    cuis: List[str] = []
+    groups: List[str] = []
+    keys: List[str] = []
+    exact: Dict[str, int] = {}
+    postings: Dict[str, List[int]] = {}
+    sizes: List[int] = []
+    duplicates: List[str] = []
+    longest = 1
+    for surface, cui, group, key in rows:
+        surface, cui, key = _one(surface), _one(cui), _one(key)
+        if key in exact:
+            duplicates.append(surface)
+            continue
+        entry_id = exact[key] = len(keys)
+        surfaces.append(surface)
+        cuis.append(cui)
+        groups.append(group)
+        keys.append(key)
+        tokens = key.split(" ")
+        token_set = dict.fromkeys(tokens)  # first-occurrence order, not the hash seed's
+        sizes.append(len(token_set))
+        for token in token_set:
+            postings.setdefault(_one(token), []).append(entry_id)
+        longest = max(longest, len(tokens))
+    return surfaces, cuis, groups, keys, exact, postings, sizes, longest, duplicates
 
 
 def _read_rows(source: Iterable[str]) -> Iterator[Tuple[str, str, str, str]]:

@@ -238,6 +238,8 @@ def test_retry_backoff_delays_are_bounded():
 
 # A reply whose chunked body announces 64 bytes, sends 14 and closes the connection.
 CUT_OFF = (200, None)
+# A reply that announces a 64-byte Content-Length, sends 18 bytes and closes the connection.
+CUT_OFF_LENGTH = (200, None, {"Content-Length": "64"})
 # No reply for two seconds, then a closed connection.
 STALL = (None, None)
 
@@ -264,18 +266,29 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         if payload is None:
             self.send_response(status)
-            self.send_header("Transfer-Encoding", "chunked")
+            for name, value in (extra[0] if extra else {"Transfer-Encoding": "chunked"}).items():
+                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(b'40\r\n{"choices": [{')
             return
         body = payload.encode("utf-8")
+        headers = extra[0] if extra else {}
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra[0] if extra else {}).items():
+        # A reply with a "Transfer-Encoding: chunked" header is sent in 4 KiB chunks.
+        chunked = headers.get("Transfer-Encoding") == "chunked"
+        if not chunked:
+            self.send_header("Content-Length", str(len(body)))
+        for name, value in headers.items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        if not chunked:
+            self.wfile.write(body)
+            return
+        for start in range(0, len(body), 4096):
+            piece = body[start:start + 4096]
+            self.wfile.write(b"%x\r\n%s\r\n" % (len(piece), piece))
+        self.wfile.write(b"0\r\n\r\n")
 
     def log_message(self, *args):
         pass
@@ -409,6 +422,69 @@ def test_http_retries_a_cut_off_body(stub_server):
     sleeps = []
     reply = complete_with_retry(backend, user_request("hi"), max_retries=3, base_delay=0.0, sleep=sleeps.append)
     assert reply == "whole" and len(sleeps) == 2 and len(stub_server.seen) == 3
+
+
+@pytest.mark.parametrize("keep_alive", [False, True])
+def test_http_retries_a_body_cut_off_before_its_content_length(keep_alive):
+    # Read with a byte count, http.client returns such a body short and raises nothing.
+    body = json.dumps({"choices": [{"message": {"content": "whole"}}]})
+    with _serving(_ClosesAfterReplyHandler if keep_alive else _StubHandler) as server:
+        server.replies.extend([CUT_OFF_LENGTH, (200, body)])
+        with contextlib.closing(HttpBackend(_endpoint(server), "m", api_key="k")) as backend:
+            with pytest.raises(Timeout) as raised:
+                backend.complete(user_request("hi"))
+            assert raised.value.retryable and backend._idle == []
+            server.replies.insert(0, CUT_OFF_LENGTH)
+            sleeps = []
+            reply = complete_with_retry(backend, user_request("hi"), max_retries=3, base_delay=0.0, sleep=sleeps.append)
+    assert reply == "whole" and len(sleeps) == 1 and len(server.seen) == 3
+
+
+# A reply body over the cap of a 256-token request: 64 KiB + 6 bytes x 4 characters x 256 tokens.
+OVERSIZED = json.dumps({"choices": [{"message": {"content": "a" * 80_000}}]})
+
+
+def test_http_chunked_reply_is_read_whole(stub_server):
+    body = json.dumps({"choices": [{"message": {"content": "b" * 10_000}}]})
+    stub_server.replies.append((200, body, {"Transfer-Encoding": "chunked"}))
+    backend = HttpBackend(_endpoint(stub_server), "m", api_key="k")
+    assert backend.complete(user_request("hi")) == "b" * 10_000
+
+
+@pytest.mark.parametrize("framing", ["content-length", "chunked"])
+def test_http_reply_over_the_cap_is_malformed_and_not_retried(stub_server, framing):
+    headers = {"Transfer-Encoding": "chunked"} if framing == "chunked" else {}
+    stub_server.replies.append((200, OVERSIZED, headers))
+    backend = HttpBackend(_endpoint(stub_server), "m", api_key="k")
+    with pytest.raises(MalformedResponse) as excinfo:
+        complete_with_retry(backend, user_request("hi"), max_retries=3, base_delay=0.0)
+    assert str(excinfo.value) == "reply body over 71680 bytes" and len(stub_server.seen) == 1
+    # A request allowed more tokens has a larger cap.
+    stub_server.replies.append((200, OVERSIZED, headers))
+    assert backend.complete(user_request("hi", max_reply_tokens=1024)) == "a" * 80_000
+
+
+@pytest.mark.parametrize(
+    ("status", "error"), [(429, RateLimited), (503, ServerError), (401, AuthError), (404, MalformedResponse)]
+)
+def test_http_status_of_a_reply_over_the_cap_comes_before_the_cap(stub_server, status, error):
+    stub_server.replies.append((status, OVERSIZED))
+    backend = HttpBackend(_endpoint(stub_server), "m", api_key="k")
+    with pytest.raises(error) as raised:
+        backend.complete(user_request("hi"))
+    assert "over" not in str(raised.value)
+
+
+def test_http_connection_of_a_reply_over_the_cap_is_closed_not_pooled():
+    with _serving(_KeepAliveHandler) as server:
+        with contextlib.closing(HttpBackend(_endpoint(server), "m", api_key="k")) as backend:
+            assert backend.complete(user_request("hi")) == "stub reply"
+            server.replies.append((200, OVERSIZED))
+            with pytest.raises(MalformedResponse):
+                backend.complete(user_request("hi"))
+            assert backend._idle == []
+            assert backend.complete(user_request("hi")) == "stub reply"
+    assert len(server.seen) == 3 and len(server.connections) == 2
 
 
 def _retry_after_run(server, value, max_retries=3):
@@ -774,6 +850,41 @@ def test_http_resent_request_that_fails_again_is_a_timeout():
                 backend.complete(user_request("hi"))
     # The request was sent on the pooled connection, then once on a new one.
     assert len(server.seen) == 3 and len(server.connections) == 2
+
+
+class _OversizedForOneNoteHandler(_KeepAliveHandler):
+    """Replies over the cap to each request whose messages name "zzbig"."""
+
+    def _reply(self, seen):
+        if "zzbig" not in json.dumps(seen["body"]["messages"]):
+            return super()._reply(seen)
+        self.server.seen.append(seen)
+        body = OVERSIZED.encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+def test_generate_fails_only_the_note_with_a_reply_over_the_cap(tmp_path, caplog):
+    notes = tmp_path / "notes.jsonl"
+    big = {"id": "big", "text": "MEDICATIONS:\ntakes aspirin for zzbig pain.\n"}
+    notes.write_text(NOTES_PATH.read_text(encoding="utf-8") + json.dumps(big) + "\n", encoding="utf-8")
+    records = {}
+    for handler in (_KeepAliveHandler, _OversizedForOneNoteHandler):
+        out = tmp_path / f"{handler.__name__}.jsonl"
+        with _serving(handler) as server:
+            code = cli.main([
+                "generate", "--endpoint", _endpoint(server), "--workers", "2", "--max-rounds", "1",
+                "--input", str(notes), "--lexicon", str(LEXICON_PATH), "--out", str(out),
+            ])
+        records[handler] = (code, out.read_text(encoding="utf-8").splitlines(keepends=True))
+    clean_code, clean = records[_KeepAliveHandler]
+    code, faulty = records[_OversizedForOneNoteHandler]
+    assert clean_code == 0 and len(clean) == 4 and code == 1
+    assert faulty == [line for line in clean if json.loads(line)["id"] != "big"]
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["note big failed: reply body over 71680 bytes"]
 
 
 def test_generate_opens_at_most_one_connection_per_worker_and_closes_them(tmp_path, monkeypatch):

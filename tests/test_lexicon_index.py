@@ -1,5 +1,5 @@
-"""The compiled lexicon index: ``Lexicon._to_index`` and ``_from_index``, and
-the ``<lexicon>.dialogforge-index`` file that ``load_lexicon_file`` keeps."""
+"""The compiled lexicon index: the ``<lexicon>.dialogforge-index`` file that
+``load_lexicon_file`` writes from the columns of a parse and reads back."""
 
 import hashlib
 import json
@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -20,14 +21,7 @@ from hypothesis import strategies as st
 import dialogforge
 from dialogforge import concepts
 from dialogforge.cli import main
-from dialogforge.concepts import (
-    INDEX_SUFFIX,
-    Lexicon,
-    LexiconError,
-    extract_concepts,
-    load_lexicon,
-    load_lexicon_file,
-)
+from dialogforge.concepts import INDEX_SUFFIX, LexiconError, load_lexicon, load_lexicon_file
 
 from conftest import LEXICON_PATH, NOTES_PATH
 from test_concepts import _LINE_WORDS, _lexicon_lines
@@ -36,18 +30,35 @@ _CONCEPTS_LOGGER = logging.getLogger("dialogforge.concepts")
 # Appended to the fixture lexicon, so that a load logs a duplicate warning.
 _DUPLICATE_LINE = "Diabetes\tC9\tdisease\n"
 # The SHA-256 of the index payload of the fixture lexicon plus that line, with
-# no header: the header holds the cache_tag. marshal's encoding differs
-# between Python versions, so the digest does too.
+# no header: the header holds the cache_tag. marshal's encoding may differ
+# between Python versions, so the digest is pinned per version. With every
+# one-character string interned, these four versions write the same bytes.
 _PAYLOAD_DIGESTS = {
     (3, 10): "410897115dca5b782ace3717e9b7e618948747b3207650d0fc50eb9b3c05b9ea",
-    (3, 11): "1fb71bd0275a0e103c6a79b61c971f2475b17e042743e0f7668a1f5579e105e5",
-    (3, 12): "1fb71bd0275a0e103c6a79b61c971f2475b17e042743e0f7668a1f5579e105e5",
+    (3, 11): "410897115dca5b782ace3717e9b7e618948747b3207650d0fc50eb9b3c05b9ea",
+    (3, 12): "410897115dca5b782ace3717e9b7e618948747b3207650d0fc50eb9b3c05b9ea",
     (3, 13): "410897115dca5b782ace3717e9b7e618948747b3207650d0fc50eb9b3c05b9ea",
 }
+# Lines whose strings are one character long: a token of a longer key, a whole
+# surface and key, a CUI, and one outside Latin-1.
+_ONE_CHARACTER_LINES = "factor 7\tC90\tdrug\nvitamin b\tC91\tdrug\n7\tC92\tdrug\nheparin\t7\tdrug\nω\tC93\tdisease\n"
+# A lexicon that holds each of its one-character strings, CUIs both, just once.
+_HELD_ONCE_LINES = "heparin\tω\tdrug\naspirin\t7\tdrug\n"
 
 
-def _fixture_lexicon():
-    return load_lexicon((LEXICON_PATH.read_text(encoding="utf-8") + _DUPLICATE_LINE).split("\n"))
+def _payload(path):
+    """The index payload that a cold ``load_lexicon_file`` of ``path`` writes."""
+    index = path.with_name(path.name + INDEX_SUFFIX)
+    index.unlink(missing_ok=True)
+    load_lexicon_file(path)
+    written = index.read_bytes()
+    return written[written.index(b"\n") + 1:]
+
+
+def _fixture_payload(directory):
+    path = directory / "lexicon.tsv"
+    path.write_text(LEXICON_PATH.read_text(encoding="utf-8") + _DUPLICATE_LINE, encoding="utf-8")
+    return _payload(path)
 
 
 def _loading(path):
@@ -66,25 +77,27 @@ def _loading(path):
     return outcome, [(r.levelname, r.getMessage()) for r in records]
 
 
-def test_the_index_holds_every_column_of_its_format():
-    # A column added to Lexicon._index must go into _COLUMNS, and
+def test_the_index_holds_every_column_of_its_format(tmp_path):
+    # A column added to concepts._columns must go into _COLUMNS, and
     # _INDEX_FORMAT must be bumped, so that no older index is read.
-    lexicon = load_lexicon(["a b\tC1\tdrug\n", "A-B\tC2\tdisease\n"])
+    path = tmp_path / "lexicon.tsv"
+    path.write_text("a b\tC1\tdrug\nA-B\tC2\tdisease\n", encoding="utf-8")
+    cold = load_lexicon_file(path)
     assert concepts._INDEX_FORMAT == 3
-    assert sorted(vars(lexicon)) == [
+    assert sorted(vars(cold)) == [
         "_built", "_cuis", "_duplicates", "_exact", "_groups", "_keys", "_postings", "_set_sizes",
         "_surfaces", "max_term_tokens",
     ]
-    assert vars(Lexicon._from_index(lexicon._to_index())) == vars(lexicon)
+    assert vars(load_lexicon_file(path)) == vars(cold) == vars(load_lexicon(path.read_text(encoding="utf-8").split("\n")))
 
 
-def test_the_fixture_index_is_pinned_to_its_format():
+def test_the_fixture_index_is_pinned_to_its_format(tmp_path):
     # The header keys on the format, not on how a line parses: a change to
     # concept_fields, SemanticGroup.parse or the duplicate rule leaves every
     # old index in use unless the format is bumped. JSON, not marshal bytes,
     # so that the digest is the same on every Python version; in the order
     # the index holds its keys, which is part of the format.
-    columns = marshal.loads(_fixture_lexicon()._to_index())
+    columns = marshal.loads(_fixture_payload(tmp_path))
     digest = hashlib.sha256(json.dumps(columns).encode("utf-8")).hexdigest()
     pinned = (3, "d1cb48ef0a366a151db1ae76d79d1046fbafa1842cdf74416b870a9aa73a2cf2")
     assert (concepts._INDEX_FORMAT, digest) == pinned, (
@@ -94,21 +107,30 @@ def test_the_fixture_index_is_pinned_to_its_format():
 
 
 @pytest.mark.skipif(sys.version_info[:2] not in _PAYLOAD_DIGESTS, reason="no payload digest for this Python")
-def test_the_fixture_index_payload_is_pinned_per_python_version():
+def test_the_fixture_index_payload_is_pinned_per_python_version(tmp_path):
     # The JSON digest above cannot see marshal's back-references; this one
     # pins the bytes a command writes after the header.
-    digest = hashlib.sha256(_fixture_lexicon()._to_index()).hexdigest()
+    digest = hashlib.sha256(_fixture_payload(tmp_path)).hexdigest()
     assert (concepts._INDEX_FORMAT, digest) == (3, _PAYLOAD_DIGESTS[sys.version_info[:2]])
 
 
-# Builds the fixture lexicon's entries by matching its own text, then prints
-# the SHA-256 of its index payload.
-_BUILT_PAYLOAD = """import hashlib, sys
-from dialogforge.concepts import extract_concepts, load_lexicon
-text = open(sys.argv[1], encoding="utf-8").read() + sys.argv[2]
-lexicon = load_lexicon(text.split("\\n"))
-assert extract_concepts(text, lexicon, 0.7)
-print(hashlib.sha256(lexicon._to_index()).hexdigest())
+# Writes the index of the lexicon argv[1]. With argv[2] "primed", it first
+# compiles the constants '7' and 'ω', keeps the log records, and builds and
+# holds the entries of the lexicon argv[3]: each may hold a string that the
+# index holds.
+_WRITE_INDEX = """import logging, sys
+if sys.argv[2] == "primed":
+    exec("seven, omega = '7', 'ω'")
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logging.getLogger().addHandler(handler)
+from dialogforge.concepts import extract_concepts, load_lexicon_file
+if sys.argv[2] == "primed":
+    other = load_lexicon_file(sys.argv[3])
+    held = extract_concepts(open(sys.argv[3], encoding="utf-8").read(), other, 0.7)
+    assert held and other._keys
+load_lexicon_file(sys.argv[1])
 """
 
 
@@ -120,27 +142,28 @@ def _child_env(seed):
     }
 
 
-def test_the_index_payload_depends_on_the_lexicon_alone():
+def test_the_index_payload_depends_on_the_lexicon_alone(tmp_path):
     # marshal writes an object with a second reference as a back-reference,
-    # so a payload could follow whatever else holds the columns' objects.
-    lexicon = _fixture_lexicon()
-    payload = lexicon._to_index()
-    assert Lexicon._from_index(payload)._to_index() == payload
-    # Built entries hold the columns' strings.
-    assert extract_concepts(LEXICON_PATH.read_text(encoding="utf-8"), lexicon, 0.7)
-    assert lexicon._to_index() == payload
-    # Another holder of a column, and of one of its lists.
-    held = (lexicon._keys, lexicon._postings["heart"])
-    assert lexicon._to_index() == payload
-    assert held[0] is lexicon._keys
-    digest = hashlib.sha256(payload).hexdigest()
-    for seed in ("0", "1"):
-        proc = subprocess.run(
-            [sys.executable, "-c", _BUILT_PAYLOAD, str(LEXICON_PATH), _DUPLICATE_LINE],
-            capture_output=True, env=_child_env(seed), timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        assert proc.stdout.decode().strip() == digest
+    # and whether a string is interned, so a payload could follow whatever
+    # else holds the columns' objects or interned their strings. Each child
+    # process writes the index of its own copy of one lexicon.
+    other = tmp_path / "other.tsv"
+    other.write_text(LEXICON_PATH.read_text(encoding="utf-8") + _ONE_CHARACTER_LINES, encoding="utf-8")
+    fixture = LEXICON_PATH.read_text(encoding="utf-8") + _DUPLICATE_LINE + _ONE_CHARACTER_LINES
+    for name, text in (("fixture", fixture), ("held-once", _HELD_ONCE_LINES)):
+        written = []
+        for seed in ("0", "1"):
+            for state in ("plain", "primed"):
+                lexicon = tmp_path / f"{name}-{seed}-{state}" / "lexicon.tsv"
+                lexicon.parent.mkdir()
+                lexicon.write_text(text, encoding="utf-8")
+                proc = subprocess.run(
+                    [sys.executable, "-c", _WRITE_INDEX, str(lexicon), state, str(other)],
+                    capture_output=True, env=_child_env(seed), timeout=60,
+                )
+                assert proc.returncode == 0, proc.stderr.decode()
+                written.append(lexicon.with_name(lexicon.name + INDEX_SUFFIX).read_bytes())
+        assert written == written[:1] * 4, name
 
 
 def test_the_index_file_does_not_depend_on_the_hash_seed(tmp_path):
@@ -196,12 +219,55 @@ def test_a_lexicon_read_from_its_index_is_the_parsed_one(lines, bom, windows, th
             assert _loading(path) == (cold, cold_log)
             return
         assert index.exists()
-        with mock.patch.object(concepts, "load_lexicon", side_effect=AssertionError("parsed, not read")):
+        with mock.patch.object(concepts, "_columns", side_effect=AssertionError("parsed, not read")):
             warm, warm_log = _loading(path)
         assert warm_log == cold_log
         assert vars(warm) == vars(cold)
         for window in windows:
             assert warm.match_window(window, threshold) == cold.match_window(window, threshold)
+
+
+# A line whose surface or CUI holds a one-character string.
+_ONE_CHARACTER_LINE = st.builds(
+    "{}{}\t{}\tdrug\n".format,
+    st.sampled_from(["", "factor ", "vitamin "]),
+    st.sampled_from(["7", "b", "x", "é", "ω"]),
+    st.sampled_from(["C90", "7"]),
+)
+
+
+@given(lines=_lexicon_lines(), ones=st.lists(_ONE_CHARACTER_LINE, max_size=4), first=st.booleans())
+@example(lines=["aspirin\tC1\tdrug\n"], ones=["factor 7\tC90\tdrug\n", "7\t7\tdrug\n", "ω\tC90\tdrug\n"], first=True)
+def test_a_cold_payload_is_a_fixed_point_of_marshal(lines, ones, first):
+    # A payload dumped from the parse is the one a fresh decode of it dumps:
+    # no back-reference or interned flag comes from outside the columns.
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "lexicon.tsv"
+        path.write_text("".join(ones + lines if first else lines + ones), encoding="utf-8")
+        try:
+            payload = _payload(path)
+        except LexiconError:
+            assert not path.with_name(path.name + INDEX_SUFFIX).exists()
+            return
+        # Outside the assert, which would hold the decoded tuple in a name.
+        again = marshal.dumps(marshal.loads(payload))
+        assert again == payload
+
+
+def test_a_cold_load_dumps_once_and_a_warm_load_only_reads(tmp_path, monkeypatch):
+    path = tmp_path / "lexicon.tsv"
+    path.write_bytes(LEXICON_PATH.read_bytes())
+    calls = []
+    counted = types.SimpleNamespace(
+        dumps=lambda value: calls.append("dumps") or marshal.dumps(value),
+        loads=lambda data: calls.append("loads") or marshal.loads(data),
+    )
+    monkeypatch.setattr(concepts, "marshal", counted)
+    cold = load_lexicon_file(path)
+    assert calls == ["dumps", "loads"]
+    calls.clear()
+    assert vars(load_lexicon_file(path)) == vars(cold)
+    assert calls == ["loads"]
 
 
 def _extract(lexicon, out):
@@ -236,7 +302,7 @@ def test_a_warm_index_gives_the_records_and_warnings_of_a_parse(copied, tmp_path
     written = index.read_bytes()
     assert written.startswith(f"dialogforge-index {concepts._INDEX_FORMAT} ".encode())
     parses = []
-    monkeypatch.setattr(concepts, "load_lexicon", lambda lines: parses.append(1) or load_lexicon(lines))
+    monkeypatch.setattr(concepts, "_columns", lambda rows, parse=concepts._columns: parses.append(1) or parse(rows))
     assert _run(lexicon, tmp_path, capsys, caplog) == (expected, "", _DUPLICATE)
     assert parses == []
     assert index.read_bytes() == written
@@ -265,7 +331,7 @@ def test_a_format_2_index_is_parsed_over_and_rewritten(copied, tmp_path, capsys,
     assert written.startswith(b"dialogforge-index 3 ")
     index.write_bytes(b"dialogforge-index 2 " + written[len(b"dialogforge-index 3 "):])
     parses = []
-    monkeypatch.setattr(concepts, "load_lexicon", lambda lines: parses.append(1) or load_lexicon(lines))
+    monkeypatch.setattr(concepts, "_columns", lambda rows, parse=concepts._columns: parses.append(1) or parse(rows))
     assert _run(lexicon, tmp_path, capsys, caplog) == (expected, "", _DUPLICATE)
     assert parses == [1]
     assert index.read_bytes() == written
